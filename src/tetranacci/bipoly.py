@@ -113,18 +113,6 @@ class BiPoly:
         return f"BiPoly({self.render()})"
 
 
-def poly_add(p: BiPoly, q: BiPoly) -> BiPoly:
-    return p + q
-
-
-def poly_mul(p: BiPoly, q: BiPoly) -> BiPoly:
-    return p * q
-
-
-def poly_neg(p: BiPoly) -> BiPoly:
-    return -p
-
-
 @lru_cache(maxsize=None)
 def _basic_window(lo: int, hi: int):
     """Exact basic polynomials for all four unit seeds on indices lo..hi."""

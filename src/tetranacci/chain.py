@@ -5,9 +5,11 @@ first off-diagonals -t1, second off-diagonals -t2.  Eigenvector entries
 obey the four-term recursion with zeta = -(E + mu)/t2, eta = -t1/t2 and
 the open-boundary extension xi_0 = xi_{-1} = xi_{N+1} = xi_{N+2} = 0.
 
-Eigenvalues come from the dense oracle; wavevectors are recovered
-analytically per energy and the transcendental quantization relation is
-used as a residual diagnostic, not as a root finder.
+Eigenpairs come from LAPACK's banded symmetric driver on the three
+stored bands (`eigh_pentadiagonal`, the package's one eigensolver);
+wavevectors are recovered analytically per energy and the transcendental
+quantization relation is used as a residual diagnostic, not as a root
+finder.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eig_banded
 
-from . import denselinalg
 from .closedform import characterize
 from .errors import (DegenerateModeError, PreconditionError,
                      RemovableSingularityError, ZeroT2Error)
 from .exactnum import basic_sequences
-from .recurrence import Coefficients
+from .recurrence import Coefficients, require_finite
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,7 @@ class ChainParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one site")
+        require_finite(self.mu, self.t1, self.t2, self.d)
 
 
 class Arrow(enum.Enum):
@@ -78,6 +81,36 @@ class CrossingRecord:
     e: float
 
 
+def eigh_pentadiagonal(diag, off1, off2):
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a real
+    symmetric pentadiagonal matrix.
+
+    diag is the main diagonal (length N); off1 and off2 are the first and
+    second off-diagonals, as scalars or arrays of length N-1 and N-2.  The
+    (3, N) lower band storage goes to LAPACK's banded driver, so no dense
+    N x N matrix is formed.
+    """
+    n = len(diag)
+    band = np.zeros((3, n))
+    band[0] = diag
+    band[1, :n - 1] = off1
+    band[2, :max(n - 2, 0)] = off2
+    # a bandwidth above N - 1 is an illegal argument to LAPACK's rescaling
+    # of tiny matrices, which then returns wrong eigenvalues
+    return eig_banded(band[:n], lower=True)
+
+
+def cluster_eigenvalues(w: np.ndarray, gap: float):
+    """Group sorted eigenvalues into clusters separated by less than gap."""
+    clusters = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] >= gap:
+            clusters.append(list(range(start, i)))
+            start = i
+    return clusters
+
+
 def build_chain_matrix(p: ChainParams) -> np.ndarray:
     h = np.zeros((p.n, p.n))
     np.fill_diagonal(h, -p.mu)
@@ -114,6 +147,11 @@ def _sin_ratio(k: complex, n: int, d: float) -> complex:
     return cmath.sin(kd * (n + 2)) / s
 
 
+# residual below which a branch relation holds: the bound every
+# non-degenerate mode meets, so below it the relation cannot pick the sign
+_BRANCH_TOL = 1e-6
+
+
 def quantization_residual(k1: complex, k2: complex, n: int, d: float = 1.0):
     """Residual of the two-branch quantization relation and its branch sign.
 
@@ -125,35 +163,26 @@ def quantization_residual(k1: complex, k2: complex, n: int, d: float = 1.0):
     km = (k1 - k2) / 2.0
     if abs(cmath.sin(kp * d)) < 1e-12 or abs(cmath.sin(km * d)) < 1e-12:
         raise RemovableSingularityError("sin(k d) vanishes at k+ or k-")
-    fp = _sin_ratio(kp, n, d)
-    fm = _sin_ratio(km, n, d)
-    scale = max(abs(fp), abs(fm), 1.0)
-    res_plus = abs(fp - fm) / scale
-    res_minus = abs(fp + fm) / scale
-    if res_plus <= res_minus:
-        return res_plus, +1
-    return res_minus, -1
+    res = _branch_residuals(k1, k2, n, d)
+    s_q = min(res, key=res.get)
+    return res[s_q], s_q
 
 
-def _robust_residual(k1: complex, k2: complex, n: int, d: float):
+def _branch_residuals(k1: complex, k2: complex, n: int, d: float):
+    """Residuals {+1: ..., -1: ...} of f(k+) = +-f(k-), removable limits filled in."""
     kp = (k1 + k2) / 2.0
     km = (k1 - k2) / 2.0
     fp = _sin_ratio(kp, n, d)
     fm = _sin_ratio(km, n, d)
     scale = max(abs(fp), abs(fm), 1.0)
-    res_plus = abs(fp - fm) / scale
-    res_minus = abs(fp + fm) / scale
-    if res_plus <= res_minus:
-        return res_plus, +1
-    return res_minus, -1
+    return {+1: abs(fp - fm) / scale, -1: abs(fp + fm) / scale}
 
 
 def spectrum(p: ChainParams):
     """All N modes, sorted by energy, with symmetry and arrow diagnostics."""
-    h = build_chain_matrix(p)
-    w, v = denselinalg.sym_eigen(h)
+    w, v = eigh_pentadiagonal(np.full(p.n, -p.mu), -p.t1, -p.t2)
     scale = max(1.0, float(np.abs(w).max()))
-    clusters = denselinalg.cluster_eigenvalues(w, 1e-8 * scale)
+    clusters = cluster_eigenvalues(w, 1e-8 * scale)
     modes = []
     for cluster in clusters:
         vecs = v[:, cluster]
@@ -163,7 +192,7 @@ def spectrum(p: ChainParams):
             # diagonalize the reflection inside the degenerate subspace
             r = vecs.T @ vecs[::-1, :]
             r = 0.5 * (r + r.T)
-            pw, pu = denselinalg.sym_eigen(r)
+            pw, pu = np.linalg.eigh(r)
             vecs = vecs @ pu
             parities = [1 if x > 0 else -1 for x in pw]
         for pos, idx in enumerate(cluster):
@@ -173,10 +202,15 @@ def spectrum(p: ChainParams):
             k1, k2 = wavevectors_from_energy(e, p)
             kp = (k1 + k2) / 2.0
             km = (k1 - k2) / 2.0
-            residual, s_q = _robust_residual(k1, k2, p.n, p.d)
             if len(cluster) > 1:
                 # both branches vanish at a crossing; pair sign with parity
                 residual, s_q = 0.0, -lam
+            else:
+                res = _branch_residuals(k1, k2, p.n, p.d)
+                # f(k+) = f(k-) = 0 (e.g. k2 = pi at E = -mu, t1 = t2, N + 2
+                # divisible by 3) satisfies both signs; the parity decides
+                s_q = -lam if max(res.values()) < _BRANCH_TOL else min(res, key=res.get)
+                residual = res[s_q]
             inside = (abs(k1.imag) < 1e-7 / p.d) and (abs(k2.imag) < 1e-7 / p.d)
             modes.append(EigenMode(
                 e=e, k1=k1, k2=k2, k_plus=kp, k_minus=km, s_q=s_q,

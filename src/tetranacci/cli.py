@@ -89,14 +89,22 @@ def _parse_grid(text: str) -> np.ndarray:
             f"grid must be min:max:steps, got {text!r}") from exc
 
 
-def _chain_from_args(args) -> ChainParams:
-    return ChainParams(mu=args.mu, t1=args.t1, t2=args.t2, n=args.n)
+def _params(parser, cls, *args, **kwargs):
+    """Build a parameter object; a value it rejects is a usage error (exit 2)."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _chain_from_args(args, parser) -> ChainParams:
+    return _params(parser, ChainParams, mu=args.mu, t1=args.t1, t2=args.t2, n=args.n)
 
 
 def cmd_seq(args, parser):
     if args.hi < args.lo:
         parser.error("empty range: --hi is below --lo")
-    c = Coefficients(args.zeta, args.eta)
+    c = _params(parser, Coefficients, args.zeta, args.eta)
     rows = []
     worst = 0.0
     window = None
@@ -129,9 +137,10 @@ def cmd_seq(args, parser):
 
 def cmd_spectrum(args, parser):
     if args.sweep_eta is not None:
+        chains = [(eta, _params(parser, ChainParams, mu=args.mu, t1=-eta * args.t2,
+                                t2=args.t2, n=args.n)) for eta in args.sweep_eta]
         rows = []
-        for eta in args.sweep_eta:
-            p = ChainParams(mu=args.mu, t1=-eta * args.t2, t2=args.t2, n=args.n)
+        for eta, p in chains:
             for mode in spectrum(p):
                 c = coeffs_from_energy(mode.e, p)
                 rows.append({"eta": float(eta), "zeta": c.zeta.real,
@@ -140,7 +149,7 @@ def cmd_spectrum(args, parser):
                 "t2": args.t2, "sweep_eta": args.sweep_eta_raw}
         _emit(args, meta, rows)
         return 0
-    p = _chain_from_args(args)
+    p = _chain_from_args(args, parser)
     rows = [{"e": m.e, "k1": m.k1, "k2": m.k2, "k_plus": m.k_plus,
              "k_minus": m.k_minus, "s_q": m.s_q, "lambda_i": m.lambda_i,
              "arrow": m.arrow.value, "quant_residual": m.quant_residual,
@@ -173,12 +182,13 @@ def cmd_arrow(args, parser):
 
 
 def cmd_kitaev(args, parser):
+    chains = [_params(parser, KitaevParams, mu=float(mu), t=args.t,
+                      delta=args.delta, n=args.n) for mu in args.mu_grid]
     rows = []
-    for mu in args.mu_grid:
-        p = KitaevParams(mu=float(mu), t=args.t, delta=args.delta, n=args.n)
+    for p in chains:
         for e in kitaev_spectrum(p):
             c = kitaev_effective_coeffs(e, p)
-            rows.append({"mu": float(mu), "e": e,
+            rows.append({"mu": p.mu, "e": e,
                          "zeta": c.zeta, "eta": c.eta})
     meta = {"command": "kitaev", "n": args.n, "t": args.t,
             "delta": args.delta, "mu_grid": args.mu_grid_raw}
@@ -188,9 +198,9 @@ def cmd_kitaev(args, parser):
 
 def cmd_transport(args, parser):
     setup = TransportSetup(
-        _chain_from_args(args),
-        LeadParams(args.gamma_l, args.lambda_l),
-        LeadParams(args.gamma_r, args.lambda_r))
+        _chain_from_args(args, parser),
+        _params(parser, LeadParams, args.gamma_l, args.lambda_l),
+        _params(parser, LeadParams, args.gamma_r, args.lambda_r))
     rows = []
     if args.v_grid is not None:
         beta = math.inf if args.beta == "inf" else float(args.beta)
@@ -322,21 +332,27 @@ def _materialize_grids(args, parser):
                 parser.error(str(exc))
 
 
-_VALUE_FLAGS = ("--zeta", "--eta", "--g", "--beta", "--sweep-eta",
-                "--eta-grid", "--zeta-grid", "--mu-grid", "--e-grid", "--v-grid")
+def _is_value(token: str) -> bool:
+    """True for a number, a grid `min:max:steps` or a comma list of numbers."""
+    try:
+        for part in token.replace(":", ",").split(","):
+            complex(part.replace(" ", ""))
+    except ValueError:
+        return False
+    return True
 
 
 def _join_negative_values(argv):
-    """Fuse `--flag -1:1:5` into `--flag=-1:1:5` so argparse accepts it."""
+    """Fuse `--flag -2e-05` into `--flag=-2e-05` so argparse accepts it.
+
+    argparse takes any token that starts with "-" and does not match its
+    plain negative-number pattern (no exponent, no grid, no complex) for a
+    flag, so every `--flag VALUE` whose value is numeric is fused.
+    """
     out = []
-    it = iter(argv)
-    for tok in it:
-        if tok in _VALUE_FLAGS:
-            nxt = next(it, None)
-            if nxt is None:
-                out.append(tok)
-            else:
-                out.append(f"{tok}={nxt}")
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_value(tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
@@ -351,7 +367,7 @@ def main(argv=None) -> int:
         parser.error("transport needs exactly one of --e-grid or --v-grid")
     if args.command == "transport" and args.beta != "inf":
         try:
-            if float(args.beta) <= 0.0:
+            if not float(args.beta) > 0.0:  # also rejects nan
                 parser.error("--beta must be positive or 'inf'")
         except ValueError:
             parser.error(f"bad --beta value {args.beta!r}")

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassMismatchError, DegenerateRootsError
-from .recurrence import Coefficients, InitialValues, eval_range
-from . import denselinalg
+from .recurrence import Coefficients, InitialValues
 
 
 class RootClass(enum.Enum):
@@ -192,7 +191,7 @@ def plane_wave_coeffs(g: InitialValues, cd: CharacteristicData):
             "plane-wave decomposition needs four distinct roots")
     roots = [cd.r_plus_1, cd.r_minus_1, cd.r_plus_2, cd.r_minus_2]
     a = np.array([[r ** i for r in roots] for i in (-2, -1, 0, 1)], dtype=complex)
-    x = denselinalg.solve_complex(a, np.array(g.g, dtype=complex))
+    x = np.linalg.solve(a, np.array(g.g, dtype=complex))
     return tuple(x)
 
 
@@ -233,8 +232,3 @@ def appendix_a_solutions(cd: CharacteristicData, j_range) -> dict:
 def power_candidate_residual(p: int, cd: CharacteristicData, j_range) -> float:
     """Recursion residual of j^p r_{+1}^j (diagnostic, any class)."""
     return _power_candidate_residual(p, cd.r_plus_1, cd, j_range)
-
-
-def basic_recursion_value(i: int, j: int, c: Coefficients) -> complex:
-    """Replay reference for basic polynomials (thin wrapper for tests)."""
-    return eval_range(InitialValues.unit(i), c, j, j).value(j)

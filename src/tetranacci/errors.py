@@ -21,14 +21,6 @@ class RangeGuardError(TetranacciError):
     """Exact polynomial index exceeds the growth guard."""
 
 
-class AsymmetryError(TetranacciError):
-    """Matrix is not symmetric to working precision."""
-
-
-class SingularMatrixError(TetranacciError):
-    """Linear system has no stable pivot."""
-
-
 class ZeroT2Error(TetranacciError):
     """Next-nearest-neighbor hopping is zero; coefficient map undefined."""
 

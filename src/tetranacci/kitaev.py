@@ -12,14 +12,13 @@ i.e. effective hoppings t1_eff = 2 t mu and t2_eff = t^2 - delta^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import denselinalg
+from .chain import eigh_pentadiagonal
 from .errors import DegenerateCouplingError
-from .recurrence import Coefficients
+from .recurrence import Coefficients, require_finite
 
 
 @dataclass(frozen=True)
@@ -34,6 +33,7 @@ class KitaevParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two sites")
+        require_finite(self.mu, self.t, self.delta)
 
 
 @dataclass(frozen=True)
@@ -62,28 +62,28 @@ def xy_effective_hoppings(p: XYParams):
     return -2.0 * p.hfield * (p.jx + p.jy), p.jx * p.jy
 
 
-def effective_h_matrix(p: KitaevParams) -> np.ndarray:
-    """Sublattice matrix h with h v = E^2 v, materialized as real symmetric.
+def effective_h_bands(p: KitaevParams):
+    """Diagonal and the two off-diagonal couplings of the sublattice matrix h.
 
     With a = i(delta - t) and b = i(delta + t) all products entering h are
     real: -a^2 = (delta - t)^2, -b^2 = (delta + t)^2, i mu (a - b) =
-    2 t mu, a b = t^2 - delta^2.
+    2 t mu, a b = t^2 - delta^2.  The first site misses the -b^2 term of
+    the diagonal and the last site the -a^2 term.
     """
-    n = p.n
-    am_sq = (p.delta - p.t) ** 2   # -a^2
-    bm_sq = (p.delta + p.t) ** 2   # -b^2
-    h = np.zeros((n, n))
-    for j in range(n):
-        diag = p.mu * p.mu
-        if j != n - 1:
-            diag += am_sq
-        if j != 0:
-            diag += bm_sq
-        h[j, j] = diag
+    diag = np.full(p.n, p.mu * p.mu)
+    diag[:-1] += (p.delta - p.t) ** 2   # -a^2
+    diag[1:] += (p.delta + p.t) ** 2    # -b^2
     t1_eff, t2_eff = kitaev_effective_hoppings(p)
-    for j in range(n - 1):
+    return diag, t1_eff, t2_eff
+
+
+def effective_h_matrix(p: KitaevParams) -> np.ndarray:
+    """Sublattice matrix h with h v = E^2 v, materialized as real symmetric."""
+    diag, t1_eff, t2_eff = effective_h_bands(p)
+    h = np.diag(diag)
+    for j in range(p.n - 1):
         h[j, j + 1] = h[j + 1, j] = t1_eff
-    for j in range(n - 2):
+    for j in range(p.n - 2):
         h[j, j + 2] = h[j + 2, j] = t2_eff
     return h
 
@@ -105,19 +105,26 @@ def bdg_matrix(p: KitaevParams) -> np.ndarray:
 
 
 def kitaev_spectrum(p: KitaevParams):
-    """Excitation energies as sorted +-E pairs from the sublattice matrix."""
-    w, _ = denselinalg.sym_eigen(effective_h_matrix(p))
+    """Excitation energies as sorted +-E pairs from the sublattice matrix.
+
+    h = A^T A with A tridiagonal (mu on the diagonal, t - delta below it,
+    t + delta above it), so E = |A v| for each eigenvector v of h.  That
+    keeps a near-zero E (a Majorana mode) within roundoff of A, where the
+    square root of the eigenvalue would carry the square root of the
+    roundoff of h, enough to miss the particle-hole spectrum by more than
+    1e-8 on long topological chains.
+    """
+    w, v = eigh_pentadiagonal(*effective_h_bands(p))
     scale = max(1.0, float(np.abs(w).max()))
-    energies = []
-    for lam in w:
-        if lam < -1e-10 * scale:
-            raise ValueError(f"sublattice matrix not PSD: eigenvalue {lam}")
-        e = math.sqrt(max(float(lam), 0.0))
-        energies.extend([-e, e])
-    return sorted(energies)
+    if w[0] < -1e-10 * scale:
+        raise ValueError(f"sublattice matrix not PSD: eigenvalue {w[0]}")
+    av = p.mu * v
+    av[1:] += (p.t - p.delta) * v[:-1]
+    av[:-1] += (p.t + p.delta) * v[1:]
+    e = np.linalg.norm(av, axis=0)
+    return sorted(np.concatenate([-e, e]).tolist())
 
 
 def bdg_spectrum(p: KitaevParams):
     """Excitation energies from the full particle-hole matrix (oracle)."""
-    w, _ = denselinalg.sym_eigen(bdg_matrix(p))
-    return sorted(float(x) for x in w)
+    return [float(x) for x in np.linalg.eigvalsh(bdg_matrix(p))]

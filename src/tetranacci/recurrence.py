@@ -20,7 +20,7 @@ import numpy as np
 from .errors import IndexRangeError
 
 
-def _require_finite(*values: complex) -> None:
+def require_finite(*values: complex) -> None:
     for v in values:
         if not (cmath.isfinite(complex(v))):
             raise ValueError(f"non-finite value {v!r}")
@@ -34,7 +34,7 @@ class Coefficients:
     eta: complex
 
     def __post_init__(self):
-        _require_finite(self.zeta, self.eta)
+        require_finite(self.zeta, self.eta)
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class InitialValues:
     def __post_init__(self):
         if len(self.g) != 4:
             raise ValueError("expected exactly four initial values")
-        _require_finite(*self.g)
+        require_finite(*self.g)
 
     @classmethod
     def unit(cls, i: int) -> "InitialValues":

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from . import denselinalg
 from .chain import ChainParams, build_chain_matrix, coeffs_from_energy
 from .errors import QuadratureError, SingularBoundaryError
 from .exactnum import ExactComplex, basic_sequences
+from .recurrence import require_finite
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class LeadParams:
     lam: float = 0.0
 
     def __post_init__(self):
+        require_finite(self.gamma, self.lam)
         if self.gamma < 0.0:
             raise ValueError("broadening must be non-negative")
 
@@ -114,12 +115,12 @@ def green_1n_dense(e: float, s: TransportSetup) -> complex:
     a = _dense_inverse_matrix(e, s)
     rhs = np.zeros(s.chain.n, dtype=complex)
     rhs[-1] = 1.0
-    return complex(denselinalg.solve_complex(a, rhs)[0])
+    return complex(np.linalg.solve(a, rhs)[0])
 
 
 def transmission_dense(e: float, s: TransportSetup) -> float:
     """Full trace formula Tr{Gamma_L G^r Gamma_R G^a} via dense inversion."""
-    g = denselinalg.inverse_complex(_dense_inverse_matrix(e, s))
+    g = np.linalg.inv(_dense_inverse_matrix(e, s))
     gamma_l = np.zeros_like(g)
     gamma_r = np.zeros_like(g)
     gamma_l[0, 0] = 2.0 * s.left.gamma

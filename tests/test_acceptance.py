@@ -18,7 +18,6 @@ from tetranacci.chain import (Arrow, ChainParams, arrow_classify,
                               crossings, eigenvector_tetranacci, spectrum,
                               t1_zero_spectrum)
 from tetranacci.closedform import RootClass, characterize, xi_closed
-from tetranacci.denselinalg import sym_eigen
 from tetranacci.errors import DegenerateModeError, SingularBoundaryError
 from tetranacci.kitaev import (KitaevParams, bdg_spectrum, effective_h_matrix,
                                kitaev_spectrum)
@@ -105,7 +104,7 @@ def test_03_t1_zero_spectra():
             for t2 in (1.0, -2.0):
                 p = ChainParams(mu=mu, t1=0.0, t2=t2, n=n)
                 exact = np.array(t1_zero_spectrum(p))
-                w, _ = sym_eigen(build_chain_matrix(p))
+                w = np.linalg.eigvalsh(build_chain_matrix(p))
                 worst = max(worst, float(np.abs(exact - w).max()))
                 if n % 2 == 0:
                     vals, counts = np.unique(np.round(exact, 9),
@@ -125,7 +124,7 @@ def test_04_crossing_counts_and_degeneracy():
     worst_gap = 0.0
     for rec in crossings(6):
         p = ChainParams(mu=0.0, t1=rec.t1_over_t2, t2=1.0, n=6)
-        w, _ = sym_eigen(build_chain_matrix(p))
+        w = np.linalg.eigvalsh(build_chain_matrix(p))
         gaps = np.sort(np.abs(w - rec.e))
         worst_gap = max(worst_gap, float(gaps[1]))
     report("crossing enumeration counts and N=6 degeneracy check",
@@ -200,7 +199,7 @@ def test_08_eigenvector_formula():
             while abs(t2) < 0.2:
                 t2 = rng.normal()
             p = ChainParams(mu=rng.normal(), t1=rng.normal(), t2=t2, n=n)
-            w, v = sym_eigen(build_chain_matrix(p))
+            w, v = np.linalg.eigh(build_chain_matrix(p))
             for idx in range(n):
                 try:
                     vec = eigenvector_tetranacci(float(w[idx]), p)
@@ -227,7 +226,7 @@ def test_09_kitaev_consistency():
             b = np.array(bdg_spectrum(p))
             scale = max(1.0, float(np.abs(b).max()))
             worst = max(worst, float(np.abs(np.sort(a) - np.sort(b)).max()) / scale)
-    w, _ = sym_eigen(effective_h_matrix(KitaevParams(mu=0.0, t=1.0, delta=1.0, n=10)))
+    w = np.linalg.eigvalsh(effective_h_matrix(KitaevParams(mu=0.0, t=1.0, delta=1.0, n=10)))
     zero = abs(float(w[0]))
     report("Kitaev sublattice vs particle-hole spectra; Majorana zero mode",
            worst < 1e-8 and zero < 1e-10,
@@ -276,7 +275,7 @@ def test_11_figure_shape_reproduction():
         # spot-check a handful of crossing parameters for actual degeneracy
         for rec in recs[:: max(1, len(recs) // 8)]:
             p = ChainParams(mu=0.0, t1=rec.t1_over_t2, t2=1.0, n=n)
-            w, _ = sym_eigen(build_chain_matrix(p))
+            w = np.linalg.eigvalsh(build_chain_matrix(p))
             gaps = np.sort(np.abs(w - rec.e))
             worst_gap_at_crossing = max(worst_gap_at_crossing, float(gaps[1]))
         # on a generic eta grid any numerically degenerate pair must sit at
@@ -284,7 +283,7 @@ def test_11_figure_shape_reproduction():
         cross_pts = [(r.eta, r.zeta) for r in recs]
         for eta in np.linspace(-6.0, 6.0, 41):
             p = ChainParams(mu=0.0, t1=-float(eta), t2=1.0, n=n)
-            w, _ = sym_eigen(build_chain_matrix(p))
+            w = np.linalg.eigvalsh(build_chain_matrix(p))
             for i in range(n - 1):
                 if w[i + 1] - w[i] < 1e-8:
                     zeta = -float(w[i])
@@ -292,14 +291,14 @@ def test_11_figure_shape_reproduction():
                                for ce, cz in cross_pts)
                     ok_cross &= near < 1e-6
     # no degeneracies at eta = 0 for odd N
-    w, _ = sym_eigen(build_chain_matrix(ChainParams(0.0, 0.0, 1.0, 21)))
+    w = np.linalg.eigvalsh(build_chain_matrix(ChainParams(0.0, 0.0, 1.0, 21)))
     ok_odd = float(np.diff(w).min()) > 1e-6
     # multiset symmetry under eta -> -eta
     worst_sym = 0.0
     for n in (20, 21):
         for eta in np.linspace(0.0, 6.0, 13):
-            wp, _ = sym_eigen(build_chain_matrix(ChainParams(0.0, -eta, 1.0, n)))
-            wm, _ = sym_eigen(build_chain_matrix(ChainParams(0.0, eta, 1.0, n)))
+            wp = np.linalg.eigvalsh(build_chain_matrix(ChainParams(0.0, -eta, 1.0, n)))
+            wm = np.linalg.eigvalsh(build_chain_matrix(ChainParams(0.0, eta, 1.0, n)))
             worst_sym = max(worst_sym, float(np.abs(np.sort(wp) - np.sort(wm)).max()))
     report("spectral-map shape: crossings, odd-N non-degeneracy, eta symmetry",
            ok_cross and ok_odd and worst_sym < 1e-9

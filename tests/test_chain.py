@@ -9,7 +9,6 @@ from tetranacci.chain import (Arrow, ChainParams, arrow_classify,
                               newton_refine_wavevectors, quantization_residual,
                               spectrum, t1_zero_spectrum,
                               wavevectors_from_energy)
-from tetranacci.denselinalg import subspace_angle, sym_eigen
 from tetranacci.errors import (PreconditionError, RemovableSingularityError,
                                ZeroT2Error)
 
@@ -19,6 +18,15 @@ def random_chain(rng, n):
     while abs(t2) < 0.1:
         t2 = rng.normal()
     return ChainParams(mu=rng.normal(), t1=rng.normal(), t2=t2, n=n)
+
+
+def subspace_angle(u: np.ndarray, v: np.ndarray) -> float:
+    """Largest principal angle (radians) between the column spans of u, v."""
+    qu, _ = np.linalg.qr(u)
+    qv, _ = np.linalg.qr(v)
+    sv = np.linalg.svd(qu.T.conj() @ qv, compute_uv=False)
+    sv = np.clip(sv, -1.0, 1.0)
+    return float(np.arccos(sv.min()))
 
 
 # --- matrix / dispersion ----------------------------------------------------
@@ -118,7 +126,7 @@ def test_t1_zero_spectrum_mu_shift():
 def test_t1_zero_spectrum_matches_dense():
     for n in (4, 5, 8, 9):
         p = ChainParams(mu=0.1, t1=0.0, t2=-1.3, n=n)
-        w, _ = sym_eigen(build_chain_matrix(p))
+        w = np.linalg.eigvalsh(build_chain_matrix(p))
         assert np.allclose(t1_zero_spectrum(p), w, atol=1e-10)
 
 
@@ -184,7 +192,7 @@ def test_crossing_counts():
 def test_crossing_records_are_degenerate():
     for rec in crossings(6):
         p = ChainParams(mu=0.0, t1=rec.t1_over_t2, t2=1.0, n=6)
-        w, _ = sym_eigen(build_chain_matrix(p))
+        w = np.linalg.eigvalsh(build_chain_matrix(p))
         gaps = np.abs(w - rec.e)
         idx = np.argsort(gaps)
         assert gaps[idx[0]] < 1e-8 and gaps[idx[1]] < 1e-8
@@ -202,7 +210,7 @@ def test_crossing_record_geometry():
 
 def test_eigenvector_matches_dense():
     p = ChainParams(mu=0.0, t1=1.0, t2=3.0, n=5)
-    w, v = sym_eigen(build_chain_matrix(p))
+    w, v = np.linalg.eigh(build_chain_matrix(p))
     vec = eigenvector_tetranacci(float(w[0]), p)
     vec = vec / np.linalg.norm(vec)
     dense = v[:, 0]
@@ -212,7 +220,7 @@ def test_eigenvector_matches_dense():
 
 def test_eigenvector_parity():
     p = ChainParams(mu=0.3, t1=0.8, t2=1.1, n=7)
-    w, _ = sym_eigen(build_chain_matrix(p))
+    w = np.linalg.eigvalsh(build_chain_matrix(p))
     for e in w:
         vec = eigenvector_tetranacci(float(e), p)
         flipped = vec[::-1]
@@ -224,7 +232,7 @@ def test_eigenvector_parity():
 def test_eigenvector_boundary_extension():
     from tetranacci.closedform import characterize, t_minus2
     p = ChainParams(mu=0.1, t1=0.9, t2=1.4, n=6)
-    w, _ = sym_eigen(build_chain_matrix(p))
+    w = np.linalg.eigvalsh(build_chain_matrix(p))
     e = float(w[2])
     cd = characterize(coeffs_from_energy(e, p))
     t = [t_minus2(j, cd) for j in range(-1, p.n + 4)]
@@ -238,7 +246,7 @@ def test_eigenvector_boundary_extension():
 def test_degenerate_pair_subspace():
     rec = crossings(6)[0]
     p = ChainParams(mu=0.0, t1=rec.t1_over_t2, t2=1.0, n=6)
-    w, v = sym_eigen(build_chain_matrix(p))
+    w, v = np.linalg.eigh(build_chain_matrix(p))
     idx = np.where(np.abs(w - rec.e) < 1e-8)[0]
     assert len(idx) == 2
     from tetranacci.closedform import characterize, t_minus2

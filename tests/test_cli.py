@@ -158,3 +158,28 @@ def test_numerical_failure_exit_code(capsys):
                        "--e-grid", "-1:-1:1")
     assert code == 4
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (("spectrum", "--n", "10", "--mu", "-2e-05"), "mu", -2e-05),
+    (("transport", "--n", "4", "--t1", "1", "--t2", "0.8", "--lambda-l", "-1e-3",
+      "--e-grid", "-1:1:3"), "lambda_l", -1e-3),
+])
+def test_negative_exponent_values(capsys, argv, key, value):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["meta"][key] == value
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n", "0"),
+    ("spectrum", "--n", "4", "--mu", "nan"),
+    ("kitaev", "--n", "1", "--t", "1", "--delta", "0.3", "--mu-grid", "0:1:3"),
+    ("seq", "--zeta", "nan", "--eta", "1", "--g", "0,0,0,1"),
+    ("transport", "--n", "4", "--beta", "nan", "--v-grid", "1:1:1"),
+])
+def test_invalid_parameters_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

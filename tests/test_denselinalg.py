@@ -1,94 +1,11 @@
+"""Linear-algebra kernels: the banded eigensolve, eigenvalue clustering and
+the subspace-angle helper that the chain tests use."""
+
 import numpy as np
-import pytest
 
-from tetranacci.chain import ChainParams, build_chain_matrix
-from tetranacci.denselinalg import (cluster_eigenvalues, inverse_complex,
-                                    solve_complex, subspace_angle, sym_eigen)
-from tetranacci.errors import AsymmetryError, SingularMatrixError
+from tetranacci.chain import cluster_eigenvalues, eigh_pentadiagonal
 
-
-def test_identity_eigen():
-    w, v = sym_eigen(np.eye(3))
-    assert np.allclose(w, [1, 1, 1])
-    assert np.allclose(v.T @ v, np.eye(3))
-
-
-def test_diagonal_eigen_sorted():
-    w, _ = sym_eigen(np.diag([2.0, -1.0]))
-    assert np.allclose(w, [-1.0, 2.0])
-
-
-def test_chain_matrix_eigen_t1_zero():
-    h = build_chain_matrix(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=4))
-    w, _ = sym_eigen(h)
-    assert np.allclose(sorted(w), [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_asymmetry_rejected():
-    m = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(AsymmetryError):
-        sym_eigen(m)
-
-
-def test_random_eigen_residuals():
-    rng = np.random.default_rng(0)
-    for n in (5, 20, 100):
-        m = rng.normal(size=(n, n))
-        m = m + m.T
-        w, v = sym_eigen(m)
-        scale = np.abs(m).max()
-        assert np.abs(m @ v - v * w).max() <= 1e-10 * scale * n
-        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-10 * n
-        assert np.all(np.diff(w) >= 0)
-
-
-def test_solve_identity():
-    b = np.array([1.0 + 2.0j, -3.0j])
-    assert np.allclose(solve_complex(np.eye(2, dtype=complex), b), b)
-
-
-def test_solve_diagonal_imaginary():
-    a = np.array([[2.0j]])
-    assert np.allclose(solve_complex(a, np.array([2.0j])), [1.0])
-
-
-def test_solve_random_residual():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    b = rng.normal(size=8) + 1j * rng.normal(size=8)
-    x = solve_complex(a, b)
-    lhs = np.abs(a @ x - b).max()
-    bound = 1e-10 * (np.abs(a).max() * np.abs(x).max() + np.abs(b).max())
-    assert lhs <= bound
-
-
-def test_solve_singular():
-    a = np.zeros((2, 2), dtype=complex)
-    with pytest.raises(SingularMatrixError):
-        solve_complex(a, np.ones(2, dtype=complex))
-
-
-def test_solve_agrees_with_eigen_on_spd():
-    rng = np.random.default_rng(2)
-    m = rng.normal(size=(6, 6))
-    spd = m @ m.T + 6 * np.eye(6)
-    b = rng.normal(size=6)
-    x = solve_complex(spd.astype(complex), b.astype(complex))
-    w, v = sym_eigen(spd)
-    x_eig = v @ ((v.T @ b) / w)
-    assert np.abs(x - x_eig).max() <= 1e-9 * max(1.0, np.abs(x_eig).max())
-
-
-def test_inverse_roundtrip():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) + 5 * np.eye(5)
-    assert np.abs(a @ inverse_complex(a) - np.eye(5)).max() < 1e-10
-
-
-def test_cluster_grouping():
-    w = np.array([0.0, 1e-12, 1.0, 2.0, 2.0 + 1e-12])
-    groups = cluster_eigenvalues(w, 1e-8)
-    assert [list(g) for g in groups] == [[0, 1], [2], [3, 4]]
+from test_chain import subspace_angle
 
 
 def test_subspace_angle_zero_for_same_span():
@@ -97,3 +14,48 @@ def test_subspace_angle_zero_for_same_span():
     mix = rng.normal(size=(2, 2)) + 2 * np.eye(2)
     # arccos near 1 resolves angles only down to sqrt(machine eps)
     assert subspace_angle(u, u @ mix) < 1e-7
+
+
+def test_identity_eigen():
+    w, v = eigh_pentadiagonal(np.ones(3), 0.0, 0.0)
+    assert np.allclose(w, [1, 1, 1])
+    assert np.allclose(v.T @ v, np.eye(3))
+
+
+def test_diagonal_eigen_sorted():
+    w, _ = eigh_pentadiagonal(np.array([2.0, -1.0]), 0.0, 0.0)
+    assert np.allclose(w, [-1.0, 2.0])
+
+
+def test_chain_matrix_eigen_t1_zero():
+    w, _ = eigh_pentadiagonal(np.zeros(4), 0.0, -1.0)
+    assert np.allclose(w, [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
+
+
+def test_random_eigen_residuals():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 5, 20, 100):
+        diag, off1 = rng.normal(size=n), rng.normal(size=n - 1)
+        off2 = rng.normal(size=max(n - 2, 0))
+        m = np.diag(diag) + np.diag(off1, 1) + np.diag(off1, -1)
+        if n > 2:
+            m += np.diag(off2, 2) + np.diag(off2, -2)
+        w, v = eigh_pentadiagonal(diag, off1, off2)
+        scale = np.abs(m).max()
+        assert np.abs(m @ v - v * w).max() <= 1e-10 * scale * n
+        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-10 * n
+        assert np.all(np.diff(w) >= 0)
+
+
+def test_eigen_tiny_entries_small_n():
+    # LAPACK rescales a matrix this small in norm; N = 1, 2 need a narrower band
+    w, _ = eigh_pentadiagonal(np.array([-1e-300, -1e-300]), 1e-300, 1e-300)
+    assert np.allclose(w / 1e-300, [-2.0, 0.0], atol=1e-12)
+    w, v = eigh_pentadiagonal(np.array([3e-300]), 0.0, 0.0)
+    assert w[0] == 3e-300 and v[0, 0] ** 2 == 1.0
+
+
+def test_cluster_grouping():
+    w = np.array([0.0, 1e-12, 1.0, 2.0, 2.0 + 1e-12])
+    groups = cluster_eigenvalues(w, 1e-8)
+    assert [list(g) for g in groups] == [[0, 1], [2], [3, 4]]
