@@ -25,8 +25,8 @@ from scipy.linalg import eig_banded
 from .closedform import characterize
 from .errors import (DegenerateModeError, PreconditionError,
                      RemovableSingularityError, ZeroT2Error)
-from .exactnum import basic_sequences
-from .recurrence import Coefficients, require_finite
+from .exactnum import dyadic, tm2_replay
+from .recurrence import Coefficients, require_real
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class ChainParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one site")
-        require_finite(self.mu, self.t1, self.t2, self.d)
+        require_real(self.mu, self.t1, self.t2, self.d)
 
 
 class Arrow(enum.Enum):
@@ -282,22 +282,25 @@ def eigenvector_tetranacci(e: float, p: ChainParams, g_m2: float = 1.0) -> np.nd
     """Closed-form eigenvector amplitudes xi_1..xi_N for a non-degenerate E.
 
     The combination T_-2(j) T_-2(N+2) - T_-2(N+1) T_-2(j+1) cancels down
-    by |r|^(2j) for modes with complex wavevectors, so it is evaluated with
-    exact rational arithmetic before the final division.
+    by |r|^(2j) for modes with complex wavevectors, so it is formed exactly
+    on the scaled-integer replay y_j = D^(j+2) T_-2(j) (`exactnum`), where
+    it reads (y_j y_{N+2} - y_{N+1} y_{j+1}) / (y_{N+2} D^(j+2)), and
+    rounded once.
     """
     c = coeffs_from_energy(e, p)
-    t = basic_sequences(complex(c.zeta), complex(c.eta), 0, p.n + 2,
-                        indices=(-2,))[-2]
-    scale = max(abs(t[j].to_complex()) for j in range(0, p.n + 3)) or 1.0
-    tn2 = t[p.n + 2]
-    tn1 = t[p.n + 1]
-    if abs(tn2.to_complex()) <= 1e-10 * scale:
+    k, (z, h) = dyadic(c.zeta, c.eta)
+    y = tm2_replay(z, h, k, p.n + 2)  # y[j + 2] = D^(j+2) T_-2(j), D = 2^k
+    scale = max(abs(y[j + 2] / (1 << k * (j + 2))) for j in range(0, p.n + 3)) or 1.0
+    yn2, yn1 = y[p.n + 4], y[p.n + 3]
+    if abs(yn2 / (1 << k * (p.n + 4))) <= 1e-10 * scale:
         raise DegenerateModeError(
             "boundary value vanishes; eigenvalue is (numerically) degenerate")
+    if yn2 < 0:  # a positive divisor rounds an exact zero to +0.0
+        yn2, yn1 = -yn2, -yn1
     out = np.empty(p.n)
     for j in range(1, p.n + 1):
-        val = (t[j] * tn2 - tn1 * t[j + 1]).div(tn2)
-        out[j - 1] = g_m2 * val.to_complex().real
+        val = (y[j + 2] * yn2 - yn1 * y[j + 3]) / (yn2 << k * (j + 2))
+        out[j - 1] = g_m2 * val
     return out
 
 

@@ -161,6 +161,8 @@ def cmd_spectrum(args, parser):
 
 
 def cmd_crossings(args, parser):
+    if args.n < 2:
+        parser.error("crossing enumeration needs --n >= 2")
     records = crossings(args.n)
     rows = [{"n_idx": r.n_idx, "l_idx": r.l_idx, "k_plus": r.k_plus,
              "k_minus": r.k_minus, "eta": r.eta, "zeta": r.zeta,

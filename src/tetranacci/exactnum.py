@@ -1,66 +1,56 @@
-"""Exact complex-rational arithmetic for cancellation-prone combinations.
+"""Exact replay of the basic polynomial T_-2 in scaled integers.
 
-Double-precision inputs are dyadic rationals, so recursion replay over
-Fraction pairs is exact.  The basic polynomials grow like |r|^j, while the
-boundary determinants and eigenvector combinations built from them cancel
-down by factors up to |r|^(2N) -- far beyond what doubles can resolve.
+The basic polynomials grow like |r|^j, while the boundary determinants
+and eigenvector combinations built from them cancel down by factors up to
+|r|^(2N) -- far beyond what doubles can resolve -- so those combinations
+are formed exactly and rounded once at the end.
+
+Double-precision inputs are dyadic rationals, so real zeta and eta can be
+written over one common denominator D = 2^k as zeta = Z/D, eta = H/D with
+integer Z, H.  The scaled values y_j = D^(j+2) T_-2(j) then obey
+
+    y_{j+2} = Z D y_j - D^4 y_{j-2} + H (y_{j+1} + D^2 y_{j-1})
+
+from y_-2 = 1, y_-1 = y_0 = y_1 = 0: plain Python ints, where each power
+of D is a shift and no gcd is ever taken.  The paper's reduction
+identities T_1(j) = -T_-2(j+1), T_-1(j) = T_-2(j-1) - eta T_-2(j) and the
+odd symmetry T_-2(-j) = -T_-2(j) (all proven exactly by `verify --suite
+lemmata`) give the other basic polynomials at every index, so T_-2 is the
+only sequence ever replayed.  Quotients are rounded with int / int true
+division, which is correctly rounded, so each result is the double
+nearest the exact value.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+
+def dyadic(*values: float):
+    """Common exponent k and ints m_i with values[i] == m_i / 2^k exactly."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    k = max(den.bit_length() - 1 for _, den in ratios)
+    return k, [num << (k - den.bit_length() + 1) for num, den in ratios]
 
 
-class ExactComplex:
-    """Complex number with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    @classmethod
-    def of(cls, z: complex) -> "ExactComplex":
-        z = complex(z)
-        return cls(z.real, z.imag)
-
-    def __add__(self, o):
-        return ExactComplex(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return ExactComplex(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
-
-    def __mul__(self, o):
-        return ExactComplex(self.re * o.re - self.im * o.im,
-                            self.re * o.im + self.im * o.re)
-
-    def div(self, o: "ExactComplex") -> "ExactComplex":
-        dd = o.re * o.re + o.im * o.im
-        return ExactComplex((self.re * o.re + self.im * o.im) / dd,
-                            (self.im * o.re - self.re * o.im) / dd)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+def tm2_replay(z: int, h: int, k: int, hi: int) -> list:
+    """Scaled T_-2 for zeta = z/2^k, eta = h/2^k: entry j + 2 is 2^(k(j+2)) T_-2(j), j = -2..hi."""
+    y = [1, 0, 0, 0]
+    for _ in range(hi - 1):
+        ym2, ym1, y0, y1 = y[-4:]
+        y.append(((z * y0) << k) - (ym2 << 4 * k) + h * (y1 + (ym1 << 2 * k)))
+    return y
 
 
-def basic_sequences(zeta: complex, eta: complex, lo: int, hi: int,
-                    indices=(-2, -1, 1)) -> dict:
-    """Exact basic polynomials T_i(j) over [lo, hi] by recursion replay."""
-    z = ExactComplex.of(zeta)
-    h = ExactComplex.of(eta)
-    seqs = {}
-    for i in indices:
-        vals = {j: ExactComplex(1 if j == i else 0) for j in range(-2, 2)}
-        for j in range(2, hi + 1):
-            vals[j] = z * vals[j - 2] - vals[j - 4] + h * (vals[j - 1] + vals[j - 3])
-        for j in range(-3, lo - 1, -1):
-            vals[j] = z * vals[j + 2] - vals[j + 4] + h * (vals[j + 3] + vals[j + 1])
-        seqs[i] = vals
-    return seqs
+def gaussian_divider(den):
+    """Function (num, shift) -> num / den * 2^shift for Gaussian integers
+    (re, im), each component rounded once; |den|^2 is formed once."""
+    dr, di = den
+    q = dr * dr + di * di
+
+    def divide(num, shift: int = 0) -> complex:
+        nr, ni = num
+        re, im = nr * dr + ni * di, ni * dr - nr * di
+        if shift >= 0:
+            return complex((re << shift) / q, (im << shift) / q)
+        return complex(re / (q << -shift), im / (q << -shift))
+
+    return divide

@@ -13,6 +13,7 @@ reference oracles.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,14 @@ def require_finite(*values: complex) -> None:
     for v in values:
         if not (cmath.isfinite(complex(v))):
             raise ValueError(f"non-finite value {v!r}")
+
+
+def require_real(*values) -> None:
+    """Reject values that are not finite real numbers."""
+    for v in values:
+        if not isinstance(v, numbers.Real):
+            raise ValueError(f"non-real value {v!r}")
+    require_finite(*values)
 
 
 @dataclass(frozen=True)

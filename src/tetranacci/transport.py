@@ -17,8 +17,8 @@ from scipy import integrate
 
 from .chain import ChainParams, build_chain_matrix, coeffs_from_energy
 from .errors import QuadratureError, SingularBoundaryError
-from .exactnum import ExactComplex, basic_sequences
-from .recurrence import require_finite
+from .exactnum import dyadic, gaussian_divider, tm2_replay
+from .recurrence import require_real
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class LeadParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        require_finite(self.gamma, self.lam)
+        require_real(self.gamma, self.lam)
         if self.gamma < 0.0:
             raise ValueError("broadening must be non-negative")
 
@@ -45,62 +45,81 @@ class TransportSetup:
     right: LeadParams
 
 
-def _boundary_solve(e: float, s: TransportSetup, lo: int = -2):
+def _gmul(u, v):
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _boundary_solve(e: float, s: TransportSetup, reach: int = 1):
     """Solve the 2x2 boundary system exactly.
 
     The general solution compatible with sigma_0 = 0 and the left-lead
-    condition is sigma_j = g_m2 T_-2(j) + h [t2 T_1(j) + (i gamma_L -
-    Lambda_L) T_-1(j)] with g_1 = t2 h; returns (g_m2, h, sigma_of_j, c).
+    condition is sigma_j = g_m2 T_-2(j) + h row(j), row(j) = t2 T_1(j) +
+    w_L T_-1(j), w_L = i gamma_L - Lambda_L, with g_1 = t2 h.  The
+    reduction identities give row(j) = -t2 T_-2(j+1) + w_L (T_-2(j-1) -
+    eta T_-2(j)), so one scaled-integer replay of T_-2 (`exactnum`) carries
+    the solve: with D = 2^k the common denominator of all inputs, each
+    T_-2(i) with |i| <= top is tau(i) / D^(top+2) for an int tau(i), and
+    a, b, c, d and det are Gaussian integers over known powers of D.  As
+    T_-2(1) = 0 and row(1) = t2, G_1N = sigma_1 = t2 a / det.
+
+    Returns (G_1N, sigma) where sigma(j) is sigma_j for |j| <= reach.
     """
     p = s.chain
     c = coeffs_from_energy(e, p)
     n = p.n
-    seqs = basic_sequences(complex(c.zeta), complex(c.eta), min(lo, -2), n + 2)
-    t2 = ExactComplex(p.t2)
-    w_l = ExactComplex(-s.left.lam, s.left.gamma)
-    w_r = ExactComplex(-s.right.lam, s.right.gamma)
+    k, (z, eta, t2, *w) = dyadic(c.zeta, c.eta, p.t2, -s.left.lam, s.left.gamma,
+                                 -s.right.lam, s.right.gamma)
+    w_l, w_r = tuple(w[:2]), tuple(w[2:])
+    top = max(n + 3, reach + 1)
+    y = tm2_replay(z, eta, k, top)
 
-    def tm2(j):
-        return seqs[-2][j]
+    def tau(i):  # D^(top+2) T_-2(i); negative i by the odd symmetry
+        v = y[abs(i) + 2] << k * (top - abs(i))
+        return v if i >= 0 else -v
 
-    def row(j):
-        return t2 * seqs[1][j] + w_l * seqs[-1][j]
+    def row(j):  # D^(top+4) row(j)
+        u = (tau(j - 1) << k) - eta * tau(j)
+        return ((-t2 * tau(j + 1)) << k) + w_l[0] * u, w_l[1] * u
 
-    a = tm2(n + 1)
-    b = row(n + 1)
-    cc = w_r * tm2(n) - t2 * tm2(n + 2)
-    d = w_r * row(n) - t2 * row(n + 2)
-    det = a * d - b * cc
-    if det.is_zero():
+    a = tau(n + 1)  # D^(top+2) a
+    b = row(n + 1)  # D^(top+4) b
+    tn = tau(n)
+    cc = w_r[0] * tn - t2 * tau(n + 2), w_r[1] * tn  # D^(top+3) c
+    rn, rn2 = _gmul(w_r, row(n)), row(n + 2)
+    d = rn[0] - t2 * rn2[0], rn[1] - t2 * rn2[1]  # D^(top+5) d
+    bc = _gmul(b, cc)
+    det = a * d[0] - bc[0], a * d[1] - bc[1]  # D^(2 top+7) det
+    if det == (0, 0):
         raise SingularBoundaryError(f"boundary system singular at E = {e}")
-    g_m2 = (-b).div(det)
-    h = a.div(det)
-
-    def sigma(j):
-        return (g_m2 * tm2(j) + h * row(j)).to_complex()
-
+    over_det = gaussian_divider(det)
     # a pole of the resolvent (decoupled leads at an eigenvalue) shows up
-    # as a divergent solution rather than an exactly vanishing determinant
+    # as a divergent solution rather than an exactly vanishing determinant,
+    # at worst one too large for a double
+    try:
+        g_1n = over_det((t2 * a, 0), k * (top + 4))
+        g_m2 = over_det((-b[0], -b[1]), k * (top + 3))
+    except OverflowError:
+        raise SingularBoundaryError(f"resolvent pole at E = {e}") from None
     e_scale = max(abs(e), abs(p.mu), abs(p.t1), abs(p.t2), 1e-300)
-    if max(abs(sigma(1)), abs(g_m2.to_complex())) * e_scale > 1e12:
+    if max(abs(g_1n), abs(g_m2)) * e_scale > 1e12:
         raise SingularBoundaryError(f"resolvent pole at E = {e}")
-    return g_m2, h, sigma, c
+
+    def sigma(j):  # D (a row(j) - b T_-2(j)) / det in the scaled ints
+        r, tj = row(j), tau(j)
+        return over_det((a * r[0] - b[0] * tj, a * r[1] - b[1] * tj), k)
+
+    return g_1n, sigma
 
 
 def sigma_sequence(e: float, s: TransportSetup, lo: int, hi: int):
     """Extended resolvent-column sequence sigma_lo..sigma_hi."""
-    _, _, sigma, _ = _boundary_solve(e, s, lo=min(lo, -2))
+    _, sigma = _boundary_solve(e, s, reach=max(abs(lo), abs(hi)))
     return [sigma(j) for j in range(lo, hi + 1)]
 
 
 def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
-    """Corner entry G^r_{1N} from the boundary solve.
-
-    sigma_1 reduces to g_1 because the basic polynomials are selective at
-    j = 1.
-    """
-    _, _, sigma, _ = _boundary_solve(e, s)
-    return sigma(1)
+    """Corner entry G^r_{1N} = sigma_1 from the boundary solve."""
+    return _boundary_solve(e, s)[0]
 
 
 def _dense_inverse_matrix(e: float, s: TransportSetup) -> np.ndarray:
@@ -129,9 +148,16 @@ def transmission_dense(e: float, s: TransportSetup) -> float:
 
 
 def transmission(e: float, s: TransportSetup) -> float:
-    """T(E) = 4 gamma_L gamma_R |G^r_{1N}|^2."""
-    g1n = green_1n_tetranacci(e, s)
-    return 4.0 * s.left.gamma * s.right.gamma * abs(g1n) ** 2
+    """T(E) = 4 gamma_L gamma_R |G^r_{1N}|^2.
+
+    With a lead decoupled (gamma = 0) T vanishes identically, so no
+    boundary solve is made: at an eigenvalue of the chain it would be
+    singular.
+    """
+    coupling = 4.0 * s.left.gamma * s.right.gamma
+    if coupling == 0.0:
+        return 0.0
+    return coupling * abs(green_1n_tetranacci(e, s)) ** 2
 
 
 def fermi(e: float, beta: float) -> float:

@@ -152,12 +152,26 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(capsys):
-    # decoupled leads at an exact eigenvalue -> singular boundary system
-    code, _, err = run(capsys, "transport", "--n", "4", "--t1", "0",
-                       "--t2", "1", "--gamma-l", "0", "--gamma-r", "0",
+    # at t1 = 0 and odd N the even sublattice touches neither lead; at its
+    # exact eigenvalue E = -t2 the boundary system is singular
+    code, _, err = run(capsys, "transport", "--n", "5", "--t1", "0",
+                       "--t2", "1", "--gamma-l", "0.5", "--gamma-r", "0.5",
                        "--e-grid", "-1:-1:1")
     assert code == 4
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("grid, column", [
+    (("--e-grid", "-1:1:3"), "transmission"),
+    (("--v-grid", "0.5:2:2"), "current"),
+])
+def test_transport_decoupled_lead_is_zero(capsys, grid, column):
+    # gamma_L = 0: T vanishes identically, even at the decoupled
+    # eigenvalues E = -1, 1 where the boundary system is singular
+    code, out, _ = run(capsys, "transport", "--n", "4", "--mu", "0", "--t1", "0",
+                       "--t2", "1", "--gamma-l", "0", "--gamma-r", "0.5", *grid)
+    assert code == 0
+    assert all(float(r[column]) == 0.0 for r in json.loads(out)["rows"])
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -177,6 +191,8 @@ def test_negative_exponent_values(capsys, argv, key, value):
     ("kitaev", "--n", "1", "--t", "1", "--delta", "0.3", "--mu-grid", "0:1:3"),
     ("seq", "--zeta", "nan", "--eta", "1", "--g", "0,0,0,1"),
     ("transport", "--n", "4", "--beta", "nan", "--v-grid", "1:1:1"),
+    ("crossings", "--n", "0"),
+    ("crossings", "--n", "1"),
 ])
 def test_invalid_parameters_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

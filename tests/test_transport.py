@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tetranacci.chain import ChainParams, build_chain_matrix
+from tetranacci.chain import ChainParams, build_chain_matrix, coeffs_from_energy
 from tetranacci.errors import SingularBoundaryError
 from tetranacci.transport import (LeadParams, TransportSetup, conductance,
                                   current, fermi, green_1n_dense,
@@ -24,6 +24,18 @@ def test_lead_self_energy():
 def test_lead_rejects_negative_gamma():
     with pytest.raises(ValueError):
         LeadParams(gamma=-1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ChainParams(mu=0.3j, t1=1.0, t2=0.8, n=5),
+    lambda: ChainParams(mu=0.3, t1=1.0, t2=complex(0.8), n=5),
+    lambda: LeadParams(gamma=0.5 + 0j),
+    lambda: LeadParams(gamma=0.5, lam=0.1j),
+])
+def test_parameters_reject_non_real(make):
+    # the exact boundary solve replays real recursion coefficients
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_green_matches_dense_reference_point():
@@ -52,6 +64,15 @@ def test_green_singular_at_decoupled_eigenvalue():
         green_1n_tetranacci(float(w[0]), s)
 
 
+def test_green_overflowing_pole_is_singular():
+    # t1 = 2.2e-311 barely couples the two sublattices, so at E = 0 the
+    # solution diverges past the largest double instead of past 1e12
+    chain = ChainParams(mu=0.0, t1=2.225073858507e-311, t2=1.0, n=3)
+    s = TransportSetup(chain, LeadParams(1.0), LeadParams(1.0))
+    with pytest.raises(SingularBoundaryError):
+        green_1n_tetranacci(0.0, s)
+
+
 def test_sigma_boundary_conditions():
     s = default_setup()
     e = 0.25
@@ -72,6 +93,25 @@ def test_sigma_boundary_conditions():
     # right lead condition carries the inhomogeneous unit source
     wr = 1j * s.right.gamma - s.right.lam
     assert abs(wr * at(chain.n) - t2 * at(chain.n + 2) - 1.0) <= 1e-9 * scale
+
+
+def test_sigma_sequence_obeys_recursion_at_negative_indices():
+    # T_-2 at negative indices comes from its odd symmetry; sigma must still
+    # obey the four-term recursion there, and sigma_1 is G_1N bit for bit
+    s = default_setup(n=7)
+    e = 0.25
+    c = coeffs_from_energy(e, s.chain)
+    lo = -6
+    sig = sigma_sequence(e, s, lo, s.chain.n + 2)
+
+    def at(j):
+        return sig[j - lo]
+
+    scale = max(abs(x) for x in sig)
+    for j in range(lo + 2, s.chain.n + 1):
+        want = c.zeta * at(j) - at(j - 2) + c.eta * (at(j + 1) + at(j - 1))
+        assert abs(at(j + 2) - want) <= 1e-9 * scale
+    assert at(1) == green_1n_tetranacci(e, s)
 
 
 def test_green_equals_dense_over_grid():
