@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import RangeGuardError
+from .errors import PreconditionError
 
 J_GUARD = 64
 
@@ -139,7 +139,7 @@ def tetranacci_poly(i: int, j: int) -> BiPoly:
     if i not in (-2, -1, 0, 1):
         raise ValueError(f"unit index {i} outside -2..1")
     if abs(j) > J_GUARD:
-        raise RangeGuardError(f"|j| = {abs(j)} exceeds guard {J_GUARD}")
+        raise PreconditionError(f"|j| = {abs(j)} exceeds guard {J_GUARD}")
     lo, hi = min(j, -2), max(j, 1)
     return _basic_window(lo, hi)[i + 2][j]
 

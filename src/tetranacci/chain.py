@@ -23,8 +23,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from .closedform import characterize
-from .errors import (DegenerateModeError, PreconditionError,
-                     RemovableSingularityError, ZeroT2Error)
+from .errors import DegenerateModeError, PreconditionError, ZeroT2Error
 from .exactnum import dyadic, tm2_replay
 from .recurrence import Coefficients, require_real
 
@@ -157,12 +156,8 @@ def quantization_residual(k1: complex, k2: complex, n: int, d: float = 1.0):
 
     Evaluates f at k_+- = (k1 +- k2)/2 and returns (residual, s_q) with
     s_q the sign minimizing |f(k+) - s f(k-)|, scaled by the larger
-    magnitude.
+    magnitude.  Where sin(k d) vanishes, f takes its removable limit.
     """
-    kp = (k1 + k2) / 2.0
-    km = (k1 - k2) / 2.0
-    if abs(cmath.sin(kp * d)) < 1e-12 or abs(cmath.sin(km * d)) < 1e-12:
-        raise RemovableSingularityError("sin(k d) vanishes at k+ or k-")
     res = _branch_residuals(k1, k2, n, d)
     s_q = min(res, key=res.get)
     return res[s_q], s_q
@@ -318,41 +313,3 @@ def arrow_classify(zeta: float, eta: float, tol: float = 1e-9) -> Arrow:
         return Arrow.INSIDE
     return Arrow.OUTSIDE
 
-
-def newton_refine_wavevectors(k1: complex, k2: complex, p: ChainParams,
-                              s_q: int, max_iter: int = 50,
-                              tol: float = 1e-12):
-    """Polish (k1, k2) on the constraint pair by damped 2-D Newton.
-
-    The system couples the equal-energy relation cos(k1 d) + cos(k2 d) =
-    -t1/(2 t2) with the branch-resolved quantization f(k+) = s_q f(k-).
-    The Jacobian is taken by central differences.
-    """
-    if p.t2 == 0.0:
-        raise ZeroT2Error("refinement needs t2 != 0")
-    target = -p.t1 / (2.0 * p.t2)
-
-    def system(x):
-        a, b = x[0] + 1j * x[1], x[2] + 1j * x[3]
-        kp, km = (a + b) / 2.0, (a - b) / 2.0
-        f1 = cmath.cos(a * p.d) + cmath.cos(b * p.d) - target
-        f2 = _sin_ratio(kp, p.n, p.d) - s_q * _sin_ratio(km, p.n, p.d)
-        return np.array([f1.real, f1.imag, f2.real, f2.imag])
-
-    x = np.array([k1.real, k1.imag, k2.real, k2.imag])
-    h = 1e-7
-    for _ in range(max_iter):
-        fx = system(x)
-        if np.abs(fx).max() < tol:
-            break
-        jac = np.empty((4, 4))
-        for col in range(4):
-            dx = np.zeros(4)
-            dx[col] = h
-            jac[:, col] = (system(x + dx) - system(x - dx)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, fx)
-        except np.linalg.LinAlgError:
-            break
-        x = x - step
-    return x[0] + 1j * x[1], x[2] + 1j * x[3]

@@ -24,7 +24,8 @@ from .chain import (ChainParams, arrow_classify, coeffs_from_energy,
                     crossings, spectrum)
 from .closedform import characterize, xi_closed
 from .errors import TetranacciError
-from .kitaev import KitaevParams, kitaev_effective_coeffs, kitaev_spectrum
+from .kitaev import (KitaevParams, kitaev_effective_coeffs,
+                     kitaev_effective_hoppings, kitaev_spectrum)
 from .recurrence import Coefficients, InitialValues, eval_range
 from .transport import (LeadParams, TransportSetup, current, transmission)
 from .verification import run_suite
@@ -188,10 +189,12 @@ def cmd_kitaev(args, parser):
                       delta=args.delta, n=args.n) for mu in args.mu_grid]
     rows = []
     for p in chains:
+        # at the sweet spot t = +-delta the effective t2 = t^2 - delta^2
+        # vanishes: the spectrum is fine, the coefficient map is undefined
+        sweet_spot = kitaev_effective_hoppings(p)[1] == 0.0
         for e in kitaev_spectrum(p):
-            c = kitaev_effective_coeffs(e, p)
-            rows.append({"mu": p.mu, "e": e,
-                         "zeta": c.zeta, "eta": c.eta})
+            c = None if sweet_spot else kitaev_effective_coeffs(e, p)
+            rows.append({"mu": p.mu, "e": e, "zeta": c and c.zeta, "eta": c and c.eta})
     meta = {"command": "kitaev", "n": args.n, "t": args.t,
             "delta": args.delta, "mu_grid": args.mu_grid_raw}
     _emit(args, meta, rows)

@@ -2,13 +2,17 @@
 
 The characteristic substitution S = r + 1/r reduces the four-term recursion
 to S^2 - eta*S - (zeta + 2) = 0 with roots S_1, S_2.  Each S_l carries a
-two-term sequence phi_l with phi_l(0)=0, phi_l(1)=1, and every sequence
-value decomposes into phi_1, phi_2 with j-weighted variants when roots
-degenerate.  Three classes are distinguished:
+two-term sequence phi_l with phi_l(0)=0, phi_l(1)=1.  The basic polynomial
+T_-2 (the 1 at index -2) has one closed form in phi_1, phi_2 per root
+class, with j-weighted variants when the roots degenerate:
 
   * distinct:        S_1 != S_2
   * degenerate_s:    S_1 == S_2, S_1^2 != 4
   * degenerate_unit: S_1 == S_2, S_1^2 == 4
+
+Every other basic polynomial, and so every sequence, follows from T_-2 by
+the reduction identities T_-1(j) = T_-2(j-1) - eta T_-2(j),
+T_0(j) = eta T_-2(j+1) - T_-2(j+2) and T_1(j) = -T_-2(j+1).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassMismatchError, DegenerateRootsError
+from .errors import PreconditionError
 from .recurrence import Coefficients, InitialValues
 
 
@@ -133,51 +137,15 @@ def t_minus2(j: int, cd: CharacteristicData) -> complex:
 
 def basic_closed(i: int, j: int, cd: CharacteristicData) -> complex:
     """Closed form of the basic polynomial with the 1 at index i in -2..1."""
-    if i == -2:
-        return t_minus2(j, cd)
-    s1, s2 = cd.s1, cd.s2
-    if cd.root_class is RootClass.DISTINCT:
-        den = s1 - s2
-        if i == -1:
-            return (phi(1, j + 1, cd) - phi(2, j + 1, cd)
-                    + s2 * phi(1, j, cd) - s1 * phi(2, j, cd)) / den
-        if i == 0:
-            return (s1 * phi(2, j + 1, cd) - s2 * phi(1, j + 1, cd)
-                    + phi(2, j, cd) - phi(1, j, cd)) / den
-        if i == 1:
-            return (phi(1, j + 1, cd) - phi(2, j + 1, cd)) / den
-    elif cd.root_class is RootClass.DEGENERATE_S:
-        den = s1 * s1 - 4.0
-        if i == -1:
-            return (3 * j * phi(1, j + 2, cd)
-                    - (j + 2) * (s1 * s1 - 1.0) * phi(1, j, cd)) / den
-        if i == 0:
-            return (2.0 * (s1 * s1 - 1.0) * (j + 2) * phi(1, j + 1, cd)
-                    - 3.0 * (j + 1) * s1 * phi(1, j + 2, cd)) / den
-        if i == 1:
-            return (j * phi(1, j + 2, cd) - (j + 2) * phi(1, j, cd)) / den
-    else:
-        if i == -1:
-            return cd.s1 * ((2 - j) * j * phi(1, j - 1, cd)
-                            + 2.0 * cd.s1 * (j * j - 1) * phi(1, j, cd)) / 12.0
-        if i == 0:
-            return cd.s1 * ((3 + j) * (1 + j) * phi(1, j + 2, cd)
-                            - 2.0 * cd.s1 * (j + 2) * j * phi(1, j + 1, cd)) / 12.0
-        if i == 1:
-            return cd.s1 * (2 + j) * j * phi(1, j + 1, cd) / 12.0
-    raise ValueError(f"basic index {i} outside -2..1")
+    return xi_closed(InitialValues.unit(i), j, cd)
 
 
 def xi_closed(g: InitialValues, j: int, cd: CharacteristicData) -> complex:
-    """Closed-form sequence value from generic initial data."""
+    """Closed-form sequence value from generic initial data: sum_i g_i T_i(j)
+    with every T_i reduced to T_-2."""
     gm2, gm1, g0, g1 = g.g
-    if cd.root_class is RootClass.DISTINCT:
-        den = cd.s1 - cd.s2
-        return (phi(2, j, cd) * (gm2 - cd.s1 * gm1 + g0)
-                - phi(1, j, cd) * (gm2 - cd.s2 * gm1 + g0)
-                + phi(1, j + 1, cd) * (gm1 - cd.s2 * g0 + g1)
-                - phi(2, j + 1, cd) * (gm1 - cd.s1 * g0 + g1)) / den
-    return sum(g.g[i + 2] * basic_closed(i, j, cd) for i in (-2, -1, 0, 1))
+    return (gm1 * t_minus2(j - 1, cd) + (gm2 - cd.eta * gm1) * t_minus2(j, cd)
+            + (cd.eta * g0 - g1) * t_minus2(j + 1, cd) - g0 * t_minus2(j + 2, cd))
 
 
 def plane_wave_coeffs(g: InitialValues, cd: CharacteristicData):
@@ -187,7 +155,7 @@ def plane_wave_coeffs(g: InitialValues, cd: CharacteristicData):
     class is distinct and neither S_l equals +-2.
     """
     if cd.root_class is not RootClass.DISTINCT or any(cd.unit_flags):
-        raise DegenerateRootsError(
+        raise PreconditionError(
             "plane-wave decomposition needs four distinct roots")
     roots = [cd.r_plus_1, cd.r_minus_1, cd.r_plus_2, cd.r_minus_2]
     a = np.array([[r ** i for r in roots] for i in (-2, -1, 0, 1)], dtype=complex)
@@ -195,8 +163,7 @@ def plane_wave_coeffs(g: InitialValues, cd: CharacteristicData):
     return tuple(x)
 
 
-def _power_candidate_residual(p: int, root: complex, cd: CharacteristicData,
-                              j_range) -> float:
+def _power_residual(p: int, root: complex, cd: CharacteristicData, j_range) -> float:
     """Max recursion residual of j^p * root^j over j_range, scale-relative."""
     js = list(j_range)
     lo, hi = min(js), max(js)
@@ -217,18 +184,14 @@ def appendix_a_solutions(cd: CharacteristicData, j_range) -> dict:
     to the candidate's max magnitude over the range).
     """
     if cd.root_class is RootClass.DISTINCT:
-        raise ClassMismatchError("extra solutions exist only for degenerate roots")
+        raise PreconditionError("extra solutions exist only for degenerate roots")
     js = list(j_range)
     out = {
-        "j*r+1^j": _power_candidate_residual(1, cd.r_plus_1, cd, js),
-        "j*r-1^j": _power_candidate_residual(1, cd.r_minus_1, cd, js),
+        "j*r+1^j": _power_residual(1, cd.r_plus_1, cd, js),
+        "j*r-1^j": _power_residual(1, cd.r_minus_1, cd, js),
     }
     if cd.root_class is RootClass.DEGENERATE_UNIT:
-        out["j^2*r+1^j"] = _power_candidate_residual(2, cd.r_plus_1, cd, js)
-        out["j^3*r+1^j"] = _power_candidate_residual(3, cd.r_plus_1, cd, js)
+        out["j^2*r+1^j"] = _power_residual(2, cd.r_plus_1, cd, js)
+        out["j^3*r+1^j"] = _power_residual(3, cd.r_plus_1, cd, js)
     return out
 
-
-def power_candidate_residual(p: int, cd: CharacteristicData, j_range) -> float:
-    """Recursion residual of j^p r_{+1}^j (diagnostic, any class)."""
-    return _power_candidate_residual(p, cd.r_plus_1, cd, j_range)

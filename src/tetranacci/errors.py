@@ -5,40 +5,18 @@ class TetranacciError(Exception):
     """Base class for all package errors."""
 
 
-class IndexRangeError(TetranacciError):
-    """Requested index range is empty or inverted."""
-
-
-class DegenerateRootsError(TetranacciError):
-    """Plane-wave form inapplicable: characteristic roots are degenerate."""
-
-
-class ClassMismatchError(TetranacciError):
-    """Operation called with the wrong root-degeneracy class."""
-
-
-class RangeGuardError(TetranacciError):
-    """Exact polynomial index exceeds the growth guard."""
-
-
 class ZeroT2Error(TetranacciError):
-    """Next-nearest-neighbor hopping is zero; coefficient map undefined."""
+    """Next-nearest-neighbor coupling is zero (t2, or t^2 - delta^2 for the
+    Kitaev chain); coefficient map undefined."""
 
 
 class PreconditionError(TetranacciError):
-    """Operation precondition violated."""
-
-
-class RemovableSingularityError(TetranacciError):
-    """sin(k d) vanishes; quantization ratio needs the crossing path."""
+    """Operation precondition violated: an index outside its range or
+    guard, or a root class the operation does not apply to."""
 
 
 class DegenerateModeError(TetranacciError):
     """Eigenvalue is degenerate; single-vector closed form inapplicable."""
-
-
-class DegenerateCouplingError(TetranacciError):
-    """Kitaev couplings satisfy t^2 = delta^2; effective map undefined."""
 
 
 class SingularBoundaryError(TetranacciError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import eigh_pentadiagonal
-from .errors import DegenerateCouplingError
+from .errors import ZeroT2Error
 from .recurrence import Coefficients, require_finite
 
 
@@ -51,7 +51,7 @@ def kitaev_effective_hoppings(p: KitaevParams):
 def kitaev_effective_coeffs(e: float, p: KitaevParams) -> Coefficients:
     t2_eff = p.t * p.t - p.delta * p.delta
     if t2_eff == 0.0:
-        raise DegenerateCouplingError("effective map needs t^2 != delta^2")
+        raise ZeroT2Error("effective map needs t^2 != delta^2")
     zeta = (e * e - p.mu * p.mu - 2.0 * p.t * p.t - 2.0 * p.delta * p.delta) / t2_eff
     eta = -2.0 * p.t * p.mu / t2_eff
     return Coefficients(zeta=zeta, eta=eta)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexRangeError
+from .errors import PreconditionError
 
 
 def require_finite(*values: complex) -> None:
@@ -80,7 +80,7 @@ class SequenceWindow:
 
     def value(self, j: int) -> complex:
         if not self.lo <= j <= self.hi:
-            raise IndexRangeError(f"index {j} outside window [{self.lo}, {self.hi}]")
+            raise PreconditionError(f"index {j} outside window [{self.lo}, {self.hi}]")
         return self.values[j - self.lo]
 
 
@@ -99,7 +99,7 @@ def step_backward(window, c: Coefficients) -> complex:
 def eval_range(g: InitialValues, c: Coefficients, lo: int, hi: int) -> SequenceWindow:
     """Materialize xi_lo..xi_hi by replaying the recursion from g."""
     if lo > hi:
-        raise IndexRangeError(f"empty range [{lo}, {hi}]")
+        raise PreconditionError(f"empty range [{lo}, {hi}]")
     full_lo = min(lo, -2)
     full_hi = max(hi, 1)
     n = full_hi - full_lo + 1

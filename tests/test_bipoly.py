@@ -1,7 +1,7 @@
 import pytest
 
 from tetranacci.bipoly import BiPoly, tetranacci_poly, verify_identity
-from tetranacci.errors import RangeGuardError
+from tetranacci.errors import PreconditionError
 from tetranacci.recurrence import Coefficients, basic_tetranacci_ref
 
 
@@ -41,9 +41,9 @@ def test_table_one_window():
 
 
 def test_range_guard():
-    with pytest.raises(RangeGuardError):
+    with pytest.raises(PreconditionError):
         tetranacci_poly(0, 65)
-    with pytest.raises(RangeGuardError):
+    with pytest.raises(PreconditionError):
         tetranacci_poly(0, -65)
 
 

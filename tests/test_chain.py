@@ -6,11 +6,9 @@ import pytest
 from tetranacci.chain import (Arrow, ChainParams, arrow_classify,
                               build_chain_matrix, coeffs_from_energy,
                               crossings, dispersion, eigenvector_tetranacci,
-                              newton_refine_wavevectors, quantization_residual,
-                              spectrum, t1_zero_spectrum,
+                              quantization_residual, spectrum, t1_zero_spectrum,
                               wavevectors_from_energy)
-from tetranacci.errors import (PreconditionError, RemovableSingularityError,
-                               ZeroT2Error)
+from tetranacci.errors import PreconditionError, ZeroT2Error
 
 
 def random_chain(rng, n):
@@ -94,8 +92,11 @@ def test_quantization_generic_pair_large_residual():
 
 
 def test_quantization_removable_singularity():
-    with pytest.raises(RemovableSingularityError):
-        quantization_residual(1.0, 1.0, 10)  # k_- = 0
+    # k_- = 0: f(k-) takes its limit N + 2 = 12, against f(k+) = sin(12)/sin(1),
+    # so the residual is |sin(12)/sin(1) + 12| / 12 = 0.9469 with s_q = -1
+    res, s_q = quantization_residual(1.0, 1.0, 10)
+    assert s_q == -1
+    assert abs(res - abs(math.sin(12.0) / math.sin(1.0) + 12.0) / 12.0) < 1e-12
 
 
 def test_quantization_residual_from_dense_modes():
@@ -283,12 +284,3 @@ def test_arrow_agrees_with_wavevector_test():
                 continue
             assert (cls is Arrow.INSIDE) == (m.arrow is Arrow.INSIDE)
 
-
-# --- newton refinement ------------------------------------------------------
-
-def test_newton_refinement_reduces_residual():
-    p = ChainParams(mu=0.1, t1=1.2, t2=0.9, n=10)
-    m = spectrum(p)[3]
-    k1, k2 = newton_refine_wavevectors(m.k1, m.k2, p, m.s_q)
-    res, _ = quantization_residual(k1, k2, p.n, p.d)
-    assert res <= max(m.quant_residual, 1e-10)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tetranacci.cli import main
+from tetranacci.kitaev import KitaevParams, bdg_spectrum
 
 
 def run(capsys, *argv):
@@ -104,6 +105,25 @@ def test_kitaev_rows(capsys):
     rows = json.loads(out)["rows"]
     assert len(rows) == 3 * 8  # 2N energies per mu
     assert {"mu", "e", "zeta", "eta"} <= set(rows[0])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_kitaev_sweet_spot(capsys, fmt):
+    # t = delta: t2_eff = 0 leaves the coefficient map undefined, but the
+    # spectrum, with its Majorana pair at +-0, is still emitted
+    code, out, _ = run(capsys, "kitaev", "--n", "10", "--t", "1", "--delta", "1",
+                       "--mu-grid", "0:0:1", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        rows = json.loads(out)["rows"]
+        assert all(r["zeta"] is None and r["eta"] is None for r in rows)
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert all(r["zeta"] == "" and r["eta"] == "" for r in rows)
+    got = sorted(float(r["e"]) for r in rows)
+    want = bdg_spectrum(KitaevParams(mu=0.0, t=1.0, delta=1.0, n=10))
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8 * max(1.0, max(want))
+    assert len(got) == 20 and abs(got[9]) < 1e-12 and abs(got[10]) < 1e-12
 
 
 def test_transport_transmission_grid(capsys):

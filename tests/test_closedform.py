@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from tetranacci.closedform import (RootClass, appendix_a_solutions,
-                                   basic_closed, characterize, phi,
-                                   plane_wave_coeffs, power_candidate_residual,
+from tetranacci.closedform import (RootClass, _power_residual,
+                                   appendix_a_solutions, basic_closed,
+                                   characterize, phi, plane_wave_coeffs,
                                    t_minus2, xi_closed)
-from tetranacci.errors import ClassMismatchError, DegenerateRootsError
+from tetranacci.errors import PreconditionError
 from tetranacci.recurrence import (Coefficients, InitialValues,
                                    basic_tetranacci_ref, eval_range)
 
@@ -255,7 +255,7 @@ def test_plane_wave_reconstruction():
 
 def test_plane_wave_rejects_degenerate():
     cd = characterize(Coefficients(-3.0, 2.0))
-    with pytest.raises(DegenerateRootsError):
+    with pytest.raises(PreconditionError):
         plane_wave_coeffs(InitialValues((1, 0, 0, 0)), cd)
 
 
@@ -275,12 +275,12 @@ def test_appendix_solutions_degenerate_unit():
 def test_j_squared_not_a_solution_off_unit():
     # j^2 r^j only solves the recursion when S^2 = 4
     cd = characterize(Coefficients(-3.0, 2.0))
-    assert power_candidate_residual(2, cd, range(-10, 11)) > 1e-6
+    assert _power_residual(2, cd.r_plus_1, cd, range(-10, 11)) > 1e-6
 
 
 def test_appendix_rejects_distinct():
     cd = characterize(Coefficients(0.3, 0.9))
-    with pytest.raises(ClassMismatchError):
+    with pytest.raises(PreconditionError):
         appendix_a_solutions(cd, range(-5, 6))
 
 

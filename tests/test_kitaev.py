@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tetranacci.chain import ChainParams, build_chain_matrix
-from tetranacci.errors import DegenerateCouplingError
+from tetranacci.errors import ZeroT2Error
 from tetranacci.kitaev import (KitaevParams, XYParams, bdg_matrix,
                                bdg_spectrum, effective_h_matrix,
                                kitaev_effective_coeffs,
@@ -27,7 +27,7 @@ def test_effective_coeffs_quoted_point():
 
 
 def test_effective_coeffs_rejects_t_eq_delta():
-    with pytest.raises(DegenerateCouplingError):
+    with pytest.raises(ZeroT2Error):
         kitaev_effective_coeffs(0.0, KitaevParams(mu=0.5, t=1.0, delta=1.0, n=4))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tetranacci.errors import IndexRangeError
+from tetranacci.errors import PreconditionError
 from tetranacci.recurrence import (Coefficients, InitialValues,
                                    basic_tetranacci_ref, eval_range,
                                    generating_series, step_backward,
@@ -80,7 +80,7 @@ def test_eval_range_zero():
 
 
 def test_eval_range_rejects_bad_range():
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(PreconditionError):
         eval_range(InitialValues.unit(0), Coefficients(1, 1), 3, 1)
 
 
