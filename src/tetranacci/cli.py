@@ -23,9 +23,8 @@ from . import __version__
 from .chain import (ChainParams, arrow_classify, coeffs_from_energy,
                     crossings, spectrum)
 from .closedform import characterize, xi_closed
-from .errors import TetranacciError
-from .kitaev import (KitaevParams, kitaev_effective_coeffs,
-                     kitaev_effective_hoppings, kitaev_spectrum)
+from .errors import TetranacciError, ZeroT2Error
+from .kitaev import KitaevParams, kitaev_effective_coeffs, kitaev_spectrum
 from .recurrence import Coefficients, InitialValues, eval_range
 from .transport import (LeadParams, TransportSetup, current, transmission)
 from .verification import run_suite
@@ -189,12 +188,16 @@ def cmd_kitaev(args, parser):
                       delta=args.delta, n=args.n) for mu in args.mu_grid]
     rows = []
     for p in chains:
-        # at the sweet spot t = +-delta the effective t2 = t^2 - delta^2
-        # vanishes: the spectrum is fine, the coefficient map is undefined
-        sweet_spot = kitaev_effective_hoppings(p)[1] == 0.0
         for e in kitaev_spectrum(p):
-            c = None if sweet_spot else kitaev_effective_coeffs(e, p)
-            rows.append({"mu": p.mu, "e": e, "zeta": c and c.zeta, "eta": c and c.eta})
+            # at the sweet spot t = +-delta the spectrum is fine but the
+            # coefficient map is undefined: zeta and eta are left empty
+            try:
+                c = kitaev_effective_coeffs(e, p)
+            except ZeroT2Error:
+                c = None
+            rows.append({"mu": p.mu, "e": e,
+                         "zeta": None if c is None else c.zeta,
+                         "eta": None if c is None else c.eta})
     meta = {"command": "kitaev", "n": args.n, "t": args.t,
             "delta": args.delta, "mu_grid": args.mu_grid_raw}
     _emit(args, meta, rows)

@@ -10,11 +10,13 @@ independent of the banded driver behind `spectrum` and `kitaev_spectrum`.
 Transmission must lie in [0, 1] and match the dense trace formula to the
 1e-8 of test_10, here absolute because T <= 1 and evanescent T can be far
 below the dense path's roundoff.  Where the double-precision dense path
-misses by more, a 30-digit solve settles the reference.  The closed form must match the recursion
-replay to the 1e-9 of test_02, relative to the largest replayed value.
+misses by more, an exact rational solve settles the reference.  The closed
+form must match the recursion replay to the 1e-9 of test_02, relative to the
+largest replayed value.
 """
 
-import mpmath
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -102,15 +104,51 @@ def test_kitaev_sublattice_matches_bdg(p):
     assert np.abs(a - b).max() <= 1e-8 * _scale(b)
 
 
-def _transmission_30_digits(e, s):
-    """4 gamma_L gamma_R |G_1N|^2 from a 30-digit solve of (E - H - Sigma) x = e_N."""
-    a = e * np.eye(s.chain.n, dtype=complex) - build_chain_matrix(s.chain)
-    a[0, 0] -= s.left.self_energy
-    a[-1, -1] -= s.right.self_energy
-    with mpmath.workdps(30):
-        rhs = mpmath.matrix([0] * (s.chain.n - 1) + [1])
-        g_1n = mpmath.lu_solve(mpmath.matrix(a.tolist()), rhs)[0]
-        return float(4 * s.left.gamma * s.right.gamma * abs(g_1n) ** 2)
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cdiv(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return _cmul(a, (b[0] / norm, -b[1] / norm))
+
+
+def _transmission_exact(e, s):
+    """4 gamma_L gamma_R |G_1N|^2 from an exact rational solve of
+    (E - H - Sigma) x = e_N.
+
+    Complex entries are (re, im) pairs of Fractions built from the setup's
+    doubles, so nothing is rounded before the final float().
+    """
+    n, p = s.chain.n, s.chain
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    a = [[zero] * n + [one if r == n - 1 else zero] for r in range(n)]
+    for r in range(n):
+        a[r][r] = (Fraction(e) + Fraction(p.mu), Fraction(0))
+        for d, t in ((1, p.t1), (2, p.t2)):
+            if r + d < n:
+                a[r][r + d] = a[r + d][r] = (Fraction(t), Fraction(0))
+    for r, lead in ((0, s.left), (n - 1, s.right)):
+        re, im = a[r][r]
+        a[r][r] = (re - Fraction(lead.lam), im + Fraction(lead.gamma))
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if a[r][k] != zero)
+        a[k], a[pivot] = a[pivot], a[k]
+        for r in range(k + 1, n):
+            if a[r][k] != zero:
+                f = _cdiv(a[r][k], a[k][k])
+                a[r] = [(x[0] - y[0], x[1] - y[1])
+                        for x, y in zip(a[r], (_cmul(f, v) for v in a[k]))]
+    x = [zero] * n
+    for r in reversed(range(n)):
+        acc = a[r][n]
+        for c in range(r + 1, n):
+            prod = _cmul(a[r][c], x[c])
+            acc = (acc[0] - prod[0], acc[1] - prod[1])
+        x[r] = _cdiv(acc, a[r][r])
+    g_1n = x[0]
+    return float(4 * Fraction(s.left.gamma) * Fraction(s.right.gamma)
+                 * (g_1n[0] * g_1n[0] + g_1n[1] * g_1n[1]))
 
 
 def test_transmission_bounded_and_matches_dense():
@@ -134,7 +172,7 @@ def test_transmission_bounded_and_matches_dense():
         assert -1e-12 <= t <= 1.0 + 1e-12
         reference = transmission_dense(e, s)
         if abs(t - reference) > 1e-8:
-            reference = _transmission_30_digits(e, s)
+            reference = _transmission_exact(e, s)
         assert abs(t - reference) <= 1e-8
 
     check()
