@@ -5,11 +5,11 @@ first off-diagonals -t1, second off-diagonals -t2.  Eigenvector entries
 obey the four-term recursion with zeta = -(E + mu)/t2, eta = -t1/t2 and
 the open-boundary extension xi_0 = xi_{-1} = xi_{N+1} = xi_{N+2} = 0.
 
-Eigenpairs come from LAPACK's banded symmetric driver on the three
-stored bands (`eigh_pentadiagonal`, the package's one eigensolver);
-wavevectors are recovered analytically per energy and the transcendental
-quantization relation is used as a residual diagnostic, not as a root
-finder.
+Eigenpairs come from `numpy.linalg.eigh` on the dense matrix that
+`build_chain_matrix` returns, the package's one eigensolver (the Kitaev
+sublattice matrix goes through it too); wavevectors are recovered
+analytically per energy and the transcendental quantization relation is
+used as a residual diagnostic, not as a root finder.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .closedform import characterize
 from .errors import DegenerateModeError, PreconditionError, ZeroT2Error
@@ -80,25 +79,6 @@ class CrossingRecord:
     e: float
 
 
-def eigh_pentadiagonal(diag, off1, off2):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a real
-    symmetric pentadiagonal matrix.
-
-    diag is the main diagonal (length N); off1 and off2 are the first and
-    second off-diagonals, as scalars or arrays of length N-1 and N-2.  The
-    (3, N) lower band storage goes to LAPACK's banded driver, so no dense
-    N x N matrix is formed.
-    """
-    n = len(diag)
-    band = np.zeros((3, n))
-    band[0] = diag
-    band[1, :n - 1] = off1
-    band[2, :max(n - 2, 0)] = off2
-    # a bandwidth above N - 1 is an illegal argument to LAPACK's rescaling
-    # of tiny matrices, which then returns wrong eigenvalues
-    return eig_banded(band[:n], lower=True)
-
-
 def cluster_eigenvalues(w: np.ndarray, gap: float):
     """Group sorted eigenvalues into clusters separated by less than gap."""
     clusters = []
@@ -110,14 +90,16 @@ def cluster_eigenvalues(w: np.ndarray, gap: float):
     return clusters
 
 
+def pentadiagonal(diag, off1: float, off2: float) -> np.ndarray:
+    """Real symmetric matrix with main diagonal diag and constant first and
+    second off-diagonals off1 and off2."""
+    n = len(diag)
+    return (np.diag(diag) + off1 * (np.eye(n, k=1) + np.eye(n, k=-1))
+            + off2 * (np.eye(n, k=2) + np.eye(n, k=-2)))
+
+
 def build_chain_matrix(p: ChainParams) -> np.ndarray:
-    h = np.zeros((p.n, p.n))
-    np.fill_diagonal(h, -p.mu)
-    for j in range(p.n - 1):
-        h[j, j + 1] = h[j + 1, j] = -p.t1
-    for j in range(p.n - 2):
-        h[j, j + 2] = h[j + 2, j] = -p.t2
-    return h
+    return pentadiagonal(np.full(p.n, -p.mu), -p.t1, -p.t2)
 
 
 def dispersion(k: complex, p: ChainParams) -> complex:
@@ -128,7 +110,10 @@ def dispersion(k: complex, p: ChainParams) -> complex:
 def coeffs_from_energy(e: float, p: ChainParams) -> Coefficients:
     if p.t2 == 0.0:
         raise ZeroT2Error("coefficient map needs t2 != 0")
-    return Coefficients(zeta=-(e + p.mu) / p.t2, eta=-p.t1 / p.t2)
+    zeta, eta = -(e + p.mu) / p.t2, -p.t1 / p.t2
+    if not (math.isfinite(zeta) and math.isfinite(eta)):
+        raise ZeroT2Error(f"coefficient map overflows at t2 = {p.t2!r}")
+    return Coefficients(zeta=zeta, eta=eta)
 
 
 def wavevectors_from_energy(e: float, p: ChainParams):
@@ -151,18 +136,6 @@ def _sin_ratio(k: complex, n: int, d: float) -> complex:
 _BRANCH_TOL = 1e-6
 
 
-def quantization_residual(k1: complex, k2: complex, n: int, d: float = 1.0):
-    """Residual of the two-branch quantization relation and its branch sign.
-
-    Evaluates f at k_+- = (k1 +- k2)/2 and returns (residual, s_q) with
-    s_q the sign minimizing |f(k+) - s f(k-)|, scaled by the larger
-    magnitude.  Where sin(k d) vanishes, f takes its removable limit.
-    """
-    res = _branch_residuals(k1, k2, n, d)
-    s_q = min(res, key=res.get)
-    return res[s_q], s_q
-
-
 def _branch_residuals(k1: complex, k2: complex, n: int, d: float):
     """Residuals {+1: ..., -1: ...} of f(k+) = +-f(k-), removable limits filled in."""
     kp = (k1 + k2) / 2.0
@@ -175,7 +148,7 @@ def _branch_residuals(k1: complex, k2: complex, n: int, d: float):
 
 def spectrum(p: ChainParams):
     """All N modes, sorted by energy, with symmetry and arrow diagnostics."""
-    w, v = eigh_pentadiagonal(np.full(p.n, -p.mu), -p.t1, -p.t2)
+    w, v = np.linalg.eigh(build_chain_matrix(p))
     scale = max(1.0, float(np.abs(w).max()))
     clusters = cluster_eigenvalues(w, 1e-8 * scale)
     modes = []
@@ -273,7 +246,7 @@ def _crossing_record(n_idx, l_idx, kp, km, d):
     )
 
 
-def eigenvector_tetranacci(e: float, p: ChainParams, g_m2: float = 1.0) -> np.ndarray:
+def eigenvector_tetranacci(e: float, p: ChainParams) -> np.ndarray:
     """Closed-form eigenvector amplitudes xi_1..xi_N for a non-degenerate E.
 
     The combination T_-2(j) T_-2(N+2) - T_-2(N+1) T_-2(j+1) cancels down
@@ -294,8 +267,7 @@ def eigenvector_tetranacci(e: float, p: ChainParams, g_m2: float = 1.0) -> np.nd
         yn2, yn1 = -yn2, -yn1
     out = np.empty(p.n)
     for j in range(1, p.n + 1):
-        val = (y[j + 2] * yn2 - yn1 * y[j + 3]) / (yn2 << k * (j + 2))
-        out[j - 1] = g_m2 * val
+        out[j - 1] = (y[j + 2] * yn2 - yn1 * y[j + 3]) / (yn2 << k * (j + 2))
     return out
 
 

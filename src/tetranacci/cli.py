@@ -228,6 +228,8 @@ def cmd_transport(args, parser):
 
 
 def cmd_verify(args, parser):
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     results = run_suite(args.suite, args.seed)
     rows = [{"check": name, "passed": bool(ok), "detail": detail}
             for name, ok, detail in results]
@@ -381,7 +383,7 @@ def main(argv=None) -> int:
             parser.error(f"bad --beta value {args.beta!r}")
     try:
         return args.func(args, parser)
-    except TetranacciError as exc:
+    except (TetranacciError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -70,10 +70,12 @@ def _principal_theta(s: complex) -> complex:
     return th
 
 
-def characterize(c: Coefficients, eps_class: float = 1e-8) -> CharacteristicData:
+# below this, S_1 and S_2 (relative to max(1, |S|)), or S^2 and 4, count as equal
+_EPS_CLASS = 1e-8
+
+
+def characterize(c: Coefficients) -> CharacteristicData:
     """Compute S_{1,2}, r_{+-l}, theta_l and assign the degeneracy class."""
-    if eps_class <= 0.0:
-        raise ValueError("eps_class must be positive")
     disc_sq = c.eta * c.eta + 4.0 * (c.zeta + 2.0)
     disc = cmath.sqrt(disc_sq)
     s1 = (c.eta + disc) / 2.0
@@ -83,18 +85,18 @@ def characterize(c: Coefficients, eps_class: float = 1e-8) -> CharacteristicData
     # discriminant to ~1e-8, so the discriminant is tested directly as well
     # to catch points sitting on the locus zeta = -2 - eta^2/4
     disc_scale = max(1.0, abs(c.eta) ** 2, 4.0 * abs(c.zeta + 2.0))
-    degenerate = (abs(s1 - s2) <= eps_class * scale
-                  or abs(disc_sq) <= eps_class * disc_scale)
+    degenerate = (abs(s1 - s2) <= _EPS_CLASS * scale
+                  or abs(disc_sq) <= _EPS_CLASS * disc_scale)
     if degenerate:
         s1 = s2 = c.eta / 2.0
-        if abs(s1 * s1 - 4.0) <= eps_class:
+        if abs(s1 * s1 - 4.0) <= _EPS_CLASS:
             root_class = RootClass.DEGENERATE_UNIT
             s1 = s2 = 2.0 if s1.real >= 0 else -2.0
         else:
             root_class = RootClass.DEGENERATE_S
     else:
         root_class = RootClass.DISTINCT
-    unit_flags = tuple(abs(s * s - 4.0) <= eps_class for s in (s1, s2))
+    unit_flags = tuple(abs(s * s - 4.0) <= _EPS_CLASS for s in (s1, s2))
 
     def roots(s, unit):
         if unit:
@@ -133,11 +135,6 @@ def t_minus2(j: int, cd: CharacteristicData) -> complex:
         num = (1 - j) * phi(1, j + 1, cd) + (1 + j) * phi(1, j - 1, cd)
         return num / (cd.s1 * cd.s1 - 4.0)
     return cd.s1 * (1 - j * j) * phi(1, j, cd) / 12.0
-
-
-def basic_closed(i: int, j: int, cd: CharacteristicData) -> complex:
-    """Closed form of the basic polynomial with the 1 at index i in -2..1."""
-    return xi_closed(InitialValues.unit(i), j, cd)
 
 
 def xi_closed(g: InitialValues, j: int, cd: CharacteristicData) -> complex:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import eigh_pentadiagonal
+from .chain import pentadiagonal
 from .errors import ZeroT2Error
-from .recurrence import Coefficients, require_finite
+from .recurrence import Coefficients, require_real
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class KitaevParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two sites")
-        require_finite(self.mu, self.t, self.delta)
+        require_real(self.mu, self.t, self.delta)
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,9 @@ class XYParams:
     jx: float
     jy: float
     hfield: float
+
+    def __post_init__(self):
+        require_real(self.jx, self.jy, self.hfield)
 
 
 def kitaev_effective_hoppings(p: KitaevParams):
@@ -62,8 +65,8 @@ def xy_effective_hoppings(p: XYParams):
     return -2.0 * p.hfield * (p.jx + p.jy), p.jx * p.jy
 
 
-def effective_h_bands(p: KitaevParams):
-    """Diagonal and the two off-diagonal couplings of the sublattice matrix h.
+def effective_h_matrix(p: KitaevParams) -> np.ndarray:
+    """Sublattice matrix h with h v = E^2 v, real symmetric pentadiagonal.
 
     With a = i(delta - t) and b = i(delta + t) all products entering h are
     real: -a^2 = (delta - t)^2, -b^2 = (delta + t)^2, i mu (a - b) =
@@ -73,19 +76,7 @@ def effective_h_bands(p: KitaevParams):
     diag = np.full(p.n, p.mu * p.mu)
     diag[:-1] += (p.delta - p.t) ** 2   # -a^2
     diag[1:] += (p.delta + p.t) ** 2    # -b^2
-    t1_eff, t2_eff = kitaev_effective_hoppings(p)
-    return diag, t1_eff, t2_eff
-
-
-def effective_h_matrix(p: KitaevParams) -> np.ndarray:
-    """Sublattice matrix h with h v = E^2 v, materialized as real symmetric."""
-    diag, t1_eff, t2_eff = effective_h_bands(p)
-    h = np.diag(diag)
-    for j in range(p.n - 1):
-        h[j, j + 1] = h[j + 1, j] = t1_eff
-    for j in range(p.n - 2):
-        h[j, j + 2] = h[j + 2, j] = t2_eff
-    return h
+    return pentadiagonal(diag, *kitaev_effective_hoppings(p))
 
 
 def bdg_matrix(p: KitaevParams) -> np.ndarray:
@@ -114,7 +105,7 @@ def kitaev_spectrum(p: KitaevParams):
     roundoff of h, enough to miss the particle-hole spectrum by more than
     1e-8 on long topological chains.
     """
-    w, v = eigh_pentadiagonal(*effective_h_bands(p))
+    w, v = np.linalg.eigh(effective_h_matrix(p))
     scale = max(1.0, float(np.abs(w).max()))
     if w[0] < -1e-10 * scale:
         raise ValueError(f"sublattice matrix not PSD: eigenvalue {w[0]}")

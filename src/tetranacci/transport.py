@@ -173,8 +173,11 @@ def fermi(e: float, beta: float) -> float:
     return 1.0 / (1.0 + math.exp(x))
 
 
-def current(v_bias: float, beta: float, s: TransportSetup,
-            quadrature: float = 1e-9) -> float:
+# absolute and relative tolerance of the adaptive quadrature in `current`
+_QUAD_TOL = 1e-9
+
+
+def current(v_bias: float, beta: float, s: TransportSetup) -> float:
     """Steady-state current in units of e/h.
 
     beta = math.inf selects the zero-temperature step-function fast path,
@@ -188,7 +191,7 @@ def current(v_bias: float, beta: float, s: TransportSetup,
         lo, hi = sorted((0.0, -v_bias))
         sign = 1.0 if v_bias > 0.0 else -1.0
         result = integrate.quad(lambda x: transmission(x, s), lo, hi,
-                                epsabs=quadrature, epsrel=quadrature,
+                                epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
                                 limit=200, full_output=1)
     else:
         pad = 40.0 / beta
@@ -196,7 +199,7 @@ def current(v_bias: float, beta: float, s: TransportSetup,
         hi = max(0.0, -v_bias) + pad
         result = integrate.quad(
             lambda x: transmission(x, s) * (fermi(x, beta) - fermi(x + v_bias, beta)),
-            lo, hi, epsabs=quadrature, epsrel=quadrature,
+            lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
             limit=200, full_output=1)
         sign = 1.0
     if len(result) > 3:

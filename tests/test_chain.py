@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from tetranacci.chain import (Arrow, ChainParams, arrow_classify,
-                              build_chain_matrix, coeffs_from_energy,
+from tetranacci.chain import (Arrow, ChainParams, _branch_residuals,
+                              arrow_classify, build_chain_matrix,
+                              cluster_eigenvalues, coeffs_from_energy,
                               crossings, dispersion, eigenvector_tetranacci,
-                              quantization_residual, spectrum, t1_zero_spectrum,
+                              spectrum, t1_zero_spectrum,
                               wavevectors_from_energy)
 from tetranacci.errors import PreconditionError, ZeroT2Error
+
+from band_oracle import chain_eigh
 
 
 def random_chain(rng, n):
@@ -25,6 +28,14 @@ def subspace_angle(u: np.ndarray, v: np.ndarray) -> float:
     sv = np.linalg.svd(qu.T.conj() @ qv, compute_uv=False)
     sv = np.clip(sv, -1.0, 1.0)
     return float(np.arccos(sv.min()))
+
+
+def test_subspace_angle_zero_for_same_span():
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=(6, 2))
+    mix = rng.normal(size=(2, 2)) + 2 * np.eye(2)
+    # arccos near 1 resolves angles only down to sqrt(machine eps)
+    assert subspace_angle(u, u @ mix) < 1e-7
 
 
 # --- matrix / dispersion ----------------------------------------------------
@@ -64,6 +75,9 @@ def test_coeffs_from_energy():
 def test_coeffs_from_energy_rejects_zero_t2():
     with pytest.raises(ZeroT2Error):
         coeffs_from_energy(0.0, ChainParams(0, 1, 0, 4))
+    # t2 = 1e-320 is not zero, but eta = -t1/t2 overflows a double
+    with pytest.raises(ZeroT2Error):
+        coeffs_from_energy(0.0, ChainParams(0, 1, 1e-320, 4))
 
 
 def test_wavevectors_t1_zero_relation():
@@ -82,21 +96,19 @@ def test_quantization_zero_at_crossing_pair():
     n = 10
     k1 = (3 * math.pi / (n + 2)) + (1 * math.pi / (n + 2))
     k2 = (3 * math.pi / (n + 2)) - (1 * math.pi / (n + 2))
-    res, _ = quantization_residual(k1, k2, n)
-    assert res < 1e-12
+    assert min(_branch_residuals(k1, k2, n, 1.0).values()) < 1e-12
 
 
 def test_quantization_generic_pair_large_residual():
-    res, _ = quantization_residual(0.913, 0.311, 10)
-    assert res > 1e-3
+    assert min(_branch_residuals(0.913, 0.311, 10, 1.0).values()) > 1e-3
 
 
 def test_quantization_removable_singularity():
     # k_- = 0: f(k-) takes its limit N + 2 = 12, against f(k+) = sin(12)/sin(1),
     # so the residual is |sin(12)/sin(1) + 12| / 12 = 0.9469 with s_q = -1
-    res, s_q = quantization_residual(1.0, 1.0, 10)
-    assert s_q == -1
-    assert abs(res - abs(math.sin(12.0) / math.sin(1.0) + 12.0) / 12.0) < 1e-12
+    res = _branch_residuals(1.0, 1.0, 10, 1.0)
+    assert min(res, key=res.get) == -1
+    assert abs(res[-1] - abs(math.sin(12.0) / math.sin(1.0) + 12.0) / 12.0) < 1e-12
 
 
 def test_quantization_residual_from_dense_modes():
@@ -113,6 +125,20 @@ def test_spectrum_t1_zero_n4():
     assert np.allclose(energies, [-1, -1, 1, 1], atol=1e-10)
 
 
+def test_spectrum_tiny_entries_small_n():
+    # a matrix this small in norm is rescaled inside LAPACK
+    e = [m.e for m in spectrum(ChainParams(mu=1e-300, t1=-1e-300, t2=-1e-300, n=2))]
+    assert np.allclose(np.array(e) / 1e-300, [-2.0, 0.0], atol=1e-12)
+    (mode,) = spectrum(ChainParams(mu=-3e-300, t1=-1e-300, t2=-1e-300, n=1))
+    assert mode.e == 3e-300 and mode.vector[0] ** 2 == 1.0
+
+
+def test_cluster_grouping():
+    w = np.array([0.0, 1e-12, 1.0, 2.0, 2.0 + 1e-12])
+    groups = cluster_eigenvalues(w, 1e-8)
+    assert [list(g) for g in groups] == [[0, 1], [2], [3, 4]]
+
+
 def test_t1_zero_spectrum_n3():
     got = t1_zero_spectrum(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=3))
     assert np.allclose(got, [-1.0, 0.0, 1.0], atol=1e-12)
@@ -127,7 +153,7 @@ def test_t1_zero_spectrum_mu_shift():
 def test_t1_zero_spectrum_matches_dense():
     for n in (4, 5, 8, 9):
         p = ChainParams(mu=0.1, t1=0.0, t2=-1.3, n=n)
-        w = np.linalg.eigvalsh(build_chain_matrix(p))
+        w = chain_eigh(p)[0]
         assert np.allclose(t1_zero_spectrum(p), w, atol=1e-10)
 
 
@@ -193,7 +219,7 @@ def test_crossing_counts():
 def test_crossing_records_are_degenerate():
     for rec in crossings(6):
         p = ChainParams(mu=0.0, t1=rec.t1_over_t2, t2=1.0, n=6)
-        w = np.linalg.eigvalsh(build_chain_matrix(p))
+        w = chain_eigh(p)[0]
         gaps = np.abs(w - rec.e)
         idx = np.argsort(gaps)
         assert gaps[idx[0]] < 1e-8 and gaps[idx[1]] < 1e-8
@@ -211,7 +237,7 @@ def test_crossing_record_geometry():
 
 def test_eigenvector_matches_dense():
     p = ChainParams(mu=0.0, t1=1.0, t2=3.0, n=5)
-    w, v = np.linalg.eigh(build_chain_matrix(p))
+    w, v = chain_eigh(p)
     vec = eigenvector_tetranacci(float(w[0]), p)
     vec = vec / np.linalg.norm(vec)
     dense = v[:, 0]
@@ -221,7 +247,7 @@ def test_eigenvector_matches_dense():
 
 def test_eigenvector_parity():
     p = ChainParams(mu=0.3, t1=0.8, t2=1.1, n=7)
-    w = np.linalg.eigvalsh(build_chain_matrix(p))
+    w = chain_eigh(p)[0]
     for e in w:
         vec = eigenvector_tetranacci(float(e), p)
         flipped = vec[::-1]
@@ -233,7 +259,7 @@ def test_eigenvector_parity():
 def test_eigenvector_boundary_extension():
     from tetranacci.closedform import characterize, t_minus2
     p = ChainParams(mu=0.1, t1=0.9, t2=1.4, n=6)
-    w = np.linalg.eigvalsh(build_chain_matrix(p))
+    w = chain_eigh(p)[0]
     e = float(w[2])
     cd = characterize(coeffs_from_energy(e, p))
     t = [t_minus2(j, cd) for j in range(-1, p.n + 4)]
@@ -247,7 +273,7 @@ def test_eigenvector_boundary_extension():
 def test_degenerate_pair_subspace():
     rec = crossings(6)[0]
     p = ChainParams(mu=0.0, t1=rec.t1_over_t2, t2=1.0, n=6)
-    w, v = np.linalg.eigh(build_chain_matrix(p))
+    w, v = chain_eigh(p)
     idx = np.where(np.abs(w - rec.e) < 1e-8)[0]
     assert len(idx) == 2
     from tetranacci.closedform import characterize, t_minus2

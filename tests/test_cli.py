@@ -181,6 +181,20 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # eta = -t1/t2 overflows a double
+    ("spectrum", "--n", "3", "--t1", "1", "--t2", "1e-320"),
+    ("transport", "--n", "3", "--t1", "1", "--t2", "1e-320", "--e-grid", "0:0:1"),
+    # the characteristic roots overflow
+    ("seq", "--zeta", "1e308", "--eta", "1e308", "--g", "1,1,1,1",
+     "--lo", "-5", "--hi", "50"),
+])
+def test_overflow_is_numerical_failure(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert "numerical failure" in err
+
+
 @pytest.mark.parametrize("grid, column", [
     (("--e-grid", "-1:1:3"), "transmission"),
     (("--v-grid", "0.5:2:2"), "current"),
@@ -213,6 +227,7 @@ def test_negative_exponent_values(capsys, argv, key, value):
     ("transport", "--n", "4", "--beta", "nan", "--v-grid", "1:1:1"),
     ("crossings", "--n", "0"),
     ("crossings", "--n", "1"),
+    ("verify", "--seed", "-1"),
 ])
 def test_invalid_parameters_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from tetranacci.closedform import (RootClass, _power_residual,
-                                   appendix_a_solutions, basic_closed,
-                                   characterize, phi, plane_wave_coeffs,
-                                   t_minus2, xi_closed)
+                                   appendix_a_solutions, characterize, phi,
+                                   plane_wave_coeffs, t_minus2, xi_closed)
 from tetranacci.errors import PreconditionError
 from tetranacci.recurrence import (Coefficients, InitialValues,
                                    basic_tetranacci_ref, eval_range)
@@ -124,7 +123,7 @@ def test_phi_satisfies_four_term_recursion():
                 assert abs(res) <= 1e-10 * scale
 
 
-# --- t_minus2 / basic_closed ------------------------------------------------
+# --- t_minus2 / basic closed forms ------------------------------------------
 
 def test_t_minus2_selective():
     cd = characterize(Coefficients(0.3, -0.8))
@@ -156,20 +155,22 @@ def test_basic_closed_matches_recursion_all_classes(cls):
             ref = {j: basic_tetranacci_ref(i, j, c) for j in range(-25, 26)}
             scale = max(abs(v) for v in ref.values()) or 1.0
             for j in range(-25, 26):
-                assert abs(basic_closed(i, j, cd) - ref[j]) <= 1e-9 * scale
+                got = xi_closed(InitialValues.unit(i), j, cd)
+                assert abs(got - ref[j]) <= 1e-9 * scale
 
 
 def test_basic_closed_point_values():
     cd = characterize(Coefficients(0.4, 1.1))
-    assert abs(basic_closed(1, -3, cd) + 1.0) < 1e-12
-    assert abs(basic_closed(-1, -1, cd) - 1.0) < 1e-12
+    assert abs(xi_closed(InitialValues.unit(1), -3, cd) + 1.0) < 1e-12
+    assert abs(xi_closed(InitialValues.unit(-1), -1, cd) - 1.0) < 1e-12
 
 
 def test_basic_closed_degenerate_unit_value():
     c = Coefficients(-6.0, 4.0)
     cd = characterize(c)
     want = basic_tetranacci_ref(1, 2, c)
-    assert abs(basic_closed(1, 2, cd) - want) <= 1e-9 * max(1.0, abs(want))
+    got = xi_closed(InitialValues.unit(1), 2, cd)
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_lemma_relations_numeric():
@@ -177,19 +178,14 @@ def test_lemma_relations_numeric():
     for cls in RootClass:
         c = random_class_point(rng, cls)
         cd = characterize(c)
-        tm2 = {j: basic_closed(-2, j, cd) for j in range(-18, 19)}
+        tm2 = {j: xi_closed(InitialValues.unit(-2), j, cd) for j in range(-18, 19)}
         scale = max(abs(v) for v in tm2.values()) or 1.0
         for j in range(-15, 16):
-            assert abs(basic_closed(1, j, cd)
-                       - basic_closed(-2, -1 - j, cd)) <= 1e-9 * scale
-            assert abs(basic_closed(0, j, cd)
-                       - basic_closed(-1, -1 - j, cd)) <= 1e-9 * scale
+            assert abs(xi_closed(InitialValues.unit(1), j, cd)
+                       - xi_closed(InitialValues.unit(-2), -1 - j, cd)) <= 1e-9 * scale
+            assert abs(xi_closed(InitialValues.unit(0), j, cd)
+                       - xi_closed(InitialValues.unit(-1), -1 - j, cd)) <= 1e-9 * scale
             assert abs(tm2[j] + tm2[-j]) <= 1e-9 * scale
-            assert abs(basic_closed(-1, j, cd)
-                       - (tm2[j - 1] - c.eta * tm2[j])) <= 1e-9 * scale
-            assert abs(basic_closed(0, j, cd)
-                       - (c.eta * tm2[j + 1] - tm2[j + 2])) <= 1e-9 * scale
-            assert abs(basic_closed(1, j, cd) + tm2[j + 1]) <= 1e-9 * scale
 
 
 # --- xi_closed --------------------------------------------------------------

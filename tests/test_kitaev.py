@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
 
-from tetranacci.chain import ChainParams, build_chain_matrix
+from tetranacci.chain import ChainParams
 from tetranacci.errors import ZeroT2Error
 from tetranacci.kitaev import (KitaevParams, XYParams, bdg_matrix,
                                bdg_spectrum, effective_h_matrix,
                                kitaev_effective_coeffs,
                                kitaev_effective_hoppings, kitaev_spectrum,
                                xy_effective_hoppings)
+
+from band_oracle import chain_eigh
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KitaevParams(mu=0.5j, t=1.0, delta=0.3, n=4),
+    lambda: XYParams(jx=1.0, jy=1j, hfield=0.0),
+], ids=["kitaev", "xy"])
+def test_params_reject_complex(make):
+    with pytest.raises(ValueError, match="non-real"):
+        make()
 
 
 def test_effective_coeffs_mu_zero():
@@ -82,7 +93,7 @@ def test_majorana_point_zero_mode():
 def test_delta_zero_reduces_to_tridiagonal_chain():
     p = KitaevParams(mu=0.4, t=0.9, delta=0.0, n=7)
     chain = ChainParams(mu=p.mu, t1=p.t, t2=0.0, n=p.n)
-    w = np.linalg.eigvalsh(build_chain_matrix(chain))
+    w = chain_eigh(chain)[0]
     want = sorted(np.concatenate([np.abs(w), -np.abs(w)]))
     got = kitaev_spectrum(p)
     assert np.abs(np.array(got) - want).max() < 1e-9

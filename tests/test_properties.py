@@ -2,11 +2,12 @@
 transport (hypothesis).
 
 The tolerances are those of `test_acceptance.py`: 1e-10 for chain
-eigenvalues against a dense eigensolve (test_03), 1e-9 for the spectrum's
-symmetry under t1 -> -t1 (test_11) and 1e-8 for the Kitaev sublattice
-against the particle-hole spectrum (test_09), each relative to the
-spectral scale max(1, |E|max).  The dense `numpy.linalg` drivers are
-independent of the banded driver behind `spectrum` and `kitaev_spectrum`.
+eigenvalues against a reference eigensolve (test_03), 1e-9 for the
+spectrum's symmetry under t1 -> -t1 (test_11) and 1e-8 for the Kitaev
+sublattice against the particle-hole spectrum (test_09), each relative to
+the spectral scale max(1, |E|max).  The chain reference is scipy's banded
+driver on a band filled from (mu, t1, t2) (`band_oracle`), which shares
+neither the dense matrix nor the `numpy.linalg.eigh` behind `spectrum`.
 Transmission must lie in [0, 1] and match the dense trace formula to the
 1e-8 of test_10, here absolute because T <= 1 and evanescent T can be far
 below the dense path's roundoff.  Where the double-precision dense path
@@ -21,13 +22,15 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tetranacci.chain import ChainParams, build_chain_matrix, spectrum
+from tetranacci.chain import ChainParams, spectrum
 from tetranacci.closedform import RootClass, characterize, xi_closed
 from tetranacci.errors import SingularBoundaryError
 from tetranacci.kitaev import KitaevParams, bdg_spectrum, kitaev_spectrum
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range
 from tetranacci.transport import (LeadParams, TransportSetup, transmission,
                                   transmission_dense)
+
+from band_oracle import chain_eigh
 
 coupling = st.floats(-3.0, 3.0)
 next_nearest = st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
@@ -77,7 +80,7 @@ def test_closed_form_matches_replay_on_degenerate_locus(eta, g):
 @given(chains)
 def test_spectrum_matches_dense_eigvalsh(p):
     got = np.array([m.e for m in spectrum(p)])
-    want = np.linalg.eigvalsh(build_chain_matrix(p))
+    want = chain_eigh(p)[0]
     assert np.abs(got - want).max() <= 1e-10 * _scale(want)
 
 
