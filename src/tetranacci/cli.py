@@ -60,8 +60,12 @@ def _emit(args, meta: dict, rows: list[dict], extra_lines=()):
     for line in extra_lines:
         text += line + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"tetranacci: error: cannot write --out: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     else:
         sys.stdout.write(text)
 
@@ -83,10 +87,15 @@ def _parse_initials(text: str) -> InitialValues:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, steps = text.split(":")
-        return np.linspace(float(lo), float(hi), int(steps))
+        lo, hi = float(lo), float(hi)
+        # a non-finite end point, or a span that overflows, puts inf or nan
+        # on the grid
+        if not math.isfinite(hi - lo):
+            raise ValueError("non-finite grid")
+        return np.linspace(lo, hi, int(steps))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"grid must be min:max:steps, got {text!r}") from exc
+            f"grid must be min:max:steps with finite min and max, got {text!r}") from exc
 
 
 def _params(parser, cls, *args, **kwargs):
@@ -383,7 +392,7 @@ def main(argv=None) -> int:
             parser.error(f"bad --beta value {args.beta!r}")
     try:
         return args.func(args, parser)
-    except (TetranacciError, OverflowError) as exc:
+    except (TetranacciError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -16,8 +16,6 @@ import cmath
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PreconditionError
 
 
@@ -62,8 +60,8 @@ class InitialValues:
         """Kronecker-delta initial data with the 1 at index i in -2..1."""
         if i not in (-2, -1, 0, 1):
             raise ValueError(f"unit index {i} outside -2..1")
-        g = [0.0, 0.0, 0.0, 0.0]
-        g[i + 2] = 1.0
+        g = [0, 0, 0, 0]
+        g[i + 2] = 1
         return cls(tuple(g))
 
 
@@ -97,21 +95,25 @@ def step_backward(window, c: Coefficients) -> complex:
 
 
 def eval_range(g: InitialValues, c: Coefficients, lo: int, hi: int) -> SequenceWindow:
-    """Materialize xi_lo..xi_hi by replaying the recursion from g."""
+    """Materialize xi_lo..xi_hi by replaying the recursion from g.
+
+    Plain Python arithmetic: integer g and (zeta, eta) replay in exact
+    ints, floats and complex numbers in doubles.  A float or complex
+    window that leaves the finite doubles raises OverflowError.
+    """
     if lo > hi:
         raise PreconditionError(f"empty range [{lo}, {hi}]")
-    full_lo = min(lo, -2)
-    full_hi = max(hi, 1)
-    n = full_hi - full_lo + 1
-    buf = np.zeros(n, dtype=complex)
-    base = -2 - full_lo  # position of index -2 in buf
-    buf[base:base + 4] = g.g
-    for pos in range(base + 4, n):
-        buf[pos] = step_forward(buf[pos - 4:pos], c)
-    for pos in range(base - 1, -1, -1):
-        buf[pos] = step_backward(buf[pos + 1:pos + 5], c)
-    lo_pos = lo - full_lo
-    return SequenceWindow(lo, tuple(buf[lo_pos:lo_pos + (hi - lo + 1)]))
+    up = list(g.g)  # xi_-2, xi_-1, ... upwards
+    for _ in range(hi - 1):
+        up.append(step_forward(up, c))
+    down = up[3::-1]  # xi_1, xi_0, ... downwards
+    for _ in range(-2 - lo):  # the head xi_{j-1}..xi_{j+2} is down's tail, reversed
+        down.append(step_backward(down[-1:-5:-1], c))
+    values = (down[:3:-1] + up)[lo - min(lo, -2):hi - min(lo, -2) + 1]
+    exact = all(isinstance(v, int) for v in (*g.g, c.zeta, c.eta))
+    if not exact and not all(map(cmath.isfinite, values)):
+        raise OverflowError(f"recursion leaves the finite doubles in [{lo}, {hi}]")
+    return SequenceWindow(lo, tuple(values))
 
 
 def generating_series(g: InitialValues, c: Coefficients, n: int) -> list:

@@ -180,32 +180,23 @@ _QUAD_TOL = 1e-9
 def current(v_bias: float, beta: float, s: TransportSetup) -> float:
     """Steady-state current in units of e/h.
 
-    beta = math.inf selects the zero-temperature step-function fast path,
-    where the integral collapses to the bias window.
+    One adaptive quadrature of T(E) (f(E) - f(E + V)) over the bias window
+    padded by 40 / beta.  At beta = math.inf (T = 0) the pad is zero and
+    the Fermi difference is exactly +1 or -1 at every interior node, so
+    the integral is the signed integral of T over the bias window.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive (math.inf for T = 0)")
     if v_bias == 0.0:
         return 0.0
-    if math.isinf(beta):
-        lo, hi = sorted((0.0, -v_bias))
-        sign = 1.0 if v_bias > 0.0 else -1.0
-        result = integrate.quad(lambda x: transmission(x, s), lo, hi,
-                                epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                                limit=200, full_output=1)
-    else:
-        pad = 40.0 / beta
-        lo = min(0.0, -v_bias) - pad
-        hi = max(0.0, -v_bias) + pad
-        result = integrate.quad(
-            lambda x: transmission(x, s) * (fermi(x, beta) - fermi(x + v_bias, beta)),
-            lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-            limit=200, full_output=1)
-        sign = 1.0
+    pad = 40.0 / beta  # 0.0 at beta = inf
+    result = integrate.quad(
+        lambda x: transmission(x, s) * (fermi(x, beta) - fermi(x + v_bias, beta)),
+        min(0.0, -v_bias) - pad, max(0.0, -v_bias) + pad,
+        epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, full_output=1)
     if len(result) > 3:
         raise QuadratureError(f"current integral did not converge: {result[3]}")
-    value = result[0]
-    return sign * value if math.isinf(beta) else value
+    return result[0]
 
 
 def conductance(s: TransportSetup) -> float:

@@ -1,16 +1,16 @@
 """Seeded self-check suites behind the `verify` CLI subcommand.
 
 Each suite returns (name, passed, detail) triples covering the module
-invariants: exact polynomial identities, closed-form against recursion
-replay, the residuals of the dense eigensolve behind every spectrum on
-random chain matrices, and transport equivalence.
+invariants: the paper's interconnection lemmata, proven exactly on an
+integer grid by the exact-int replay of the recursion, closed form against
+recursion replay, the residuals of the dense eigensolve behind every
+spectrum on random chain matrices, and transport equivalence.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bipoly import BiPoly, tetranacci_poly, verify_identity
 from .chain import ChainParams, build_chain_matrix
 from .closedform import appendix_a_solutions, characterize, xi_closed
 from .errors import SingularBoundaryError
@@ -28,26 +28,46 @@ def _random_initials(rng) -> InitialValues:
     return InitialValues(tuple(complex(a, b) for a, b in rng.normal(size=(4, 2))))
 
 
+# Weight zeta 2 and eta 1.  By induction on the recursion every T_i(j) has
+# weighted degree <= |j|, so each side of an identity below, for j in
+# [-12, 12], has weighted degree <= 14: degree <= 7 in zeta and <= 14 in
+# eta.  A polynomial of those degrees that vanishes at every point of the
+# 8 x 15 integer grid {0..7} x {0..14} is zero: at each grid eta it is a
+# polynomial in zeta with 8 roots, so its zeta coefficients vanish there,
+# and each of them is a polynomial in eta with 15 roots.  So holding
+# exactly on the grid, with the T_i(j) replayed in exact ints, proves an
+# identity.
+def _lemma_grid():
+    """(zeta, eta, T) at every grid point, with T[i][j] = T_i(j) exactly for
+    i in -2..1 and j in [-14, 14]."""
+    units = {i: InitialValues.unit(i) for i in (-2, -1, 0, 1)}
+    grid = []
+    for zeta in range(8):
+        for eta in range(15):
+            c = Coefficients(zeta, eta)
+            t = {i: dict(zip(range(-14, 15), eval_range(g, c, -14, 14).values))
+                 for i, g in units.items()}
+            grid.append((zeta, eta, t))
+    return grid
+
+
+def _holds(relation, grid) -> bool:
+    """True iff relation(T, eta, j) holds at every grid point for j in [-12, 12]."""
+    return all(relation(t, eta, j) for _, eta, t in grid for j in range(-12, 13))
+
+
 def suite_lemmata(seed: int = 0):
-    checks = []
-    ok_inv = all(
-        verify_identity(tetranacci_poly(1, j), tetranacci_poly(-2, -1 - j))
-        and verify_identity(tetranacci_poly(0, j), tetranacci_poly(-1, -1 - j))
-        and verify_identity(tetranacci_poly(-2, j), tetranacci_poly(1, -1 - j))
-        and verify_identity(tetranacci_poly(-1, j), tetranacci_poly(0, -1 - j))
-        for j in range(-12, 13))
-    checks.append(("inversion identities (4 relations)", ok_inv, "j in [-12, 12]"))
-    eta = BiPoly.eta()
-    ok_link = all(
-        verify_identity(tetranacci_poly(-2, j), -tetranacci_poly(-2, -j))
-        and verify_identity(tetranacci_poly(-1, j),
-                            tetranacci_poly(-2, j - 1) - eta * tetranacci_poly(-2, j))
-        and verify_identity(tetranacci_poly(0, j),
-                            eta * tetranacci_poly(-2, j + 1) - tetranacci_poly(-2, j + 2))
-        and verify_identity(tetranacci_poly(1, j), -tetranacci_poly(-2, j + 1))
-        for j in range(-12, 13))
-    checks.append(("reduction identities (4 relations)", ok_link, "j in [-12, 12]"))
-    return checks
+    grid = _lemma_grid()
+    ok_inv = _holds(lambda t, eta, j: (
+        t[1][j] == t[-2][-1 - j] and t[0][j] == t[-1][-1 - j]
+        and t[-2][j] == t[1][-1 - j] and t[-1][j] == t[0][-1 - j]), grid)
+    ok_link = _holds(lambda t, eta, j: (
+        t[-2][j] == -t[-2][-j]
+        and t[-1][j] == t[-2][j - 1] - eta * t[-2][j]
+        and t[0][j] == eta * t[-2][j + 1] - t[-2][j + 2]
+        and t[1][j] == -t[-2][j + 1]), grid)
+    return [("inversion identities (4 relations)", ok_inv, "j in [-12, 12]"),
+            ("reduction identities (4 relations)", ok_link, "j in [-12, 12]")]
 
 
 def suite_closed_form(seed: int = 0):

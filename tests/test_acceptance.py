@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from tetranacci.bipoly import BiPoly, tetranacci_poly, verify_identity
 from tetranacci.chain import (Arrow, ChainParams, arrow_classify,
                               coeffs_from_energy, crossings,
                               eigenvector_tetranacci, spectrum,
@@ -25,6 +24,7 @@ from tetranacci.recurrence import Coefficients, InitialValues, eval_range
 from tetranacci.transport import (LeadParams, TransportSetup, conductance,
                                   current, green_1n_dense,
                                   green_1n_tetranacci, transmission)
+from tetranacci.verification import _lemma_grid
 
 from band_oracle import chain_eigh
 
@@ -36,33 +36,33 @@ def report(name, passed, detail=""):
 
 
 def test_01_exact_lemma_suite():
+    # exact int replays on the integer grid of `verification`, where every
+    # polynomial compared has low enough degree for equality on the grid to
+    # be equality as polynomials in (zeta, eta)
     start = time.time()
-    eta = BiPoly.eta()
-    zeta = BiPoly.zeta()
+    grid = _lemma_grid()
     ok = True
-    for j in range(-12, 13):
-        ok &= verify_identity(tetranacci_poly(1, j), tetranacci_poly(-2, -1 - j))
-        ok &= verify_identity(tetranacci_poly(0, j), tetranacci_poly(-1, -1 - j))
-        ok &= verify_identity(tetranacci_poly(-2, j), tetranacci_poly(1, -1 - j))
-        ok &= verify_identity(tetranacci_poly(-1, j), tetranacci_poly(0, -1 - j))
-        ok &= verify_identity(tetranacci_poly(-2, j), -tetranacci_poly(-2, -j))
-        ok &= verify_identity(tetranacci_poly(-1, j),
-                              tetranacci_poly(-2, j - 1) - eta * tetranacci_poly(-2, j))
-        ok &= verify_identity(tetranacci_poly(0, j),
-                              eta * tetranacci_poly(-2, j + 1) - tetranacci_poly(-2, j + 2))
-        ok &= verify_identity(tetranacci_poly(1, j), -tetranacci_poly(-2, j + 1))
-    one = BiPoly.const(1)
-    table = {
-        -3: (eta, zeta, eta, -one),
-        -2: (one, BiPoly.zero(), BiPoly.zero(), BiPoly.zero()),
-        -1: (BiPoly.zero(), one, BiPoly.zero(), BiPoly.zero()),
-        0: (BiPoly.zero(), BiPoly.zero(), one, BiPoly.zero()),
-        1: (BiPoly.zero(), BiPoly.zero(), BiPoly.zero(), one),
-        2: (-one, eta, zeta, eta),
-    }
-    for j, row in table.items():
-        for i, want in zip((-2, -1, 0, 1), row):
-            ok &= tetranacci_poly(i, j) == want
+    for zeta, eta, t in grid:
+        for j in range(-12, 13):
+            ok &= t[1][j] == t[-2][-1 - j]
+            ok &= t[0][j] == t[-1][-1 - j]
+            ok &= t[-2][j] == t[1][-1 - j]
+            ok &= t[-1][j] == t[0][-1 - j]
+            ok &= t[-2][j] == -t[-2][-j]
+            ok &= t[-1][j] == t[-2][j - 1] - eta * t[-2][j]
+            ok &= t[0][j] == eta * t[-2][j + 1] - t[-2][j + 2]
+            ok &= t[1][j] == -t[-2][j + 1]
+        table = {
+            -3: (eta, zeta, eta, -1),
+            -2: (1, 0, 0, 0),
+            -1: (0, 1, 0, 0),
+            0: (0, 0, 1, 0),
+            1: (0, 0, 0, 1),
+            2: (-1, eta, zeta, eta),
+        }
+        for j, row in table.items():
+            for i, want in zip((-2, -1, 0, 1), row):
+                ok &= t[i][j] == want
     elapsed = time.time() - start
     report("exact identity suite (8 relations, j in [-12,12]; value table)",
            ok and elapsed < 5.0, f"{elapsed:.2f} s")

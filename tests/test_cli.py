@@ -188,9 +188,21 @@ def test_numerical_failure_exit_code(capsys):
     # the characteristic roots overflow
     ("seq", "--zeta", "1e308", "--eta", "1e308", "--g", "1,1,1,1",
      "--lo", "-5", "--hi", "50"),
+    # the replayed window leaves the finite doubles
+    ("seq", "--zeta", "1e308", "--eta", "1e308", "--g", "1,1,1,1",
+     "--lo", "-5", "--hi", "50", "--mode", "recursion"),
 ])
 def test_overflow_is_numerical_failure(capsys, argv):
     code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert "numerical failure" in err
+
+
+def test_nonconvergent_eigensolve_is_numerical_failure(capsys):
+    # mu = 1e308 puts overflowing entries into the chain matrix, so LAPACK
+    # reports no convergence
+    code, _, err = run(capsys, "kitaev", "--n", "3", "--t", "1", "--delta", "0.5",
+                       "--mu-grid", "0:1e308:2")
     assert code == 4
     assert "numerical failure" in err
 
@@ -228,6 +240,15 @@ def test_negative_exponent_values(capsys, argv, key, value):
     ("crossings", "--n", "0"),
     ("crossings", "--n", "1"),
     ("verify", "--seed", "-1"),
+    # non-finite grid end points, or a span that overflows
+    ("arrow", "--eta-grid", "0:nan:3", "--zeta-grid", "0:1:2"),
+    ("arrow", "--eta-grid", "-1e308:1e308:3", "--zeta-grid", "0:1:2"),
+    ("transport", "--n", "4", "--e-grid", "nan:nan:1"),
+    ("transport", "--n", "4", "--v-grid", "0:inf:2"),
+    ("spectrum", "--n", "4", "--sweep-eta", "-inf:0:3"),
+    # an --out path that cannot be written
+    ("seq", "--zeta", "1", "--eta", "1", "--g", "0,0,0,1",
+     "--out", "/nonexistent-dir/x.json"),
 ])
 def test_invalid_parameters_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from tetranacci.errors import PreconditionError
+from tetranacci.exactnum import tm2_replay
 from tetranacci.recurrence import (Coefficients, InitialValues,
                                    basic_tetranacci_ref, eval_range,
                                    generating_series, step_backward,
                                    step_forward)
+from tetranacci.verification import _holds, _lemma_grid
 
 
 def random_setup(rng):
@@ -156,3 +158,97 @@ def test_superposition():
             total = sum(g.g[i + 2] * basic_tetranacci_ref(i, j, c)
                         for i in range(-2, 2))
             assert abs(total - w.value(j)) <= 1e-10 * scale
+
+
+def test_eval_range_keeps_ints_exact():
+    # T_-2 at (zeta, eta) = (7, 14) passes 2^53 by j = 12; doubles would round
+    w = eval_range(InitialValues((1, 0, 0, 0)), Coefficients(7, 14), -2, 30)
+    assert list(w.values) == tm2_replay(7, 14, 0, 30)
+    assert all(type(v) is int for v in w.values)
+
+
+@pytest.mark.parametrize("zeta, eta", [(1e308, 1e308), (1e200j, 1.0)])
+def test_eval_range_overflow_raises(zeta, eta):
+    with pytest.raises(OverflowError):
+        eval_range(InitialValues((1, 1, 1, 1)), Coefficients(zeta, eta), -5, 50)
+
+
+def test_eval_range_big_ints_not_rejected():
+    w = eval_range(InitialValues((1, 1, 1, 1)), Coefficients(10 ** 300, 10 ** 300), -5, 5)
+    assert w.value(5) > 10 ** 1000
+
+
+# The grid tests below prove polynomial identities in (zeta, eta): every
+# polynomial compared has degree <= 7 in zeta and <= 14 in eta (see
+# `verification`), so equality on the integer grid is equality as polynomials.
+
+def test_known_polynomials():
+    for zeta, eta, t in _lemma_grid():
+        assert t[0][4] == (zeta + 1) * (zeta - 1 + eta * eta)
+        assert t[1][3] == eta * eta + zeta
+        assert t[-2][0] == 0
+
+
+def test_table_one_window():
+    """All four columns on j in [-3, 2], exactly."""
+    for zeta, eta, t in _lemma_grid():
+        table = {
+            # j: (T_-2, T_-1, T_0, T_1)
+            -3: (eta, zeta, eta, -1),
+            -2: (1, 0, 0, 0),
+            -1: (0, 1, 0, 0),
+            0: (0, 0, 1, 0),
+            1: (0, 0, 0, 1),
+            2: (-1, eta, zeta, eta),
+        }
+        for j, row in table.items():
+            for i, want in zip((-2, -1, 0, 1), row):
+                assert t[i][j] == want, (i, j, zeta, eta)
+
+
+def test_inversion_identities_exact():
+    grid = _lemma_grid()
+    assert _holds(lambda t, eta, j: t[1][j] == t[-2][-1 - j], grid)
+    assert _holds(lambda t, eta, j: t[0][j] == t[-1][-1 - j], grid)
+    assert _holds(lambda t, eta, j: t[-2][j] == t[1][-1 - j], grid)
+    assert _holds(lambda t, eta, j: t[-1][j] == t[0][-1 - j], grid)
+
+
+def test_reduction_identities_exact():
+    grid = _lemma_grid()
+    assert _holds(lambda t, eta, j: t[-2][j] == -t[-2][-j], grid)
+    assert _holds(lambda t, eta, j: t[-1][j] == t[-2][j - 1] - eta * t[-2][j], grid)
+    assert _holds(lambda t, eta, j: t[0][j] == eta * t[-2][j + 1] - t[-2][j + 2], grid)
+    assert _holds(lambda t, eta, j: t[1][j] == -t[-2][j + 1], grid)
+
+
+def test_false_identities_fail_on_grid():
+    grid = _lemma_grid()
+    assert not _holds(lambda t, eta, j: t[1][j] == t[-2][j + 1], grid)  # sign flipped
+    assert not _holds(lambda t, eta, j: t[-1][j] == t[-2][j - 1] + eta * t[-2][j], grid)
+
+
+def test_distinct_polynomials_differ():
+    assert any(t[0][5] != t[1][5] for _, _, t in _lemma_grid())
+    c = Coefficients(1, 1)
+    assert basic_tetranacci_ref(0, 5, c) != basic_tetranacci_ref(1, 5, c)
+
+
+def test_numeric_agreement_with_recursion():
+    # the exact int replay and the complex double replay at the same points
+    for zeta, eta in ((2, -3), (-1, 4), (5, 1)):
+        for i in range(-2, 2):
+            exact = eval_range(InitialValues.unit(i), Coefficients(zeta, eta), -10, 10)
+            ref = eval_range(InitialValues.unit(i), Coefficients(complex(zeta), complex(eta)),
+                             -10, 10)
+            for a, b in zip(exact.values, ref.values):
+                assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+def test_superposition_with_integer_weights():
+    weights = (3, -2, 5, 7)
+    c = Coefficients(2, -1)
+    w = eval_range(InitialValues(weights), c, -10, 10)
+    units = [eval_range(InitialValues.unit(i), c, -10, 10) for i in (-2, -1, 0, 1)]
+    for j in range(-10, 11):
+        assert sum(g_i * u.value(j) for g_i, u in zip(weights, units)) == w.value(j)
