@@ -5,11 +5,12 @@ first off-diagonals -t1, second off-diagonals -t2.  Eigenvector entries
 obey the four-term recursion with zeta = -(E + mu)/t2, eta = -t1/t2 and
 the open-boundary extension xi_0 = xi_{-1} = xi_{N+1} = xi_{N+2} = 0.
 
-Eigenpairs come from `numpy.linalg.eigh` on the dense matrix that
-`build_chain_matrix` returns, the package's one eigensolver (the Kitaev
-sublattice matrix goes through it too); wavevectors are recovered
-analytically per energy and the transcendental quantization relation is
-used as a residual diagnostic, not as a root finder.
+The matrix commutes with the mirror j -> N + 1 - j, so `spectrum` runs
+`numpy.linalg.eigh`, the package's one eigensolver (the Kitaev sublattice
+matrix goes through it too), on the mirror-even and mirror-odd sectors of
+`mirror_sectors`, and each mode's parity is the sign of its sector.
+Wavevectors are recovered analytically per energy and the transcendental
+quantization relation is used as a residual diagnostic, not as a root finder.
 """
 
 from __future__ import annotations
@@ -79,27 +80,34 @@ class CrossingRecord:
     e: float
 
 
-def cluster_eigenvalues(w: np.ndarray, gap: float):
-    """Group sorted eigenvalues into clusters separated by less than gap."""
-    clusters = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] >= gap:
-            clusters.append(list(range(start, i)))
-            start = i
-    return clusters
-
-
 def pentadiagonal(diag, off1: float, off2: float) -> np.ndarray:
     """Real symmetric matrix with main diagonal diag and constant first and
     second off-diagonals off1 and off2."""
-    n = len(diag)
-    return (np.diag(diag) + off1 * (np.eye(n, k=1) + np.eye(n, k=-1))
-            + off2 * (np.eye(n, k=2) + np.eye(n, k=-2)))
+    m = np.diag(diag)
+    # index assignment, not off * eye: 0 * inf would put nan off the band
+    i = np.arange(len(diag) - 1)
+    m[i, i + 1] = m[i + 1, i] = off1
+    i = i[:-1]
+    m[i, i + 2] = m[i + 2, i] = off2
+    return m
 
 
 def build_chain_matrix(p: ChainParams) -> np.ndarray:
     return pentadiagonal(np.full(p.n, -p.mu), -p.t1, -p.t2)
+
+
+def mirror_sectors(n: int):
+    """Orthonormal bases (even, odd), as columns, of the two sectors of the
+    mirror j -> N + 1 - j: (e_i + e_{N-1-i}) / sqrt(2) plus the centre site
+    when N is odd, and (e_i - e_{N-1-i}) / sqrt(2), for i < N // 2."""
+    half = n // 2
+    i = np.arange(half)
+    even, odd = np.zeros((n, n - half)), np.zeros((n, half))
+    even[i, i] = even[n - 1 - i, i] = odd[i, i] = math.sqrt(0.5)
+    odd[n - 1 - i, i] = -math.sqrt(0.5)
+    if n % 2:
+        even[half, half] = 1.0
+    return even, odd
 
 
 def dispersion(k: complex, p: ChainParams) -> complex:
@@ -147,51 +155,29 @@ def _branch_residuals(k1: complex, k2: complex, n: int, d: float):
 
 
 def spectrum(p: ChainParams):
-    """All N modes, sorted by energy, with symmetry and arrow diagnostics."""
-    w, v = np.linalg.eigh(build_chain_matrix(p))
-    scale = max(1.0, float(np.abs(w).max()))
-    clusters = cluster_eigenvalues(w, 1e-8 * scale)
+    """All N modes, sorted by energy, with symmetry and arrow diagnostics;
+    each mirror sector is solved on its own, and lambda_i is its sign."""
+    h = build_chain_matrix(p)
     modes = []
-    for cluster in clusters:
-        vecs = v[:, cluster]
-        if len(cluster) == 1:
-            parities = [_parity_sign(vecs[:, 0])]
-        else:
-            # diagonalize the reflection inside the degenerate subspace
-            r = vecs.T @ vecs[::-1, :]
-            r = 0.5 * (r + r.T)
-            pw, pu = np.linalg.eigh(r)
-            vecs = vecs @ pu
-            parities = [1 if x > 0 else -1 for x in pw]
-        for pos, idx in enumerate(cluster):
-            e = float(w[idx])
-            vec = vecs[:, pos]
-            lam = parities[pos]
+    for lam, q in zip((1, -1), mirror_sectors(p.n)):
+        w, u = np.linalg.eigh(q.T @ h @ q)
+        for e, vec in zip(w.tolist(), (q @ u).T):
             k1, k2 = wavevectors_from_energy(e, p)
-            kp = (k1 + k2) / 2.0
-            km = (k1 - k2) / 2.0
-            if len(cluster) > 1:
-                # both branches vanish at a crossing; pair sign with parity
-                residual, s_q = 0.0, -lam
-            else:
-                res = _branch_residuals(k1, k2, p.n, p.d)
-                # f(k+) = f(k-) = 0 (e.g. k2 = pi at E = -mu, t1 = t2, N + 2
-                # divisible by 3) satisfies both signs; the parity decides
-                s_q = -lam if max(res.values()) < _BRANCH_TOL else min(res, key=res.get)
-                residual = res[s_q]
+            res = _branch_residuals(k1, k2, p.n, p.d)
+            # both signs hold at a crossing and where f(k+) = f(k-) = 0 (e.g.
+            # k2 = pi at E = -mu, t1 = t2, 3 | N + 2); the parity decides
+            s_q = -lam if max(res.values()) < _BRANCH_TOL else min(res, key=res.get)
+            # absolute, in Im(k d): theta = arccos(S/2) of an argument
+            # rounded just past +-1 picks up an imaginary part, e.g.
+            # acos(1 + 2^-52) = 2.1e-8 i, which must stay inside
             inside = (abs(k1.imag) < 1e-7 / p.d) and (abs(k2.imag) < 1e-7 / p.d)
             modes.append(EigenMode(
-                e=e, k1=k1, k2=k2, k_plus=kp, k_minus=km, s_q=s_q,
-                lambda_i=lam, arrow=Arrow.INSIDE if inside else Arrow.OUTSIDE,
-                quant_residual=float(residual), vector=vec.copy(),
+                e=e, k1=k1, k2=k2, k_plus=(k1 + k2) / 2.0, k_minus=(k1 - k2) / 2.0,
+                s_q=s_q, lambda_i=lam, arrow=Arrow.INSIDE if inside else Arrow.OUTSIDE,
+                quant_residual=float(res[s_q]), vector=vec,
             ))
     modes.sort(key=lambda m: m.e)
     return modes
-
-
-def _parity_sign(vec: np.ndarray) -> int:
-    overlap = float(vec @ vec[::-1])
-    return 1 if overlap > 0 else -1
 
 
 def t1_zero_spectrum(p: ChainParams):

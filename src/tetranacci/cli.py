@@ -320,10 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     trans.add_argument("--lambda-r", type=float, default=0.0)
     trans.add_argument("--beta", default="inf",
                        help="inverse temperature, or 'inf' for T = 0")
-    trans.add_argument("--e-grid", dest="e_grid_raw", default=None,
-                       metavar="MIN:MAX:STEPS")
-    trans.add_argument("--v-grid", dest="v_grid_raw", default=None,
-                       metavar="MIN:MAX:STEPS")
+    grid = trans.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--e-grid", dest="e_grid_raw", metavar="MIN:MAX:STEPS")
+    grid.add_argument("--v-grid", dest="v_grid_raw", metavar="MIN:MAX:STEPS")
     _add_output_flags(trans)
     trans.set_defaults(func=cmd_transport)
 
@@ -382,8 +381,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_values(
         sys.argv[1:] if argv is None else list(argv)))
     _materialize_grids(args, parser)
-    if args.command == "transport" and (args.e_grid is None) == (args.v_grid is None):
-        parser.error("transport needs exactly one of --e-grid or --v-grid")
     if args.command == "transport" and args.beta != "inf":
         try:
             if not float(args.beta) > 0.0:  # also rejects nan

@@ -70,32 +70,33 @@ def suite_lemmata(seed: int = 0):
             ("reduction identities (4 relations)", ok_link, "j in [-12, 12]")]
 
 
+def _closed_form_worst(rng, draw_coeffs) -> float:
+    """Worst closed-form error, relative to the replay, over 50 draws of draw_coeffs."""
+    worst = 0.0
+    for _ in range(50):
+        c = draw_coeffs(rng)
+        g = _random_initials(rng)
+        cd = characterize(c)
+        window = eval_range(g, c, -20, 20)
+        scale = max(abs(v) for v in window.values) or 1.0
+        for j in range(-20, 21):
+            worst = max(worst, abs(xi_closed(g, j, cd) - window.value(j)) / scale)
+    return worst
+
+
+def _on_degenerate_locus(rng) -> Coefficients:
+    eta = complex(rng.normal(), rng.normal())
+    return Coefficients(-2.0 - eta * eta / 4.0, eta)
+
+
 def suite_closed_form(seed: int = 0):
     rng = np.random.default_rng(seed)
     checks = []
-    worst = 0.0
-    for _ in range(50):
-        c = _random_coeffs(rng)
-        g = _random_initials(rng)
-        cd = characterize(c)
-        window = eval_range(g, c, -20, 20)
-        scale = max(abs(v) for v in window.values) or 1.0
-        for j in range(-20, 21):
-            worst = max(worst, abs(xi_closed(g, j, cd) - window.value(j)) / scale)
-    checks.append(("closed form vs replay (generic draws)", worst < 1e-9,
-                   f"max rel err {worst:.3e}"))
-    worst = 0.0
-    for _ in range(50):
-        eta = complex(rng.normal(), rng.normal())
-        c = Coefficients(-2.0 - eta * eta / 4.0, eta)
-        g = _random_initials(rng)
-        cd = characterize(c)
-        window = eval_range(g, c, -20, 20)
-        scale = max(abs(v) for v in window.values) or 1.0
-        for j in range(-20, 21):
-            worst = max(worst, abs(xi_closed(g, j, cd) - window.value(j)) / scale)
-    checks.append(("closed form vs replay (degenerate locus)", worst < 1e-9,
-                   f"max rel err {worst:.3e}"))
+    for label, draw in (("generic draws", _random_coeffs),
+                        ("degenerate locus", _on_degenerate_locus)):
+        worst = _closed_form_worst(rng, draw)
+        checks.append((f"closed form vs replay ({label})", worst < 1e-9,
+                       f"max rel err {worst:.3e}"))
     res = appendix_a_solutions(characterize(Coefficients(-3.0, 2.0)), range(-10, 11))
     checks.append(("degenerate extra solutions", max(res.values()) < 1e-9,
                    f"max residual {max(res.values()):.3e}"))

@@ -5,10 +5,9 @@ import pytest
 
 from tetranacci.chain import (Arrow, ChainParams, _branch_residuals,
                               arrow_classify, build_chain_matrix,
-                              cluster_eigenvalues, coeffs_from_energy,
-                              crossings, dispersion, eigenvector_tetranacci,
-                              spectrum, t1_zero_spectrum,
-                              wavevectors_from_energy)
+                              coeffs_from_energy, crossings, dispersion,
+                              eigenvector_tetranacci, spectrum,
+                              t1_zero_spectrum, wavevectors_from_energy)
 from tetranacci.errors import PreconditionError, ZeroT2Error
 
 from band_oracle import chain_eigh
@@ -133,12 +132,6 @@ def test_spectrum_tiny_entries_small_n():
     assert mode.e == 3e-300 and mode.vector[0] ** 2 == 1.0
 
 
-def test_cluster_grouping():
-    w = np.array([0.0, 1e-12, 1.0, 2.0, 2.0 + 1e-12])
-    groups = cluster_eigenvalues(w, 1e-8)
-    assert [list(g) for g in groups] == [[0, 1], [2], [3, 4]]
-
-
 def test_t1_zero_spectrum_n3():
     got = t1_zero_spectrum(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=3))
     assert np.allclose(got, [-1.0, 0.0, 1.0], atol=1e-12)
@@ -195,6 +188,14 @@ def test_spectrum_parity_and_branch():
             dev = np.abs(flipped - m.lambda_i * m.vector).max()
             assert dev <= 1e-8 * max(1.0, np.abs(m.vector).max())
             assert m.s_q * m.lambda_i == -1
+
+
+def test_quant_residual_is_the_chosen_branch():
+    # eta = 0 at N = 40: twenty degenerate pairs, whose residual is the one
+    # computed for s_q like every other mode's
+    p = ChainParams(mu=0.0, t1=0.0, t2=1.0, n=40)
+    for m in spectrum(p):
+        assert m.quant_residual == _branch_residuals(m.k1, m.k2, p.n, p.d)[m.s_q]
 
 
 def test_spectrum_t2_to_zero_continuity():

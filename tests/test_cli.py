@@ -145,9 +145,10 @@ def test_transport_current_grid(capsys):
 
 
 def test_transport_requires_one_grid(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["transport", "--n", "4"])
-    assert exc.value.code == 2
+    for grids in ((), ("--e-grid", "-1:1:3", "--v-grid", "0.5:2:2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["transport", "--n", "4", *grids])
+        assert exc.value.code == 2
 
 
 def test_verify_suites_pass(capsys):
@@ -198,9 +199,10 @@ def test_overflow_is_numerical_failure(capsys, argv):
     assert "numerical failure" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonconvergent_eigensolve_is_numerical_failure(capsys):
-    # mu = 1e308 puts overflowing entries into the chain matrix, so LAPACK
-    # reports no convergence
+    # mu = 1e308 puts infinite entries, and no nan, into the chain matrix,
+    # so LAPACK reports no convergence
     code, _, err = run(capsys, "kitaev", "--n", "3", "--t", "1", "--delta", "0.5",
                        "--mu-grid", "0:1e308:2")
     assert code == 4

@@ -13,7 +13,9 @@ Transmission must lie in [0, 1] and match the dense trace formula to the
 below the dense path's roundoff.  Where the double-precision dense path
 misses by more, an exact rational solve settles the reference.  The closed
 form must match the recursion replay to the 1e-9 of test_02, relative to the
-largest replayed value.
+largest replayed value.  Each chain eigenvector must be mirror-symmetric,
+v[::-1] = lambda_i v, to 1e-12 of its largest entry; the sector solve of
+`spectrum` makes it exact.
 """
 
 from fractions import Fraction
@@ -86,8 +88,13 @@ def test_spectrum_matches_dense_eigvalsh(p):
 
 @PROPERTY
 @given(chains)
+# a near-degenerate pair that an overlap-based parity would return mixed
+@example(ChainParams(mu=0.0, t1=1e-7, t2=1.0, n=6))
 def test_branch_parity_product(p):
-    assert all(m.s_q * m.lambda_i == -1 for m in spectrum(p))
+    for m in spectrum(p):
+        assert m.s_q * m.lambda_i == -1
+        dev = np.abs(m.vector[::-1] - m.lambda_i * m.vector).max()
+        assert dev <= 1e-12 * np.abs(m.vector).max()
 
 
 @PROPERTY
