@@ -138,13 +138,26 @@ def green_1n_dense(e: float, s: TransportSetup) -> complex:
 
 
 def transmission_dense(e: float, s: TransportSetup) -> float:
-    """Full trace formula Tr{Gamma_L G^r Gamma_R G^a} via dense inversion."""
-    g = np.linalg.inv(_dense_inverse_matrix(e, s))
-    gamma_l = np.zeros_like(g)
-    gamma_r = np.zeros_like(g)
+    """Trace formula Tr{Gamma_L G^r Gamma_R G^a} from a dense solve.
+
+    Gamma_R = w w^T with w = sqrt(2 gamma_R) e_N, so the trace is
+    (G w)^dagger Gamma_L (G w).  The rows of E - H - Sigma are first scaled
+    by exact powers of two to a largest entry in [1/2, 1): a row of a
+    lead-decoupled site holding only a subnormal E - mu (E = 1e-313, say)
+    would make the solver's reciprocal pivot overflow, and inf * 0 turn T
+    into nan.
+    """
+    a = _dense_inverse_matrix(e, s)
+    w = np.zeros(s.chain.n, dtype=complex)
+    w[-1] = math.sqrt(2.0 * s.right.gamma)
+    k = -np.frexp(np.abs(a).max(axis=1))[1]
+    a.real = np.ldexp(a.real, k[:, None])
+    a.imag = np.ldexp(a.imag, k[:, None])
+    w.real = np.ldexp(w.real, k)
+    gw = np.linalg.solve(a, w)
+    gamma_l = np.zeros_like(a)
     gamma_l[0, 0] = 2.0 * s.left.gamma
-    gamma_r[-1, -1] = 2.0 * s.right.gamma
-    return float(np.trace(gamma_l @ g @ gamma_r @ g.conj().T).real)
+    return float((gw.conj() @ gamma_l @ gw).real)
 
 
 def transmission(e: float, s: TransportSetup) -> float:

@@ -172,6 +172,11 @@ def test_transmission_bounded_and_matches_dense():
     # conditioned that the dense double-precision path misses by 4.8e-7
     @example(TransportSetup(ChainParams(mu=0.0, t1=1e-6, t2=-1.0, n=17),
                             LeadParams(1.0, 0.0), LeadParams(1.0, 0.0)), 1.0)
+    # site 2 is decoupled (t1 = 0) and its row holds only a subnormal E;
+    # a dense inverse put 1/E = inf in G and returned nan
+    @example(TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=3),
+                            LeadParams(1.0, 0.0), LeadParams(1.0, 0.0)),
+             2.2250738585e-313)
     def check(s, e):
         try:
             t = transmission(e, s)
