@@ -10,7 +10,9 @@ The matrix commutes with the mirror j -> N + 1 - j, so `spectrum` runs
 matrix goes through it too), on the mirror-even and mirror-odd sectors of
 `mirror_sectors`, and each mode's parity is the sign of its sector.
 Wavevectors are recovered analytically per energy and the transcendental
-quantization relation is used as a residual diagnostic, not as a root finder.
+quantization relation f(k+) = +-f(k-), f(k) = sin(k d (N+2)) / sin(k d),
+is used as a residual diagnostic, not as a root finder; f is the standing
+wave of `closedform.standing_wave`, whose removable limits need no cut.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import characterize
+from .closedform import characterize, standing_wave
 from .errors import DegenerateModeError, PreconditionError, ZeroT2Error
 from .exactnum import dyadic, tm2_replay
 from .recurrence import Coefficients, require_real
@@ -130,26 +132,15 @@ def wavevectors_from_energy(e: float, p: ChainParams):
     return cd.theta1 / p.d, cd.theta2 / p.d
 
 
-def _sin_ratio(k: complex, n: int, d: float) -> complex:
-    """f(k) = sin(k d (N+2)) / sin(k d), with the removable limit filled in."""
-    kd = k * d
-    s = cmath.sin(kd)
-    if abs(s) < 1e-12:
-        return (n + 2) * cmath.cos(kd * (n + 2)) / cmath.cos(kd)
-    return cmath.sin(kd * (n + 2)) / s
-
-
 # residual below which a branch relation holds: the bound every
 # non-degenerate mode meets, so below it the relation cannot pick the sign
 _BRANCH_TOL = 1e-6
 
 
 def _branch_residuals(k1: complex, k2: complex, n: int, d: float):
-    """Residuals {+1: ..., -1: ...} of f(k+) = +-f(k-), removable limits filled in."""
-    kp = (k1 + k2) / 2.0
-    km = (k1 - k2) / 2.0
-    fp = _sin_ratio(kp, n, d)
-    fm = _sin_ratio(km, n, d)
+    """Residuals {+1: ..., -1: ...} of f(k+) = +-f(k-), f(k) = sin(k d (N+2)) / sin(k d)."""
+    fp = standing_wave(n + 2, (k1 + k2) / 2.0 * d)
+    fm = standing_wave(n + 2, (k1 - k2) / 2.0 * d)
     scale = max(abs(fp), abs(fm), 1.0)
     return {+1: abs(fp - fm) / scale, -1: abs(fp + fm) / scale}
 

@@ -116,18 +116,17 @@ def cmd_seq(args, parser):
     c = _params(parser, Coefficients, args.zeta, args.eta)
     rows = []
     worst = 0.0
-    window = None
-    cd = None
+    window = closed = None
     if args.mode in ("recursion", "both"):
         window = eval_range(args.g, c, args.lo, args.hi)
     if args.mode in ("closed", "both"):
-        cd = characterize(c)
+        closed = xi_closed(args.g, characterize(c), args.lo, args.hi)
     for j in range(args.lo, args.hi + 1):
         row = {"j": j}
         if window is not None:
             row["recursion"] = window.value(j)
-        if cd is not None:
-            row["closed"] = xi_closed(args.g, j, cd)
+        if closed is not None:
+            row["closed"] = closed.value(j)
         if args.mode == "both":
             scale = max(abs(row["recursion"]), 1.0)
             dev = abs(row["recursion"] - row["closed"]) / scale

@@ -1,30 +1,33 @@
-"""Closed forms built from the two-term (Binet-like) building blocks.
+"""Closed form of the basic polynomial T_-2 from two standing waves.
 
-The characteristic substitution S = r + 1/r reduces the four-term recursion
-to S^2 - eta*S - (zeta + 2) = 0 with roots S_1, S_2.  Each S_l carries a
-two-term sequence phi_l with phi_l(0)=0, phi_l(1)=1.  The basic polynomial
-T_-2 (the 1 at index -2) has one closed form in phi_1, phi_2 per root
-class, with j-weighted variants when the roots degenerate:
+The substitution S = r + 1/r factors the characteristic polynomial as
+(1 - S_1 t + t^2)(1 - S_2 t + t^2), so S_1 + S_2 = eta and S_1 S_2 =
+-(zeta + 2).  The factor of S_l generates the standing wave phi_l(j) =
+sin(j theta_l) / sin(theta_l), theta_l = arccos(S_l / 2), and T_-2 (the 1 at
+index -2) has the generating function -t^2 over the product, so
 
-  * distinct:        S_1 != S_2
-  * degenerate_s:    S_1 == S_2, S_1^2 != 4
-  * degenerate_unit: S_1 == S_2, S_1^2 == 4
+    T_-2(j) = -sum_{a=1}^{j-1} phi_1(a) phi_2(j - a) = -T_-2(-j),  j >= 0.
 
-Every other basic polynomial, and so every sequence, follows from T_-2 by
-the reduction identities T_-1(j) = T_-2(j-1) - eta T_-2(j),
-T_0(j) = eta T_-2(j+1) - T_-2(j+2) and T_1(j) = -T_-2(j+1).
+The Cauchy product divides by nothing and is symmetric in S_1 and S_2, so
+it holds for every pair of roots, equal or at +-2 included.  The reduction
+identities T_-1(j) = T_-2(j-1) - eta T_-2(j), T_0(j) = eta T_-2(j+1) -
+T_-2(j+2) and T_1(j) = -T_-2(j+1) give every sequence from T_-2.  The root
+class (distinct; degenerate_s: S_1 == S_2; degenerate_unit: S_1 == S_2 =
++-2) only labels what the paper states per class (`plane_wave_coeffs`,
+`appendix_a_solutions`).
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .recurrence import Coefficients, InitialValues
+from .recurrence import Coefficients, InitialValues, SequenceWindow
 
 
 class RootClass(enum.Enum):
@@ -35,28 +38,22 @@ class RootClass(enum.Enum):
 
 @dataclass(frozen=True)
 class CharacteristicData:
-    """Roots and degeneracy classification for one coefficient pair."""
+    """Roots S_l, angles theta_l and degeneracy label for one coefficient pair."""
 
     zeta: complex
     eta: complex
     s1: complex
     s2: complex
-    r_plus_1: complex
-    r_minus_1: complex
-    r_plus_2: complex
-    r_minus_2: complex
     theta1: complex
     theta2: complex
     root_class: RootClass
-    unit_flags: tuple  # (S_1 == +-2, S_2 == +-2)
 
-    def s(self, l: int) -> complex:
-        return self.s1 if l == 1 else self.s2
+    def theta(self, l: int) -> complex:
+        return self.theta1 if l == 1 else self.theta2
 
     def r_pair(self, l: int):
-        if l == 1:
-            return self.r_plus_1, self.r_minus_1
-        return self.r_plus_2, self.r_minus_2
+        """The roots r_{+-l} = exp(+-i theta_l) of 1 - S_l t + t^2."""
+        return cmath.exp(1j * self.theta(l)), cmath.exp(-1j * self.theta(l))
 
 
 def _principal_theta(s: complex) -> complex:
@@ -70,12 +67,13 @@ def _principal_theta(s: complex) -> complex:
     return th
 
 
-# below this, S_1 and S_2 (relative to max(1, |S|)), or S^2 and 4, count as equal
+# below this, S_1 and S_2 (relative to max(1, |S|)), or S^2 and 4, count as
+# equal; it only names the class, no value is computed from it
 _EPS_CLASS = 1e-8
 
 
 def characterize(c: Coefficients) -> CharacteristicData:
-    """Compute S_{1,2}, r_{+-l}, theta_l and assign the degeneracy class."""
+    """Compute S_{1,2} and theta_{1,2}, and label the degeneracy class."""
     disc_sq = c.eta * c.eta + 4.0 * (c.zeta + 2.0)
     disc = cmath.sqrt(disc_sq)
     s1 = (c.eta + disc) / 2.0
@@ -85,64 +83,70 @@ def characterize(c: Coefficients) -> CharacteristicData:
     # discriminant to ~1e-8, so the discriminant is tested directly as well
     # to catch points sitting on the locus zeta = -2 - eta^2/4
     disc_scale = max(1.0, abs(c.eta) ** 2, 4.0 * abs(c.zeta + 2.0))
-    degenerate = (abs(s1 - s2) <= _EPS_CLASS * scale
-                  or abs(disc_sq) <= _EPS_CLASS * disc_scale)
-    if degenerate:
-        s1 = s2 = c.eta / 2.0
-        if abs(s1 * s1 - 4.0) <= _EPS_CLASS:
-            root_class = RootClass.DEGENERATE_UNIT
-            s1 = s2 = 2.0 if s1.real >= 0 else -2.0
-        else:
-            root_class = RootClass.DEGENERATE_S
+    if abs(s1 - s2) <= _EPS_CLASS * scale or abs(disc_sq) <= _EPS_CLASS * disc_scale:
+        unit = abs(c.eta * c.eta / 4.0 - 4.0) <= _EPS_CLASS
+        root_class = RootClass.DEGENERATE_UNIT if unit else RootClass.DEGENERATE_S
     else:
         root_class = RootClass.DISTINCT
-    unit_flags = tuple(abs(s * s - 4.0) <= _EPS_CLASS for s in (s1, s2))
-
-    def roots(s, unit):
-        if unit:
-            r = 1.0 if s.real >= 0 else -1.0
-            return complex(r), complex(r)
-        q = cmath.sqrt(s * s - 4.0)
-        return (s + q) / 2.0, (s - q) / 2.0
-
-    rp1, rm1 = roots(complex(s1), unit_flags[0])
-    rp2, rm2 = roots(complex(s2), unit_flags[1])
     return CharacteristicData(
-        zeta=c.zeta, eta=c.eta, s1=complex(s1), s2=complex(s2),
-        r_plus_1=rp1, r_minus_1=rm1, r_plus_2=rp2, r_minus_2=rm2,
+        zeta=c.zeta, eta=c.eta, s1=s1, s2=s2,
         theta1=_principal_theta(s1), theta2=_principal_theta(s2),
-        root_class=root_class, unit_flags=unit_flags,
+        root_class=root_class,
     )
 
 
+def standing_wave(m: int, x: complex) -> complex:
+    """Q_m(x) = sin(m x) / sin(x), with Q_m(0) = m, for -pi <= Re x <= pi.
+
+    x is folded onto 0 <= Re x <= pi/2 by Q_m(-x) = Q_m(x) and Q_m(pi - x) =
+    (-1)^(m+1) Q_m(x): near pi, m x rounds to m ulp(pi) while sin(x)
+    vanishes, but near 0 both sines carry the relative error of x, which
+    cancels.  Both sines are divided by |sin x|, so |sin x|^2 cannot
+    underflow, and multiplying by conj(sin x) / |sin x|^2 makes Q_1 exactly 1.
+    """
+    if x.real < 0.0:
+        x = -x
+    sign = 1
+    if x.real > math.pi / 2:
+        x, sign = math.pi - x, (-1) ** (m + 1)
+    if x == 0:
+        return complex(sign * m)
+    s = cmath.sin(x)
+    a = abs(s)
+    s, t = s / a, cmath.sin(m * x) / a
+    return sign * t * s.conjugate() / (s * s.conjugate()).real
+
+
 def phi(l: int, j: int, cd: CharacteristicData) -> complex:
-    """Two-term sequence phi_l(j): Binet form, or j*(S/2)^(j+1) at S = +-2."""
+    """Standing wave phi_l(j) = sin(j theta_l) / sin(theta_l)."""
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
-    s = cd.s(l)
-    if cd.unit_flags[l - 1]:
-        half = 1.0 if s.real >= 0 else -1.0
-        return j * half ** ((j + 1) % 2)
-    rp, rm = cd.r_pair(l)
-    return (rp ** j - rm ** j) / (rp - rm)
+    return standing_wave(j, cd.theta(l))
 
 
-def t_minus2(j: int, cd: CharacteristicData) -> complex:
-    """Closed form of the basic polynomial with the 1 at index -2."""
-    if cd.root_class is RootClass.DISTINCT:
-        return (phi(2, j, cd) - phi(1, j, cd)) / (cd.s1 - cd.s2)
-    if cd.root_class is RootClass.DEGENERATE_S:
-        num = (1 - j) * phi(1, j + 1, cd) + (1 + j) * phi(1, j - 1, cd)
-        return num / (cd.s1 * cd.s1 - 4.0)
-    return cd.s1 * (1 - j * j) * phi(1, j, cd) / 12.0
+def t_minus2(cd: CharacteristicData, lo: int, hi: int) -> np.ndarray:
+    """T_-2(lo..hi) as a complex array: minus the Cauchy product of phi_1
+    and phi_2 for j >= 0, extended to j < 0 by T_-2(-j) = -T_-2(j)."""
+    top = max(abs(lo), abs(hi))
+    waves = [[phi(l, a, cd) for a in range(top + 1)] for l in (1, 2)]
+    t = -np.convolve(*waves)[:top + 1]
+    j = np.arange(lo, hi + 1)
+    return np.sign(j) * t[np.abs(j)]
 
 
-def xi_closed(g: InitialValues, j: int, cd: CharacteristicData) -> complex:
-    """Closed-form sequence value from generic initial data: sum_i g_i T_i(j)
-    with every T_i reduced to T_-2."""
+def xi_closed(g: InitialValues, cd: CharacteristicData, lo: int, hi: int) -> SequenceWindow:
+    """Closed-form xi_lo..xi_hi, sum_i g_i T_i(j) with every T_i reduced to
+    T_-2, as the window `eval_range` returns, raising OverflowError as it does."""
+    if lo > hi:
+        raise PreconditionError(f"empty range [{lo}, {hi}]")
     gm2, gm1, g0, g1 = g.g
-    return (gm1 * t_minus2(j - 1, cd) + (gm2 - cd.eta * gm1) * t_minus2(j, cd)
-            + (cd.eta * g0 - g1) * t_minus2(j + 1, cd) - g0 * t_minus2(j + 2, cd))
+    with np.errstate(all="ignore"):
+        t = t_minus2(cd, lo - 1, hi + 2)
+        xi = (gm1 * t[:-3] + (gm2 - cd.eta * gm1) * t[1:-2]
+              + (cd.eta * g0 - g1) * t[2:-1] - g0 * t[3:])
+    if not np.isfinite(xi).all():
+        raise OverflowError(f"closed form leaves the finite doubles in [{lo}, {hi}]")
+    return SequenceWindow(lo, tuple(xi.tolist()))
 
 
 def plane_wave_coeffs(g: InitialValues, cd: CharacteristicData):
@@ -151,13 +155,13 @@ def plane_wave_coeffs(g: InitialValues, cd: CharacteristicData):
     Only valid when all four characteristic roots are distinct, i.e. the
     class is distinct and neither S_l equals +-2.
     """
-    if cd.root_class is not RootClass.DISTINCT or any(cd.unit_flags):
+    if cd.root_class is not RootClass.DISTINCT or any(
+            abs(s * s - 4.0) <= _EPS_CLASS for s in (cd.s1, cd.s2)):
         raise PreconditionError(
             "plane-wave decomposition needs four distinct roots")
-    roots = [cd.r_plus_1, cd.r_minus_1, cd.r_plus_2, cd.r_minus_2]
+    roots = [*cd.r_pair(1), *cd.r_pair(2)]
     a = np.array([[r ** i for r in roots] for i in (-2, -1, 0, 1)], dtype=complex)
-    x = np.linalg.solve(a, np.array(g.g, dtype=complex))
-    return tuple(x)
+    return tuple(np.linalg.solve(a, np.array(g.g, dtype=complex)))
 
 
 def _power_residual(p: int, root: complex, cd: CharacteristicData, j_range) -> float:
@@ -178,17 +182,22 @@ def appendix_a_solutions(cd: CharacteristicData, j_range) -> dict:
     """Residuals of the extra degenerate-class solutions j^p r^j.
 
     Returns a map from candidate label to max recursion residual (relative
-    to the candidate's max magnitude over the range).
+    to the candidate's max magnitude over the range).  The double root
+    comes from S = eta/2, exactly +-2 at the unit point: S_1 and S_2 of a
+    discriminant rounded near zero differ by ~1e-8.
     """
     if cd.root_class is RootClass.DISTINCT:
         raise PreconditionError("extra solutions exist only for degenerate roots")
+    unit = cd.root_class is RootClass.DEGENERATE_UNIT
+    s = math.copysign(2.0, cd.eta.real) if unit else cd.eta / 2.0
+    q = cmath.sqrt(s * s - 4.0)
+    r_plus, r_minus = (s + q) / 2.0, (s - q) / 2.0
     js = list(j_range)
     out = {
-        "j*r+1^j": _power_residual(1, cd.r_plus_1, cd, js),
-        "j*r-1^j": _power_residual(1, cd.r_minus_1, cd, js),
+        "j*r+1^j": _power_residual(1, r_plus, cd, js),
+        "j*r-1^j": _power_residual(1, r_minus, cd, js),
     }
-    if cd.root_class is RootClass.DEGENERATE_UNIT:
-        out["j^2*r+1^j"] = _power_residual(2, cd.r_plus_1, cd, js)
-        out["j^3*r+1^j"] = _power_residual(3, cd.r_plus_1, cd, js)
+    if unit:
+        out["j^2*r+1^j"] = _power_residual(2, r_plus, cd, js)
+        out["j^3*r+1^j"] = _power_residual(3, r_plus, cd, js)
     return out
-

@@ -137,7 +137,3 @@ def generating_series(g: InitialValues, c: Coefficients, n: int) -> list:
         out.append(acc)
     return out
 
-
-def basic_tetranacci_ref(i: int, j: int, c: Coefficients) -> complex:
-    """Recursion-replay value of the basic polynomial with delta initial data."""
-    return eval_range(InitialValues.unit(i), c, j, j).value(j)

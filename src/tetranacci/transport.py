@@ -3,7 +3,7 @@
 Leads attach only to the first and last site, adding corner self-energies
 Lambda_alpha - i gamma_alpha to the chain matrix.  The corner Green's
 function entry G^r_{1N} follows from a 2x2 boundary solve over the basic
-recursion polynomials; the dense path inverts E - H - Sigma outright and
+recursion polynomials; the dense path solves (E - H - Sigma) x = e_N and
 serves as the oracle.
 """
 
@@ -122,42 +122,40 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     return _boundary_solve(e, s)[0]
 
 
-def _dense_inverse_matrix(e: float, s: TransportSetup) -> np.ndarray:
+def _dense_green_column(e: float, s: TransportSetup) -> np.ndarray:
+    """Last column G^r e_N of the resolvent from a dense solve of
+    (E - H - Sigma) x = e_N.
+
+    The rows are first scaled by exact powers of two to a largest entry in
+    [1/2, 1): a row of a lead-decoupled site holding only a subnormal
+    E - mu (E = 1e-313, say) would make the solver's reciprocal pivot
+    overflow, and inf * 0 turn the solution into nan.
+    """
     p = s.chain
     a = e * np.eye(p.n, dtype=complex) - build_chain_matrix(p)
     a[0, 0] -= s.left.self_energy
     a[-1, -1] -= s.right.self_energy
-    return a
-
-
-def green_1n_dense(e: float, s: TransportSetup) -> complex:
-    a = _dense_inverse_matrix(e, s)
-    rhs = np.zeros(s.chain.n, dtype=complex)
-    rhs[-1] = 1.0
-    return complex(np.linalg.solve(a, rhs)[0])
-
-
-def transmission_dense(e: float, s: TransportSetup) -> float:
-    """Trace formula Tr{Gamma_L G^r Gamma_R G^a} from a dense solve.
-
-    Gamma_R = w w^T with w = sqrt(2 gamma_R) e_N, so the trace is
-    (G w)^dagger Gamma_L (G w).  The rows of E - H - Sigma are first scaled
-    by exact powers of two to a largest entry in [1/2, 1): a row of a
-    lead-decoupled site holding only a subnormal E - mu (E = 1e-313, say)
-    would make the solver's reciprocal pivot overflow, and inf * 0 turn T
-    into nan.
-    """
-    a = _dense_inverse_matrix(e, s)
-    w = np.zeros(s.chain.n, dtype=complex)
-    w[-1] = math.sqrt(2.0 * s.right.gamma)
     k = -np.frexp(np.abs(a).max(axis=1))[1]
     a.real = np.ldexp(a.real, k[:, None])
     a.imag = np.ldexp(a.imag, k[:, None])
-    w.real = np.ldexp(w.real, k)
-    gw = np.linalg.solve(a, w)
-    gamma_l = np.zeros_like(a)
-    gamma_l[0, 0] = 2.0 * s.left.gamma
-    return float((gw.conj() @ gamma_l @ gw).real)
+    rhs = np.zeros(p.n, dtype=complex)
+    rhs[-1] = math.ldexp(1.0, int(k[-1]))
+    return np.linalg.solve(a, rhs)
+
+
+def green_1n_dense(e: float, s: TransportSetup) -> complex:
+    """Corner entry G^r_{1N} from the dense solve."""
+    return complex(_dense_green_column(e, s)[0])
+
+
+def transmission_dense(e: float, s: TransportSetup) -> float:
+    """Trace formula Tr{Gamma_L G^r Gamma_R G^a} from the dense solve.
+
+    With Gamma_L = 2 gamma_L e_1 e_1^T and Gamma_R = w w^T, w = sqrt(2
+    gamma_R) e_N, the trace is 2 gamma_L |(G^r w)_1|^2 = 4 gamma_L gamma_R
+    |G^r_{1N}|^2.
+    """
+    return 4.0 * s.left.gamma * s.right.gamma * abs(green_1n_dense(e, s)) ** 2
 
 
 def transmission(e: float, s: TransportSetup) -> float:

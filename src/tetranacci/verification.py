@@ -76,24 +76,29 @@ def _closed_form_worst(rng, draw_coeffs) -> float:
     for _ in range(50):
         c = draw_coeffs(rng)
         g = _random_initials(rng)
-        cd = characterize(c)
-        window = eval_range(g, c, -20, 20)
-        scale = max(abs(v) for v in window.values) or 1.0
-        for j in range(-20, 21):
-            worst = max(worst, abs(xi_closed(g, j, cd) - window.value(j)) / scale)
+        window = eval_range(g, c, -20, 20).values
+        closed = xi_closed(g, characterize(c), -20, 20).values
+        scale = max(abs(v) for v in window) or 1.0
+        worst = max(worst, max(abs(a - b) for a, b in zip(closed, window)) / scale)
     return worst
 
 
-def _on_degenerate_locus(rng) -> Coefficients:
+def _near_degenerate_locus(rng) -> Coefficients:
+    """zeta within 10^U(-14, -5) of the locus zeta = -2 - eta^2/4, where S_1
+    and S_2 nearly coincide; one draw in four puts eta as close to +-4, the
+    corner where both S_l also approach +-2."""
+    off = 10.0 ** rng.uniform(-14, -5, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
     eta = complex(rng.normal(), rng.normal())
-    return Coefficients(-2.0 - eta * eta / 4.0, eta)
+    if rng.uniform() < 0.25:
+        eta = complex(4.0 * np.sign(rng.normal()) + off[0])
+    return Coefficients(complex(-2.0 - eta * eta / 4.0 + off[1]), eta)
 
 
 def suite_closed_form(seed: int = 0):
     rng = np.random.default_rng(seed)
     checks = []
     for label, draw in (("generic draws", _random_coeffs),
-                        ("degenerate locus", _on_degenerate_locus)):
+                        ("near the degenerate locus", _near_degenerate_locus)):
         worst = _closed_form_worst(rng, draw)
         checks.append((f"closed form vs replay ({label})", worst < 1e-9,
                        f"max rel err {worst:.3e}"))

@@ -263,9 +263,9 @@ def test_eigenvector_boundary_extension():
     w = chain_eigh(p)[0]
     e = float(w[2])
     cd = characterize(coeffs_from_energy(e, p))
-    t = [t_minus2(j, cd) for j in range(-1, p.n + 4)]
+    t = t_minus2(cd, -1, p.n + 3)  # t[j + 1] = T_-2(j)
     tn2, tn1 = t[p.n + 3], t[p.n + 2]
-    scale = max(abs(x) for x in t)
+    scale = np.abs(t).max()
     for j in (-1, 0, p.n + 1, p.n + 2):
         xi = (t[j + 1] * tn2 - tn1 * t[j + 2]) / tn2
         assert abs(xi) <= 1e-8 * scale
@@ -279,8 +279,7 @@ def test_degenerate_pair_subspace():
     assert len(idx) == 2
     from tetranacci.closedform import characterize, t_minus2
     cd = characterize(coeffs_from_energy(rec.e, p))
-    basis = np.array([[t_minus2(j, cd).real for j in range(1, 7)],
-                      [t_minus2(j + 1, cd).real for j in range(1, 7)]]).T
+    basis = np.array([t_minus2(cd, 1, 6).real, t_minus2(cd, 2, 7).real]).T
     assert subspace_angle(v[:, idx], basis) < 1e-6
 
 

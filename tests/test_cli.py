@@ -33,6 +33,18 @@ def test_seq_degenerate_point_zero_deviation(capsys):
     assert all(float(r["deviation"]) <= 1e-8 for r in data["rows"])
 
 
+@pytest.mark.parametrize("zeta, eta, g", [
+    # zeta 1e-8 off the degenerate locus at eta = 3
+    ("-4.24999999", "3", "1,0,0,0"),
+    # near the corner eta = 4, zeta = -6 where both S_l approach 2
+    ("-6.00000002", "4.00000001", "1,2,3,4"),
+])
+def test_seq_near_degenerate_roots_within_bound(capsys, zeta, eta, g):
+    code, _, err = run(capsys, "seq", f"--zeta={zeta}", f"--eta={eta}", "--g", g,
+                       "--lo", "-20", "--hi", "20")
+    assert code == 0, err
+
+
 def test_seq_empty_range_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["seq", "--zeta", "1", "--eta", "1", "--g", "0,0,0,1",
@@ -192,6 +204,9 @@ def test_numerical_failure_exit_code(capsys):
     # the replayed window leaves the finite doubles
     ("seq", "--zeta", "1e308", "--eta", "1e308", "--g", "1,1,1,1",
      "--lo", "-5", "--hi", "50", "--mode", "recursion"),
+    # the closed-form window leaves the finite doubles
+    ("seq", "--zeta", "3", "--eta", "3", "--g", "1e300,1e300,0,0",
+     "--lo", "-30", "--hi", "30", "--mode", "closed"),
 ])
 def test_overflow_is_numerical_failure(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -199,7 +214,6 @@ def test_overflow_is_numerical_failure(capsys, argv):
     assert "numerical failure" in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonconvergent_eigensolve_is_numerical_failure(capsys):
     # mu = 1e308 puts infinite entries, and no nan, into the chain matrix,
     # so LAPACK reports no convergence

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from tetranacci.closedform import (RootClass, _power_residual,
                                    appendix_a_solutions, characterize, phi,
-                                   plane_wave_coeffs, t_minus2, xi_closed)
+                                   plane_wave_coeffs, standing_wave, t_minus2,
+                                   xi_closed)
 from tetranacci.errors import PreconditionError
-from tetranacci.recurrence import (Coefficients, InitialValues,
-                                   basic_tetranacci_ref, eval_range)
+from tetranacci.recurrence import Coefficients, InitialValues, eval_range
 
 
 def random_class_point(rng, cls):
@@ -37,14 +39,16 @@ def test_characterize_degenerate_unit_point():
     cd = characterize(Coefficients(-6.0, 4.0))
     assert cd.root_class is RootClass.DEGENERATE_UNIT
     assert cd.s1 == cd.s2 == 2.0
-    assert cd.unit_flags == (True, True)
+    assert cd.r_pair(1) == cd.r_pair(2) == (1.0, 1.0)
 
 
 def test_characterize_distinct_with_unit_roots():
     cd = characterize(Coefficients(2.0, 0.0))
     assert cd.root_class is RootClass.DISTINCT
     assert sorted((cd.s1.real, cd.s2.real)) == [-2.0, 2.0]
-    assert cd.unit_flags == (True, True)
+    # each S_l = +-2 has the double root r = +-1
+    with pytest.raises(PreconditionError):
+        plane_wave_coeffs(InitialValues((1, 0, 0, 0)), cd)
 
 
 def test_characterize_invariants():
@@ -59,7 +63,7 @@ def test_characterize_invariants():
         for l in (1, 2):
             rp, rm = cd.r_pair(l)
             assert abs(rp * rm - 1.0) <= 1e-10 * max(1.0, abs(rp) * abs(rm))
-            assert abs(rp + rm - cd.s(l)) <= 1e-10 * scale
+            assert abs(rp + rm - (cd.s1, cd.s2)[l - 1]) <= 1e-10 * scale
         assert abs(2.0 * np.cos(complex(cd.theta1)) - cd.s1) <= 1e-10 * scale
         assert abs(2.0 * np.cos(complex(cd.theta2)) - cd.s2) <= 1e-10 * scale
 
@@ -69,7 +73,7 @@ def test_characterize_invariants():
 def test_phi_small_values():
     cd = characterize(Coefficients(0.4 + 0.1j, 1.2 - 0.3j))
     for l in (1, 2):
-        s = cd.s(l)
+        s = (cd.s1, cd.s2)[l - 1]
         assert phi(l, 0, cd) == 0
         assert phi(l, 1, cd) == 1
         assert abs(phi(l, 2, cd) - s) < 1e-12 * max(1, abs(s))
@@ -80,6 +84,19 @@ def test_phi_small_values():
 def test_phi_unit_root_form():
     cd = characterize(Coefficients(-6.0, 4.0))  # S = 2
     assert abs(phi(1, 4, cd) - 4.0) < 1e-12
+
+
+@pytest.mark.parametrize("m", [-3, 1, 4, 7, 22])
+def test_standing_wave_removable_limits(m):
+    # Q_m(pi - x) = (-1)^(m+1) Q_m(x) and Q_m(x) = m (1 - (m^2 - 1) x^2 / 6 + ...)
+    sign = 1 if m % 2 else -1
+    assert standing_wave(m, 0.0) == m
+    assert standing_wave(m, math.pi) == sign * m
+    for x in (1e-9, 1e-9j, 1e-5 + 1e-6j):
+        want = m * (1 - (m * m - 1) * x * x / 6)
+        assert abs(standing_wave(m, x) - want) <= 1e-12 * abs(m)
+        assert abs(standing_wave(m, -x) - want) <= 1e-12 * abs(m)
+        assert abs(standing_wave(m, math.pi - x) - sign * want) <= 1e-12 * abs(m)
 
 
 def test_phi_oddness():
@@ -103,7 +120,7 @@ def test_phi_two_term_recursion():
             vals = {j: phi(l, j, cd) for j in range(-16, 17)}
             scale = max(abs(v) for v in vals.values()) or 1.0
             for j in range(-15, 16):
-                res = vals[j + 1] - cd.s(l) * vals[j] + vals[j - 1]
+                res = vals[j + 1] - (cd.s1, cd.s2)[l - 1] * vals[j] + vals[j - 1]
                 assert abs(res) <= 1e-10 * scale
 
 
@@ -127,22 +144,22 @@ def test_phi_satisfies_four_term_recursion():
 
 def test_t_minus2_selective():
     cd = characterize(Coefficients(0.3, -0.8))
-    assert abs(t_minus2(-2, cd) - 1.0) < 1e-12
-    for j in (-1, 0, 1):
-        assert abs(t_minus2(j, cd)) < 1e-12
+    t = t_minus2(cd, -2, 1)
+    assert abs(t[0] - 1.0) < 1e-12
+    assert np.abs(t[1:]).max() < 1e-12
 
 
 def test_t_minus2_known_value():
     c = Coefficients(0.3, -0.8)
     cd = characterize(c)
-    assert abs(t_minus2(3, cd) + c.eta) < 1e-12
+    assert abs(t_minus2(cd, 3, 3)[0] + c.eta) < 1e-12
 
 
 def test_t_minus2_degenerate_vs_recursion():
     c = Coefficients(-3.0, 2.0)
     cd = characterize(c)
-    want = basic_tetranacci_ref(-2, 5, c)
-    assert abs(t_minus2(5, cd) - want) <= 1e-9 * max(1.0, abs(want))
+    want = eval_range(InitialValues.unit(-2), c, 5, 5).value(5)
+    assert abs(t_minus2(cd, 5, 5)[0] - want) <= 1e-9 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("cls", list(RootClass))
@@ -152,24 +169,23 @@ def test_basic_closed_matches_recursion_all_classes(cls):
         c = random_class_point(rng, cls)
         cd = characterize(c)
         for i in range(-2, 2):
-            ref = {j: basic_tetranacci_ref(i, j, c) for j in range(-25, 26)}
-            scale = max(abs(v) for v in ref.values()) or 1.0
-            for j in range(-25, 26):
-                got = xi_closed(InitialValues.unit(i), j, cd)
-                assert abs(got - ref[j]) <= 1e-9 * scale
+            ref = eval_range(InitialValues.unit(i), c, -25, 25).values
+            got = xi_closed(InitialValues.unit(i), cd, -25, 25).values
+            scale = max(abs(v) for v in ref) or 1.0
+            assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9 * scale
 
 
 def test_basic_closed_point_values():
     cd = characterize(Coefficients(0.4, 1.1))
-    assert abs(xi_closed(InitialValues.unit(1), -3, cd) + 1.0) < 1e-12
-    assert abs(xi_closed(InitialValues.unit(-1), -1, cd) - 1.0) < 1e-12
+    assert abs(xi_closed(InitialValues.unit(1), cd, -3, -3).value(-3) + 1.0) < 1e-12
+    assert abs(xi_closed(InitialValues.unit(-1), cd, -1, -1).value(-1) - 1.0) < 1e-12
 
 
 def test_basic_closed_degenerate_unit_value():
     c = Coefficients(-6.0, 4.0)
     cd = characterize(c)
-    want = basic_tetranacci_ref(1, 2, c)
-    got = xi_closed(InitialValues.unit(1), 2, cd)
+    want = eval_range(InitialValues.unit(1), c, 2, 2).value(2)
+    got = xi_closed(InitialValues.unit(1), cd, 2, 2).value(2)
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -178,32 +194,29 @@ def test_lemma_relations_numeric():
     for cls in RootClass:
         c = random_class_point(rng, cls)
         cd = characterize(c)
-        tm2 = {j: xi_closed(InitialValues.unit(-2), j, cd) for j in range(-18, 19)}
-        scale = max(abs(v) for v in tm2.values()) or 1.0
+        t = {i: xi_closed(InitialValues.unit(i), cd, -18, 18) for i in (-2, -1, 0, 1)}
+        scale = max(abs(v) for v in t[-2].values) or 1.0
         for j in range(-15, 16):
-            assert abs(xi_closed(InitialValues.unit(1), j, cd)
-                       - xi_closed(InitialValues.unit(-2), -1 - j, cd)) <= 1e-9 * scale
-            assert abs(xi_closed(InitialValues.unit(0), j, cd)
-                       - xi_closed(InitialValues.unit(-1), -1 - j, cd)) <= 1e-9 * scale
-            assert abs(tm2[j] + tm2[-j]) <= 1e-9 * scale
+            assert abs(t[1].value(j) - t[-2].value(-1 - j)) <= 1e-9 * scale
+            assert abs(t[0].value(j) - t[-1].value(-1 - j)) <= 1e-9 * scale
+            assert abs(t[-2].value(j) + t[-2].value(-j)) <= 1e-9 * scale
 
 
 # --- xi_closed --------------------------------------------------------------
 
 def test_xi_closed_reduces_to_t_minus2():
     cd = characterize(Coefficients(0.5, -1.2))
-    g = InitialValues.unit(-2)
-    for j in range(-10, 11):
-        assert abs(xi_closed(g, j, cd) - t_minus2(j, cd)) < 1e-10
+    got = xi_closed(InitialValues.unit(-2), cd, -10, 10).values
+    assert np.abs(np.array(got) - t_minus2(cd, -10, 10)).max() < 1e-10
 
 
 def test_xi_closed_palindromic_initials():
     cd = characterize(Coefficients(0.7, -0.4))
     g = InitialValues((1, 1, 1, 1))
-    vals = {j: xi_closed(g, j, cd) for j in range(-12, 13)}
-    scale = max(abs(v) for v in vals.values())
+    w = xi_closed(g, cd, -12, 12)
+    scale = max(abs(v) for v in w.values)
     for j in range(-11, 11):
-        assert abs(vals[-1 - j] - vals[j]) <= 1e-9 * scale
+        assert abs(w.value(-1 - j) - w.value(j)) <= 1e-9 * scale
 
 
 def test_xi_closed_matches_recursion():
@@ -213,7 +226,7 @@ def test_xi_closed_matches_recursion():
     g = InitialValues(tuple(complex(a, b) for a, b in rng.normal(size=(4, 2))))
     w = eval_range(g, c, -12, 12)
     scale = max(abs(v) for v in w.values)
-    assert abs(xi_closed(g, 12, cd) - w.value(12)) <= 1e-9 * scale
+    assert abs(xi_closed(g, cd, 12, 12).value(12) - w.value(12)) <= 1e-9 * scale
 
 
 # --- plane waves / degenerate solutions -------------------------------------
@@ -223,7 +236,8 @@ def test_plane_wave_binet_coefficients():
     cd = characterize(c)
     g = InitialValues(tuple(phi(1, j, cd) for j in range(-2, 2)))
     a, b, cc, dd = plane_wave_coeffs(g, cd)
-    denom = cd.r_plus_1 - cd.r_minus_1
+    rp, rm = cd.r_pair(1)
+    denom = rp - rm
     assert abs(a - 1.0 / denom) < 1e-9
     assert abs(b + 1.0 / denom) < 1e-9
     assert abs(cc) < 1e-9 and abs(dd) < 1e-9
@@ -243,9 +257,9 @@ def test_plane_wave_reconstruction():
     a, b, cc, dd = plane_wave_coeffs(g, cd)
     w = eval_range(g, c, -20, 20)
     scale = max(abs(v) for v in w.values)
+    (rp1, rm1), (rp2, rm2) = cd.r_pair(1), cd.r_pair(2)
     for j in range(-20, 21):
-        recon = (a * cd.r_plus_1 ** j + b * cd.r_minus_1 ** j
-                 + cc * cd.r_plus_2 ** j + dd * cd.r_minus_2 ** j)
+        recon = a * rp1 ** j + b * rm1 ** j + cc * rp2 ** j + dd * rm2 ** j
         assert abs(recon - w.value(j)) <= 1e-9 * scale
 
 
@@ -271,7 +285,7 @@ def test_appendix_solutions_degenerate_unit():
 def test_j_squared_not_a_solution_off_unit():
     # j^2 r^j only solves the recursion when S^2 = 4
     cd = characterize(Coefficients(-3.0, 2.0))
-    assert _power_residual(2, cd.r_plus_1, cd, range(-10, 11)) > 1e-6
+    assert _power_residual(2, cd.r_pair(1)[0], cd, range(-10, 11)) > 1e-6
 
 
 def test_appendix_rejects_distinct():
@@ -289,7 +303,6 @@ def test_continuity_across_degenerate_locus():
     assert cd_on.root_class is RootClass.DEGENERATE_S
     cd_near = characterize(Coefficients(locus + 1e-7, eta))
     assert cd_near.root_class is RootClass.DISTINCT
-    vals_on = [t_minus2(j, cd_on) for j in range(-10, 11)]
-    scale = max(abs(v) for v in vals_on)
-    for j, want in zip(range(-10, 11), vals_on):
-        assert abs(t_minus2(j, cd_near) - want) <= 1e-6 * scale
+    vals_on = t_minus2(cd_on, -10, 10)
+    scale = np.abs(vals_on).max()
+    assert np.abs(t_minus2(cd_near, -10, 10) - vals_on).max() <= 1e-6 * scale

@@ -13,19 +13,22 @@ Transmission must lie in [0, 1] and match the dense trace formula to the
 below the dense path's roundoff.  Where the double-precision dense path
 misses by more, an exact rational solve settles the reference.  The closed
 form must match the recursion replay to the 1e-9 of test_02, relative to the
-largest replayed value.  Each chain eigenvector must be mirror-symmetric,
-v[::-1] = lambda_i v, to 1e-12 of its largest entry; the sector solve of
-`spectrum` makes it exact.
+largest replayed value, also in the bands where characteristic roots nearly
+coincide: within 10^-14..10^-5 of the degenerate locus, of a root S = +-2
+(for the basic polynomials), or of the corner eta = +-4 where both meet.
+Each chain eigenvector must be mirror-symmetric, v[::-1] = lambda_i v, to
+1e-12 of its largest entry; the sector solve of `spectrum` makes it exact.
 """
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetranacci.chain import ChainParams, spectrum
-from tetranacci.closedform import RootClass, characterize, xi_closed
+from tetranacci.closedform import characterize, xi_closed
 from tetranacci.errors import SingularBoundaryError
 from tetranacci.kitaev import KitaevParams, bdg_spectrum, kitaev_spectrum
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range
@@ -43,6 +46,10 @@ kitaev_chains = st.builds(KitaevParams, mu=coupling, t=coupling, delta=coupling,
 leads = st.builds(LeadParams, gamma=st.floats(0.05, 3.0), lam=st.floats(-1.0, 1.0))
 transport_setups = st.builds(TransportSetup, chains, leads, leads)
 complexes = st.builds(complex, coupling, coupling)
+signs = st.sampled_from([1.0, -1.0])
+# a complex offset of modulus 10^-14..10^-5
+offsets = st.builds(lambda e, a: 10.0 ** e * cmath.exp(1j * a),
+                    st.floats(-14.0, -5.0), st.floats(0.0, 2 * cmath.pi))
 initials = st.tuples(complexes, complexes, complexes, complexes).map(InitialValues)
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -53,29 +60,58 @@ def _scale(w):
 
 
 def _closed_form_error(c, g):
-    cd = characterize(c)
-    window = eval_range(g, c, -20, 20)
-    scale = max(abs(v) for v in window.values) or 1.0
-    return max(abs(xi_closed(g, j, cd) - window.value(j)) for j in range(-20, 21)) / scale
+    window = eval_range(g, c, -20, 20).values
+    closed = xi_closed(g, characterize(c), -20, 20).values
+    scale = max(abs(v) for v in window) or 1.0
+    return max(abs(a - b) for a, b in zip(closed, window)) / scale
+
+
+def _locus(eta):
+    return -2.0 - eta * eta / 4.0
 
 
 @PROPERTY
 @given(complexes, complexes, initials)
 def test_closed_form_matches_replay_generic(zeta, eta, g):
-    c = Coefficients(zeta, eta)
-    # the degenerate classes are drawn exactly on their locus below; a draw
-    # within the 1e-8 class threshold of the locus but off it is snapped
-    # onto it and misses by ~20x its distance, a known limit of that threshold
-    assume(characterize(c).root_class is RootClass.DISTINCT)
-    assert _closed_form_error(c, g) <= 1e-9
+    assert _closed_form_error(Coefficients(zeta, eta), g) <= 1e-9
 
 
 @PROPERTY
-@given(st.one_of(complexes, st.sampled_from([4.0, -4.0])), initials)
+@given(st.one_of(st.builds(complex, st.floats(-6.0, 6.0), coupling),
+                 st.sampled_from([4.0, -4.0])), initials)
 def test_closed_form_matches_replay_on_degenerate_locus(eta, g):
-    # |Re eta| <= 3 keeps S = eta/2 away from +-2 (class degenerate_s);
-    # eta = +-4 is the degenerate_unit point
-    assert _closed_form_error(Coefficients(-2.0 - eta * eta / 4.0, eta), g) <= 1e-9
+    # S_1 = S_2 = eta/2, at +-2 where eta = +-4
+    assert _closed_form_error(Coefficients(_locus(eta), eta), g) <= 1e-9
+
+
+@PROPERTY
+@given(complexes, offsets, initials)
+@example(3.0, 1e-8, InitialValues((1, 0, 0, 0)))
+def test_closed_form_matches_replay_near_degenerate_locus(eta, dz, g):
+    assert _closed_form_error(Coefficients(_locus(eta) + dz, eta), g) <= 1e-9
+
+
+@PROPERTY
+@given(signs, offsets, complexes, st.integers(-2, 1))
+def test_closed_form_matches_replay_near_unit_root(sign, ds, s2, i):
+    # S_1 = +-2 + ds and S_2 generic: S_1 + S_2 = eta, S_1 S_2 = -(zeta + 2).
+    # The basic polynomials T_i, not a general g: a g near the slow solutions
+    # of S_1 (g = (1, 1, 1, 1) is the constant one at S_1 = 2) makes xi a
+    # small difference of T_-2 values growing like |r_2|^j, which loses
+    # digits in any reduction to T_-2
+    s1 = 2.0 * sign + ds
+    c = Coefficients(-2.0 - s1 * s2, s1 + s2)
+    assert _closed_form_error(c, InitialValues.unit(i)) <= 1e-9
+
+
+@PROPERTY
+@given(signs, offsets, st.one_of(offsets, st.just(0.0)), initials)
+@example(1.0, 1e-8, 0.0, InitialValues((1, 2, 3, 4)))
+@example(1.0, 6e-8j, 0.0, InitialValues((1, 2, 3, 4)))
+def test_closed_form_matches_replay_near_corner(sign, de, dz, g):
+    # eta near +-4 and zeta near the locus: S_1 and S_2 both near +-2
+    eta = 4.0 * sign + de
+    assert _closed_form_error(Coefficients(_locus(eta) + dz, eta), g) <= 1e-9
 
 
 @PROPERTY

@@ -3,8 +3,7 @@ import pytest
 
 from tetranacci.errors import PreconditionError
 from tetranacci.exactnum import tm2_replay
-from tetranacci.recurrence import (Coefficients, InitialValues,
-                                   basic_tetranacci_ref, eval_range,
+from tetranacci.recurrence import (Coefficients, InitialValues, eval_range,
                                    generating_series, step_backward,
                                    step_forward)
 from tetranacci.verification import _holds, _lemma_grid
@@ -121,16 +120,17 @@ def test_generating_series_matches_recursion():
 def test_basic_ref_selective_property():
     c = Coefficients(0.2 - 0.5j, 1.3 + 0.1j)
     for i in range(-2, 2):
+        w = eval_range(InitialValues.unit(i), c, -2, 1)
         for j in range(-2, 2):
             want = 1.0 if i == j else 0.0
-            assert basic_tetranacci_ref(i, j, c) == want
+            assert w.value(j) == want
 
 
 def test_basic_ref_known_values():
     zeta, eta = 0.6, -1.1
     c = Coefficients(zeta, eta)
-    assert abs(basic_tetranacci_ref(-2, 3, c) - (-eta)) < 1e-14
-    assert abs(basic_tetranacci_ref(0, 2, c) - zeta) < 1e-14
+    assert abs(eval_range(InitialValues.unit(-2), c, 3, 3).value(3) - (-eta)) < 1e-14
+    assert abs(eval_range(InitialValues.unit(0), c, 2, 2).value(2) - zeta) < 1e-14
 
 
 def test_linearity():
@@ -153,10 +153,10 @@ def test_superposition():
     for _ in range(5):
         c, g = random_setup(rng)
         w = eval_range(g, c, -20, 20)
+        basic = {i: eval_range(InitialValues.unit(i), c, -20, 20) for i in range(-2, 2)}
         scale = max(abs(v) for v in w.values) or 1.0
         for j in range(-20, 21):
-            total = sum(g.g[i + 2] * basic_tetranacci_ref(i, j, c)
-                        for i in range(-2, 2))
+            total = sum(g.g[i + 2] * basic[i].value(j) for i in range(-2, 2))
             assert abs(total - w.value(j)) <= 1e-10 * scale
 
 
@@ -231,7 +231,8 @@ def test_false_identities_fail_on_grid():
 def test_distinct_polynomials_differ():
     assert any(t[0][5] != t[1][5] for _, _, t in _lemma_grid())
     c = Coefficients(1, 1)
-    assert basic_tetranacci_ref(0, 5, c) != basic_tetranacci_ref(1, 5, c)
+    assert (eval_range(InitialValues.unit(0), c, 5, 5).values
+            != eval_range(InitialValues.unit(1), c, 5, 5).values)
 
 
 def test_numeric_agreement_with_recursion():

@@ -48,6 +48,18 @@ def test_green_matches_dense_reference_point():
     assert abs(gt - gd) <= 1e-9 * abs(gd)
 
 
+def test_dense_references_at_subnormal_energy():
+    # t1 = 0 leaves site 2 decoupled, its row holding only the subnormal E;
+    # an unscaled solve overflows the reciprocal pivot and returns nan
+    s = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=3),
+                       LeadParams(0.5), LeadParams(0.5))
+    e = 2.2e-313
+    gt = green_1n_tetranacci(e, s)
+    gd = green_1n_dense(e, s)
+    assert abs(gt - gd) <= 1e-9 * abs(gd)
+    assert abs(transmission_dense(e, s) - transmission(e, s)) <= 1e-12
+
+
 def test_green_decoupled_leads_is_isolated_resolvent():
     chain = ChainParams(mu=0.2, t1=0.7, t2=1.1, n=6)
     s = TransportSetup(chain, LeadParams(0.0), LeadParams(0.0))
