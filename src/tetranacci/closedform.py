@@ -1,4 +1,4 @@
-"""Closed form of the basic polynomial T_-2 from two standing waves.
+"""Closed form of the tetranacci sequences from two standing waves.
 
 The substitution S = r + 1/r factors the characteristic polynomial as
 (1 - S_1 t + t^2)(1 - S_2 t + t^2), so S_1 + S_2 = eta and S_1 S_2 =
@@ -9,12 +9,10 @@ index -2) has the generating function -t^2 over the product, so
     T_-2(j) = -sum_{a=1}^{j-1} phi_1(a) phi_2(j - a) = -T_-2(-j),  j >= 0.
 
 The Cauchy product divides by nothing and is symmetric in S_1 and S_2, so
-it holds for every pair of roots, equal or at +-2 included.  The reduction
-identities T_-1(j) = T_-2(j-1) - eta T_-2(j), T_0(j) = eta T_-2(j+1) -
-T_-2(j+2) and T_1(j) = -T_-2(j+1) give every sequence from T_-2.  The root
-class (distinct; degenerate_s: S_1 == S_2; degenerate_unit: S_1 == S_2 =
-+-2) only labels what the paper states per class (`plane_wave_coeffs`,
-`appendix_a_solutions`).
+it holds for every pair of roots, equal or at +-2 included; `xi_closed` adds
+one wave for a general g.  The root class (distinct; degenerate_s: S_1 ==
+S_2; degenerate_unit: S_1 == S_2 = +-2) only labels what the paper states
+per class (`plane_wave_coeffs`, `appendix_a_solutions`).
 """
 
 from __future__ import annotations
@@ -76,8 +74,7 @@ def characterize(c: Coefficients) -> CharacteristicData:
     """Compute S_{1,2} and theta_{1,2}, and label the degeneracy class."""
     disc_sq = c.eta * c.eta + 4.0 * (c.zeta + 2.0)
     disc = cmath.sqrt(disc_sq)
-    s1 = (c.eta + disc) / 2.0
-    s2 = (c.eta - disc) / 2.0
+    s1, s2 = (c.eta + disc) / 2.0, (c.eta - disc) / 2.0
     scale = max(1.0, abs(s1), abs(s2))
     # |S1 - S2| = sqrt(disc_sq) amplifies the floating noise of a vanishing
     # discriminant to ~1e-8, so the discriminant is tested directly as well
@@ -126,24 +123,44 @@ def phi(l: int, j: int, cd: CharacteristicData) -> complex:
 
 def t_minus2(cd: CharacteristicData, lo: int, hi: int) -> np.ndarray:
     """T_-2(lo..hi) as a complex array: minus the Cauchy product of phi_1
-    and phi_2 for j >= 0, extended to j < 0 by T_-2(-j) = -T_-2(j)."""
-    top = max(abs(lo), abs(hi))
-    waves = [[phi(l, a, cd) for a in range(top + 1)] for l in (1, 2)]
-    t = -np.convolve(*waves)[:top + 1]
+    and phi_2 for j >= 0, extended to j < 0 by T_-2(-j) = -T_-2(j).  Only
+    |j| in a..b is formed, one 'valid' convolution: O(b (b - a)) work."""
     j = np.arange(lo, hi + 1)
-    return np.sign(j) * t[np.abs(j)]
+    a, b = int(np.abs(j).min()), int(np.abs(j).max())
+    w1, w2 = ([phi(l, k, cd) for k in range(b + 1)] for l in (1, 2))
+    c = np.convolve(w1, np.concatenate([np.zeros(b), w2])[a:], "valid")
+    return -np.sign(j) * c[np.abs(j) - a]
 
 
 def xi_closed(g: InitialValues, cd: CharacteristicData, lo: int, hi: int) -> SequenceWindow:
-    """Closed-form xi_lo..xi_hi, sum_i g_i T_i(j) with every T_i reduced to
-    T_-2, as the window `eval_range` returns, raising OverflowError as it does."""
+    """Closed-form xi_lo..xi_hi as the window of `eval_range`, OverflowError included.
+
+    Let S_s be the factor whose waves grow slower, S_f the other.  Then
+    v_j = xi_{j+1} - S_s xi_j + xi_{j-1} solves the recursion of S_f, and
+    for j >= 0, with z the solution of S_s through xi_-2 and xi_-1,
+
+        xi_j = z_j - v_-1 T_-2(j+2) - (v_0 - S_f v_-1) T_-2(j+1);
+
+    j < 0 is the same for the reversed g, the recursion being palindromic.  A
+    g near the slow solutions cancels in v, between O(1) numbers, not between
+    T_-2 values growing like |r_f|^j.
+    """
     if lo > hi:
         raise PreconditionError(f"empty range [{lo}, {hi}]")
-    gm2, gm1, g0, g1 = g.g
+    (s_s, th_s), (s_f, _) = sorted([(cd.s1, cd.theta1), (cd.s2, cd.theta2)],
+                                   key=lambda root: abs(root[1].imag))
+    top, a0 = max(hi, -1 - lo), max(0, lo, -1 - hi)  # the j >= 0 both halves need
+    slow = np.array([standing_wave(k, th_s) for k in range(top + 2)])
+    t = t_minus2(cd, a0 + 1, top + 2)
+
+    def half(gm2, gm1, g0, g1, a, b):  # xi_a..xi_b, a0 <= a <= b <= top
+        v_m1, v_0 = g0 - s_s * gm1 + gm2, g1 - s_s * g0 + gm1
+        return ((s_s * gm1 - gm2) * slow[a + 1:b + 2] - gm1 * slow[a:b + 1]
+                - v_m1 * t[a + 1 - a0:b + 2 - a0] - (v_0 - s_f * v_m1) * t[a - a0:b + 1 - a0])
+
     with np.errstate(all="ignore"):
-        t = t_minus2(cd, lo - 1, hi + 2)
-        xi = (gm1 * t[:-3] + (gm2 - cd.eta * gm1) * t[1:-2]
-              + (cd.eta * g0 - g1) * t[2:-1] - g0 * t[3:])
+        xi = np.concatenate([half(*g.g[::-1], max(0, -1 - hi), -1 - lo)[::-1] if lo < 0 else [],
+                             half(*g.g, max(0, lo), hi) if hi >= 0 else []])
     if not np.isfinite(xi).all():
         raise OverflowError(f"closed form leaves the finite doubles in [{lo}, {hi}]")
     return SequenceWindow(lo, tuple(xi.tolist()))
@@ -157,8 +174,7 @@ def plane_wave_coeffs(g: InitialValues, cd: CharacteristicData):
     """
     if cd.root_class is not RootClass.DISTINCT or any(
             abs(s * s - 4.0) <= _EPS_CLASS for s in (cd.s1, cd.s2)):
-        raise PreconditionError(
-            "plane-wave decomposition needs four distinct roots")
+        raise PreconditionError("plane-wave decomposition needs four distinct roots")
     roots = [*cd.r_pair(1), *cd.r_pair(2)]
     a = np.array([[r ** i for r in roots] for i in (-2, -1, 0, 1)], dtype=complex)
     return tuple(np.linalg.solve(a, np.array(g.g, dtype=complex)))
@@ -166,16 +182,11 @@ def plane_wave_coeffs(g: InitialValues, cd: CharacteristicData):
 
 def _power_residual(p: int, root: complex, cd: CharacteristicData, j_range) -> float:
     """Max recursion residual of j^p * root^j over j_range, scale-relative."""
-    js = list(j_range)
-    lo, hi = min(js), max(js)
-    vals = {j: (j ** p) * root ** j for j in range(lo - 2, hi + 3)}
+    vals = {j: (j ** p) * root ** j for j in range(min(j_range) - 2, max(j_range) + 3)}
     scale = max(abs(v) for v in vals.values()) or 1.0
-    worst = 0.0
-    for j in js:
-        res = abs(vals[j + 2] - (cd.zeta * vals[j] - vals[j - 2]
-                                 + cd.eta * (vals[j + 1] + vals[j - 1])))
-        worst = max(worst, res / scale)
-    return worst
+    return max(abs(vals[j + 2] - (cd.zeta * vals[j] - vals[j - 2]
+                                  + cd.eta * (vals[j + 1] + vals[j - 1])))
+               for j in j_range) / scale
 
 
 def appendix_a_solutions(cd: CharacteristicData, j_range) -> dict:
@@ -183,21 +194,16 @@ def appendix_a_solutions(cd: CharacteristicData, j_range) -> dict:
 
     Returns a map from candidate label to max recursion residual (relative
     to the candidate's max magnitude over the range).  The double root
-    comes from S = eta/2, exactly +-2 at the unit point: S_1 and S_2 of a
-    discriminant rounded near zero differ by ~1e-8.
+    r = exp(+-i theta) takes theta from S = eta/2, exactly +-2 at the unit
+    point: S_1 and S_2 of a discriminant rounded near zero differ by ~1e-8.
     """
     if cd.root_class is RootClass.DISTINCT:
         raise PreconditionError("extra solutions exist only for degenerate roots")
     unit = cd.root_class is RootClass.DEGENERATE_UNIT
-    s = math.copysign(2.0, cd.eta.real) if unit else cd.eta / 2.0
-    q = cmath.sqrt(s * s - 4.0)
-    r_plus, r_minus = (s + q) / 2.0, (s - q) / 2.0
+    theta = _principal_theta(math.copysign(2.0, cd.eta.real) if unit else cd.eta / 2.0)
+    r_plus, r_minus = cmath.exp(1j * theta), cmath.exp(-1j * theta)
     js = list(j_range)
-    out = {
-        "j*r+1^j": _power_residual(1, r_plus, cd, js),
-        "j*r-1^j": _power_residual(1, r_minus, cd, js),
-    }
+    powers = {"j*r+1^j": (1, r_plus), "j*r-1^j": (1, r_minus)}
     if unit:
-        out["j^2*r+1^j"] = _power_residual(2, r_plus, cd, js)
-        out["j^3*r+1^j"] = _power_residual(3, r_plus, cd, js)
-    return out
+        powers.update({"j^2*r+1^j": (2, r_plus), "j^3*r+1^j": (3, r_plus)})
+    return {label: _power_residual(p, r, cd, js) for label, (p, r) in powers.items()}

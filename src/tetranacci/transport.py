@@ -122,14 +122,14 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     return _boundary_solve(e, s)[0]
 
 
-def _dense_green_column(e: float, s: TransportSetup) -> np.ndarray:
-    """Last column G^r e_N of the resolvent from a dense solve of
-    (E - H - Sigma) x = e_N.
+def green_1n_dense(e: float, s: TransportSetup) -> complex:
+    """Corner entry G^r_{1N} from a dense solve of (E - H - Sigma) x = e_N.
 
-    The rows are first scaled by exact powers of two to a largest entry in
-    [1/2, 1): a row of a lead-decoupled site holding only a subnormal
-    E - mu (E = 1e-313, say) would make the solver's reciprocal pivot
-    overflow, and inf * 0 turn the solution into nan.
+    The rows are first scaled by exact powers of two 2^k_i to a largest
+    entry in [1/2, 1): a row of a lead-decoupled site holding only a
+    subnormal E - mu (E = 1e-313, say) would make the solver's reciprocal
+    pivot overflow, and inf * 0 turn the solution into nan.  The scaled
+    system is solved for 2^-k_N x, so only x_1 is scaled back.
     """
     p = s.chain
     a = e * np.eye(p.n, dtype=complex) - build_chain_matrix(p)
@@ -139,17 +139,13 @@ def _dense_green_column(e: float, s: TransportSetup) -> np.ndarray:
     a.real = np.ldexp(a.real, k[:, None])
     a.imag = np.ldexp(a.imag, k[:, None])
     rhs = np.zeros(p.n, dtype=complex)
-    rhs[-1] = math.ldexp(1.0, int(k[-1]))
-    return np.linalg.solve(a, rhs)
-
-
-def green_1n_dense(e: float, s: TransportSetup) -> complex:
-    """Corner entry G^r_{1N} from the dense solve."""
-    return complex(_dense_green_column(e, s)[0])
+    rhs[-1] = 1.0
+    x1 = np.linalg.solve(a, rhs)[0]
+    return complex(math.ldexp(x1.real, int(k[-1])), math.ldexp(x1.imag, int(k[-1])))
 
 
 def transmission_dense(e: float, s: TransportSetup) -> float:
-    """Trace formula Tr{Gamma_L G^r Gamma_R G^a} from the dense solve.
+    """Trace formula Tr{Gamma_L G^r Gamma_R G^a} from `green_1n_dense`.
 
     With Gamma_L = 2 gamma_L e_1 e_1^T and Gamma_R = w w^T, w = sqrt(2
     gamma_R) e_N, the trace is 2 gamma_L |(G^r w)_1|^2 = 4 gamma_L gamma_R

@@ -38,6 +38,8 @@ def test_seq_degenerate_point_zero_deviation(capsys):
     ("-4.24999999", "3", "1,0,0,0"),
     # near the corner eta = 4, zeta = -6 where both S_l approach 2
     ("-6.00000002", "4.00000001", "1,2,3,4"),
+    # the constant solution at S_1 = 2 while S_2 = 4 grows like 3.7^j
+    ("-10", "6", "1,1,1,1"),
 ])
 def test_seq_near_degenerate_roots_within_bound(capsys, zeta, eta, g):
     code, _, err = run(capsys, "seq", f"--zeta={zeta}", f"--eta={eta}", "--g", g,

@@ -229,6 +229,19 @@ def test_xi_closed_matches_recursion():
     assert abs(xi_closed(g, cd, 12, 12).value(12) - w.value(12)) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("s1, s2", [(2.0 + 1e-5, 2j), (2.0, 3.0), (2.0, 4.0)])
+def test_xi_closed_near_slow_solution(s1, s2):
+    # g = (1, 1, 1, 1) is the constant solution at S_1 = 2, while the waves
+    # of S_2 grow like |r_2|^j: shifted T_-2 windows weighted by g would
+    # cancel terms of that size here
+    c = Coefficients(-2.0 - s1 * s2, s1 + s2)
+    g = InitialValues((1, 1, 1, 1))
+    want = eval_range(g, c, -20, 20).values
+    got = xi_closed(g, characterize(c), -20, 20).values
+    scale = max(abs(v) for v in want)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * scale
+
+
 # --- plane waves / degenerate solutions -------------------------------------
 
 def test_plane_wave_binet_coefficients():

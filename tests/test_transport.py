@@ -58,6 +58,11 @@ def test_dense_references_at_subnormal_energy():
     gd = green_1n_dense(e, s)
     assert abs(gt - gd) <= 1e-9 * abs(gd)
     assert abs(transmission_dense(e, s) - transmission(e, s)) <= 1e-12
+    # a last row holding only E = 1e-310 scales by 2^1030, past the doubles
+    s = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=2),
+                       LeadParams(0.5), LeadParams(0.0))
+    assert green_1n_dense(1e-310, s) == 0
+    assert transmission_dense(1e-310, s) == 0
 
 
 def test_green_decoupled_leads_is_isolated_resolvent():
