@@ -85,7 +85,8 @@ class CrossingRecord:
 def pentadiagonal(diag, off1: float, off2: float) -> np.ndarray:
     """Real symmetric matrix with main diagonal diag and constant first and
     second off-diagonals off1 and off2."""
-    m = np.diag(diag)
+    # float, or integer parameters (mu = 0) would truncate the hoppings
+    m = np.diag(np.asarray(diag, dtype=float))
     # index assignment, not off * eye: 0 * inf would put nan off the band
     i = np.arange(len(diag) - 1)
     m[i, i + 1] = m[i + 1, i] = off1

@@ -4,7 +4,10 @@ Leads attach only to the first and last site, adding corner self-energies
 Lambda_alpha - i gamma_alpha to the chain matrix.  The corner Green's
 function entry G^r_{1N} follows from a 2x2 boundary solve over the basic
 recursion polynomials; the dense path solves (E - H - Sigma) x = e_N and
-serves as the oracle.
+serves as the oracle.  The current integrates the pole expansion of
+|G_1N|^2 over the eigenvalues of H + Sigma in closed form, checked against
+the exact transmission at one energy; scipy's adaptive quadrature is
+imported only for the fallback when that check fails.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .chain import ChainParams, build_chain_matrix, coeffs_from_energy
-from .errors import QuadratureError, SingularBoundaryError
+from .errors import QuadratureError, SingularBoundaryError, ZeroT2Error
 from .exactnum import dyadic, gaussian_divider, tm2_replay
 from .recurrence import require_real
 
@@ -180,25 +182,135 @@ def fermi(e: float, beta: float) -> float:
     return 1.0 / (1.0 + math.exp(x))
 
 
-# absolute and relative tolerance of the adaptive quadrature in `current`
+# Bernoulli terms B_2k / 2k, k = 1..7, of the asymptotic series of psi
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_PSI_SHIFT = 10
+
+
+def digamma(x):
+    """Complex digamma psi(x), elementwise, for Re x >= 1/2.
+
+    The recurrence psi(x) = psi(x + 10) - sum_{j<10} 1 / (x + j) moves the
+    argument to |y| > 10, where psi(y) = log y - 1/(2y) - sum_k B_2k /
+    (2k y^2k), cut after y^-14, is off by less than its next term, 4e-17.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = x + _PSI_SHIFT
+    w = 1.0 / (y * y)
+    series = 0.0
+    for b in reversed(_PSI_SERIES):
+        series = (series + b) * w
+    return np.log(y) - 0.5 / y - series - sum(1.0 / (x + j) for j in range(_PSI_SHIFT))
+
+
+def _log1p(w):
+    """log(1 + w), elementwise for complex w.
+
+    numpy's complex log1p takes the log of the rounded |1 + w|, which loses
+    the digits of a small w; below |w| = 1/2 the real part is 1/2 log1p of
+    |1 + w|^2 - 1 = 2 Re w + |w|^2 instead.
+    """
+    small = np.abs(w) < 0.5
+    u = np.where(small, w, 0.0)
+    near = 0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag * u.imag) \
+        + 1j * np.arctan2(u.imag, 1.0 + u.real)
+    return np.where(small, near, np.log1p(w))
+
+
+def _poles(s: TransportSetup):
+    """Poles z_k and residues a_k of T(E) = 2 Re sum_k a_k / (E - z_k).
+
+    G_1N(E) = sum_k c_k / (E - z_k) over the eigenvalues z_k of H_eff = H
+    + Sigma_L + Sigma_R, with c_k = R_1k (R^-1)_kN from its eigenvectors R.
+    Splitting |G_1N|^2 into partial fractions gives a_k = 4 gamma_L
+    gamma_R c_k sum_l conj(c_l) / (z_k - conj(z_l)).
+    """
+    p = s.chain
+    h = build_chain_matrix(p).astype(complex)
+    h[0, 0] += s.left.self_energy
+    h[-1, -1] += s.right.self_energy
+    z, r = np.linalg.eig(h)
+    e_n = np.zeros(p.n)
+    e_n[-1] = 1.0
+    c = r[0] * np.linalg.solve(r, e_n)
+    # A normalized eigenvector psi has Im z = -gamma_L |psi_1|^2 - gamma_R
+    # |psi_N|^2, so |psi_1|^2 <= |Im z| / gamma_L, |psi_N|^2 <= |Im z| /
+    # gamma_R, and its own term |a_k| ~ 4 gamma_L gamma_R |psi_1 psi_N|^2 /
+    # (2 |Im z|) <= 2 |Im z|: a pole within roundoff of the real axis (a mode
+    # with no weight on site 1 or N) carries no weight, and is dropped
+    # before 1 / (z_k - conj(z_k)) divides by its roundoff.
+    scale = max(abs(p.mu), abs(p.t1), abs(p.t2), abs(s.left.self_energy),
+                abs(s.right.self_energy))
+    keep = -z.imag > 64 * np.finfo(float).eps * p.n * scale
+    z, c = z[keep], c[keep]
+    coupling = 4.0 * s.left.gamma * s.right.gamma
+    return z, coupling * c * ((1.0 / (z[:, None] - z.conj())) @ c.conj())
+
+
+def _exact_transmission(e: float, s: TransportSetup) -> float:
+    # the boundary solve needs the coefficient map, which t2 = 0 lacks
+    try:
+        return transmission(e, s)
+    except ZeroT2Error:
+        return transmission_dense(e, s)
+
+
+# largest miss of the pole sum against the exact T(-V/2) that is accepted,
+# absolute as 0 <= T <= 1; healthy chains up to N = 300 miss by 3e-13
+_PROBE_TOL = 1e-10
+# absolute and relative tolerance of the adaptive quadrature fallback
 _QUAD_TOL = 1e-9
 
 
 def current(v_bias: float, beta: float, s: TransportSetup) -> float:
-    """Steady-state current in units of e/h.
+    """Steady-state current I = int T(E) (f(E) - f(E + V)) dE in units of e/h.
 
-    One adaptive quadrature of T(E) (f(E) - f(E + V)) over the bias window
-    padded by 40 / beta.  At beta = math.inf (T = 0) the pad is zero and
-    the Fermi difference is exactly +1 or -1 at every interior node, so
-    the integral is the signed integral of T over the bias window.
+    With T(E) = 2 Re sum_k a_k / (E - z_k) from `_poles`, I = 2 Re sum_k
+    a_k J(z_k) in closed form.  At beta = math.inf (T = 0), J(z) = log(-z)
+    - log(-V - z) = -log1p(V / z), the integral of 1 / (E - z) over the
+    bias window [-V, 0]; both logs are principal, as -z and -V - z lie in
+    the upper half-plane.  At finite beta the Matsubara sum of the Fermi
+    functions gives J(z) = psi(1/2 + i beta z / 2 pi) - psi(1/2 + i beta
+    (z + V) / 2 pi), where Re of each argument is >= 1/2 as Im z_k < 0.
+
+    The expansion is checked at one energy in the window, E = -V/2,
+    against the exact `transmission`.  Near an exceptional point of H_eff
+    its eigenvectors are nearly parallel and the pole sum is inaccurate;
+    if it misses by more than 1e-10 there, or the sum is not finite, the
+    current is instead one adaptive quadrature of T(E) (f(E) - f(E + V))
+    over the bias window padded by 40 / beta, the only use of scipy.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive (math.inf for T = 0)")
-    if v_bias == 0.0:
+    if v_bias == 0.0 or s.left.gamma * s.right.gamma == 0.0:
         return 0.0
+    try:
+        z, a = _poles(s)
+    except np.linalg.LinAlgError:  # an exactly defective H_eff
+        return _current_quad(v_bias, beta, s)
+    if math.isinf(beta):
+        j = -_log1p(v_bias / z)
+    else:
+        x = 0.5 + 0.5j * beta * z / math.pi
+        j = digamma(x) - digamma(x + 0.5j * beta * v_bias / math.pi)
+    got = 2.0 * float(np.sum(a * j).real)
+    probe = -0.5 * v_bias
+    fit = 2.0 * float(np.sum(a / (probe - z)).real)
+    if math.isfinite(got) and abs(fit - _exact_transmission(probe, s)) <= _PROBE_TOL:
+        return got
+    return _current_quad(v_bias, beta, s)
+
+
+def _current_quad(v_bias: float, beta: float, s: TransportSetup) -> float:
+    """The current by adaptive quadrature of the exact T(E).  At beta =
+    math.inf the pad is zero and the Fermi difference is exactly +1 or -1
+    at every interior node, so the integral is the signed integral of T
+    over the bias window."""
+    from scipy import integrate
+
     pad = 40.0 / beta  # 0.0 at beta = inf
     result = integrate.quad(
-        lambda x: transmission(x, s) * (fermi(x, beta) - fermi(x + v_bias, beta)),
+        lambda x: _exact_transmission(x, s) * (fermi(x, beta) - fermi(x + v_bias, beta)),
         min(0.0, -v_bias) - pad, max(0.0, -v_bias) + pad,
         epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, full_output=1)
     if len(result) > 3:

@@ -10,6 +10,7 @@ spectrum on random chain matrices, and transport equivalence.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; the suites draw from it
 
 from .chain import ChainParams, build_chain_matrix
 from .closedform import appendix_a_solutions, characterize, xi_closed

@@ -42,6 +42,9 @@ def test_subspace_angle_zero_for_same_span():
 def test_build_chain_matrix_pattern():
     h = build_chain_matrix(ChainParams(mu=1.0, t1=2.0, t2=3.0, n=3))
     assert np.array_equal(h, [[-1, -2, -3], [-2, -1, -2], [-3, -2, -1]])
+    # an integer mu must not make the matrix integer and truncate t2
+    h = build_chain_matrix(ChainParams(mu=0, t1=1, t2=0.5, n=3))
+    assert np.array_equal(h, [[0, -1, -0.5], [-1, 0, -1], [-0.5, -1, 0]])
 
 
 def test_build_chain_matrix_single_site():

@@ -1,11 +1,19 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tetranacci
+from tetranacci.chain import ChainParams
 from tetranacci.cli import main
 from tetranacci.kitaev import KitaevParams, bdg_spectrum
+from tetranacci.transport import LeadParams, TransportSetup, fermi, transmission_dense
 
 
 def run(capsys, *argv):
@@ -273,3 +281,57 @@ def test_invalid_parameters_usage_error(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_transport_weak_coupling_current(capsys):
+    # 100 resonances about 1e-4 wide, on which a plain adaptive quadrature
+    # of T(E) raises QuadratureError.  The reference is a quadrature of the
+    # dense T split at every Re z_k of H_eff (138 s of CPU).
+    code, out, err = run(capsys, "transport", "--n=100", "--mu=0", "--t1=1", "--t2=0.8",
+                         "--gamma-l=0.005", "--gamma-r=0.005", "--beta=10",
+                         "--v-grid=1:1:1")
+    assert code == 0, err
+    got = float(json.loads(out)["rows"][0]["current"])
+    assert abs(got - 0.0058835205140682) <= 1e-9 * 0.0058835205140682
+
+
+@pytest.mark.parametrize("beta", ["inf", "4"])
+def test_transport_current_at_t2_zero(capsys, beta):
+    # the pole expansion needs no coefficient map, so t2 = 0 has a current
+    from scipy import integrate
+    code, out, err = run(capsys, "transport", "--n", "6", "--mu", "0.2", "--t1", "1",
+                         "--t2", "0", "--gamma-l", "0.5", "--gamma-r", "0.3",
+                         "--beta", beta, "--v-grid", "-1:1.5:3")
+    assert code == 0, err
+    s = TransportSetup(ChainParams(mu=0.2, t1=1.0, t2=0.0, n=6),
+                       LeadParams(0.5), LeadParams(0.3))
+    b = math.inf if beta == "inf" else float(beta)
+    pad = 40.0 / b
+    for row in json.loads(out)["rows"]:
+        v = float(row["v"])
+        want, _ = integrate.quad(
+            lambda x: transmission_dense(x, s) * (fermi(x, b) - fermi(x + v, b)),
+            min(0.0, -v) - pad, max(0.0, -v) + pad, epsabs=1e-13, epsrel=1e-12,
+            limit=400)
+        assert abs(float(row["current"]) - want) <= 1e-9 * max(abs(want), abs(v))
+
+
+def test_start_up_imports_no_scipy():
+    # scipy's import dominated every CLI process; only the quadrature
+    # fallback of `current` may load it, and healthy chains never take it
+    script = (
+        "import sys\n"
+        "from tetranacci.cli import main\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded(), file=sys.stderr)\n"
+        "for beta in ('inf', '10'):\n"
+        "    main(['transport', '--n', '10', '--t1', '1', '--t2', '0.8', '--beta', beta,\n"
+        "          '--v-grid', '0.5:2:4'])\n"
+        "print(loaded(), file=sys.stderr)\n")
+    src = str(Path(tetranacci.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == ["[]", "[]"]

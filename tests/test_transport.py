@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from tetranacci import transport
 from tetranacci.chain import ChainParams, build_chain_matrix, coeffs_from_energy
 from tetranacci.errors import SingularBoundaryError
 from tetranacci.transport import (LeadParams, TransportSetup, conductance,
-                                  current, fermi, green_1n_dense,
+                                  current, digamma, fermi, green_1n_dense,
                                   green_1n_tetranacci, sigma_sequence,
                                   transmission, transmission_dense)
 
@@ -225,3 +226,53 @@ def test_conductance_values():
     assert conductance(off) == 0.0
     s = default_setup()
     assert abs(conductance(s) - transmission(0.0, s)) == 0.0
+
+
+def test_digamma_matches_scipy():
+    from scipy.special import psi
+    rng = np.random.default_rng(0)
+    re = np.concatenate([0.5 + np.logspace(-16, 3, 400), 0.5 + 1e3 * rng.random(400)])
+    im = rng.choice([-1.0, 1.0], 800) * 10.0 ** rng.uniform(-16, 4, 800)
+    x = np.concatenate([re + 1j * im, re, 0.5 + 1j * np.logspace(-3, 4, 50)])
+    want = psi(x)
+    assert np.all(np.abs(digamma(x) - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def _spy_quad(monkeypatch):
+    calls = []
+    quad = transport._current_quad
+    monkeypatch.setattr(transport, "_current_quad",
+                        lambda *args: calls.append(args) or quad(*args))
+    return calls
+
+
+# want: adaptive quadrature of the exact T (tolerance 1e-9); the pole sum
+# agrees to 7e-16
+@pytest.mark.parametrize("chain, gammas, want, fallback", [
+    # modes with no weight on site 1 or N have real eigenvalues: the pole
+    # expansion drops them instead of dividing by their zero width
+    (ChainParams(mu=0.0, t1=1.0, t2=1.0, n=4), (0.5, 0.5), 0.50829634306817362, False),
+    (ChainParams(mu=0.1, t1=0.0, t2=0.8, n=3), (0.5, 0.5), 0.8938879790620324, False),
+    (ChainParams(mu=0.1, t1=0.0, t2=0.8, n=5), (0.5, 0.5), 0.8431134491031017, False),
+    # an exact exceptional point of H_eff: the expansion misses the current
+    # by 2.9e-3 and T(-V/2) by 3.0e-3, so the probe sends the current to
+    # the quadrature
+    (ChainParams(mu=0.1, t1=1.0, t2=1.0, n=2), (2.5, 0.5), 0.82558208596338711, True),
+])
+def test_current_edge_cases(monkeypatch, chain, gammas, want, fallback):
+    calls = _spy_quad(monkeypatch)
+    s = TransportSetup(chain, LeadParams(gammas[0]), LeadParams(gammas[1]))
+    got = current(1.0, math.inf, s)
+    assert abs(got - want) <= 1e-12 * want
+    assert bool(calls) is fallback
+
+
+@pytest.mark.parametrize("beta", [math.inf, 10.0])
+def test_current_decoupled_lead_is_zero(monkeypatch, beta):
+    calls = _spy_quad(monkeypatch)
+    chain = ChainParams(mu=0.3, t1=1.0, t2=0.8, n=5)
+    for left, right in ((0.0, 0.5), (0.5, 0.0)):
+        s = TransportSetup(chain, LeadParams(left), LeadParams(right))
+        assert current(0.7, beta, s) == 0.0
+    assert not calls
+
