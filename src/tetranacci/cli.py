@@ -26,21 +26,38 @@ from .closedform import characterize, xi_closed
 from .errors import TetranacciError, ZeroT2Error
 from .kitaev import KitaevParams, kitaev_effective_coeffs, kitaev_spectrum
 from .recurrence import Coefficients, InitialValues, eval_range
-from .transport import (LeadParams, TransportSetup, current, transmission)
+from .transport import LeadParams, TransportSetup, _exact_transmission, current
 from .verification import run_suite
 
-_FLOAT_FMT = "{:.17g}"
+
+def _fmt_complex(z) -> str:
+    return "%.17g%s%.17gj" % (z.real, "+" if z.imag >= 0 else "-", abs(z.imag))
+
+
+def _fmt_list(values) -> str:
+    # a vector of Python floats, the common case, is one % on one template
+    if set(map(type, values)) <= {float}:
+        return ";".join(["%.17g"] * len(values)) % tuple(values)
+    return ";".join([_fmt(v) for v in values])
+
+
+_FORMATTERS = {float: "%.17g".__mod__, complex: _fmt_complex,
+               list: _fmt_list, tuple: _fmt_list}
 
 
 def _fmt(value):
-    """Render a cell for CSV / JSON with full float precision."""
-    if isinstance(value, complex):
-        return _FLOAT_FMT.format(value.real) + ("+" if value.imag >= 0 else "-") \
-            + _FLOAT_FMT.format(abs(value.imag)) + "j"
-    if isinstance(value, float):
-        return _FLOAT_FMT.format(value)
-    if isinstance(value, (list, tuple)):
-        return ";".join(_fmt(v) for v in value)
+    """Render a cell for CSV / JSON with full float precision (17 digits).
+
+    Dispatch is on the exact type first; numpy scalars, which subclass
+    float and complex, take the isinstance pass.  Every other value (int,
+    str, bool, None) is returned as it is.
+    """
+    render = _FORMATTERS.get(type(value))
+    if render is not None:
+        return render(value)
+    for base, render in _FORMATTERS.items():
+        if isinstance(value, base):
+            return render(value)
     return value
 
 
@@ -161,7 +178,7 @@ def cmd_spectrum(args, parser):
     rows = [{"e": m.e, "k1": m.k1, "k2": m.k2, "k_plus": m.k_plus,
              "k_minus": m.k_minus, "s_q": m.s_q, "lambda_i": m.lambda_i,
              "arrow": m.arrow.value, "quant_residual": m.quant_residual,
-             "vector": list(m.vector)} for m in spectrum(p)]
+             "vector": m.vector.tolist()} for m in spectrum(p)]
     meta = {"command": "spectrum", "n": args.n, "mu": args.mu,
             "t1": args.t1, "t2": args.t2}
     _emit(args, meta, rows)
@@ -217,15 +234,15 @@ def cmd_transport(args, parser):
         _chain_from_args(args, parser),
         _params(parser, LeadParams, args.gamma_l, args.lambda_l),
         _params(parser, LeadParams, args.gamma_r, args.lambda_r))
-    rows = []
     if args.v_grid is not None:
         beta = math.inf if args.beta == "inf" else float(args.beta)
-        for v in args.v_grid:
-            rows.append({"v": float(v), "current": current(float(v), beta, setup)})
+        currents = current(args.v_grid, beta, setup)
+        rows = [{"v": v, "current": i}
+                for v, i in zip(args.v_grid.tolist(), currents.tolist())]
         grid_key, grid_raw = "v_grid", args.v_grid_raw
     else:
-        for e in args.e_grid:
-            rows.append({"e": float(e), "transmission": transmission(float(e), setup)})
+        rows = [{"e": e, "transmission": _exact_transmission(e, setup)}
+                for e in args.e_grid.tolist()]
         grid_key, grid_raw = "e_grid", args.e_grid_raw
     meta = {"command": "transport", "n": args.n, "mu": args.mu, "t1": args.t1,
             "t2": args.t2, "gamma_l": args.gamma_l, "gamma_r": args.gamma_r,

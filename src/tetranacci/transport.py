@@ -5,9 +5,10 @@ Lambda_alpha - i gamma_alpha to the chain matrix.  The corner Green's
 function entry G^r_{1N} follows from a 2x2 boundary solve over the basic
 recursion polynomials; the dense path solves (E - H - Sigma) x = e_N and
 serves as the oracle.  The current integrates the pole expansion of
-|G_1N|^2 over the eigenvalues of H + Sigma in closed form, checked against
-the exact transmission at one energy; scipy's adaptive quadrature is
-imported only for the fallback when that check fails.
+|G_1N|^2 over the eigenvalues of H + Sigma in closed form, one
+eigendecomposition for a whole bias grid, checked against the exact
+transmission at one energy per bias; scipy's adaptive quadrature is
+imported only for the fallback of a bias that fails that check.
 """
 
 from __future__ import annotations
@@ -142,7 +143,16 @@ def green_1n_dense(e: float, s: TransportSetup) -> complex:
     a.imag = np.ldexp(a.imag, k[:, None])
     rhs = np.zeros(p.n, dtype=complex)
     rhs[-1] = 1.0
-    x1 = np.linalg.solve(a, rhs)[0]
+    try:
+        x1 = np.linalg.solve(a, rhs)[0]
+    except np.linalg.LinAlgError:
+        if s.left.gamma == 0.0 or s.right.gamma == 0.0:
+            raise
+        # With both leads coupled, a real E is an eigenvalue of H + Sigma only
+        # for a mode u with u_1 = u_N = 0 (Im E = -gamma_L |u_1|^2 - gamma_R
+        # |u_N|^2).  Then the system is consistent and all its solutions
+        # share x_1, so the least-squares solution carries G_1N.
+        x1 = np.linalg.lstsq(a, rhs, rcond=None)[0][0]
     return complex(math.ldexp(x1.real, int(k[-1])), math.ldexp(x1.imag, int(k[-1])))
 
 
@@ -248,11 +258,19 @@ def _poles(s: TransportSetup):
 
 
 def _exact_transmission(e: float, s: TransportSetup) -> float:
-    # the boundary solve needs the coefficient map, which t2 = 0 lacks
+    """The exact T(E), from the dense solve where the boundary solve has no
+    answer: at t2 = 0 it lacks the coefficient map, and at the eigenvalue of
+    a mode with no weight on site 1 or N (the even sublattice at t1 = 0, odd
+    N) its 2x2 system is singular, though T is not.  A dense value that is
+    not finite (entries or couplings near the overflow threshold) is no
+    answer either, and the boundary solve's error stands."""
     try:
         return transmission(e, s)
-    except ZeroT2Error:
-        return transmission_dense(e, s)
+    except (ZeroT2Error, SingularBoundaryError):
+        t = transmission_dense(e, s)
+        if not math.isfinite(t):
+            raise
+        return t
 
 
 # largest miss of the pole sum against the exact T(-V/2) that is accepted,
@@ -262,43 +280,57 @@ _PROBE_TOL = 1e-10
 _QUAD_TOL = 1e-9
 
 
-def current(v_bias: float, beta: float, s: TransportSetup) -> float:
+def current(v_bias, beta: float, s: TransportSetup):
     """Steady-state current I = int T(E) (f(E) - f(E + V)) dE in units of e/h.
 
-    With T(E) = 2 Re sum_k a_k / (E - z_k) from `_poles`, I = 2 Re sum_k
-    a_k J(z_k) in closed form.  At beta = math.inf (T = 0), J(z) = log(-z)
-    - log(-V - z) = -log1p(V / z), the integral of 1 / (E - z) over the
-    bias window [-V, 0]; both logs are principal, as -z and -V - z lie in
-    the upper half-plane.  At finite beta the Matsubara sum of the Fermi
+    v_bias is one bias or a 1-D array of them; the result is a float or an
+    array of the same length.  One eigendecomposition of H_eff (`_poles`)
+    serves every bias: with T(E) = 2 Re sum_k a_k / (E - z_k), I = 2 Re
+    sum_k a_k J(z_k) in closed form.  At beta = math.inf (T = 0), J(z) =
+    log(-z) - log(-V - z) = -log1p(V / z), the integral of 1 / (E - z) over
+    the bias window [-V, 0]; both logs are principal, as -z and -V - z lie
+    in the upper half-plane.  At finite beta the Matsubara sum of the Fermi
     functions gives J(z) = psi(1/2 + i beta z / 2 pi) - psi(1/2 + i beta
     (z + V) / 2 pi), where Re of each argument is >= 1/2 as Im z_k < 0.
 
-    The expansion is checked at one energy in the window, E = -V/2,
-    against the exact `transmission`.  Near an exceptional point of H_eff
-    its eigenvectors are nearly parallel and the pole sum is inaccurate;
-    if it misses by more than 1e-10 there, or the sum is not finite, the
-    current is instead one adaptive quadrature of T(E) (f(E) - f(E + V))
-    over the bias window padded by 40 / beta, the only use of scipy.
+    The expansion is checked for every bias at one energy in its window,
+    E = -V/2, against the exact transmission.  Near an exceptional point of
+    H_eff its eigenvectors are nearly parallel and the pole sum is
+    inaccurate; where it misses by more than 1e-10, or the sum is not
+    finite, that bias's current is instead one adaptive quadrature of T(E)
+    (f(E) - f(E + V)) over its window padded by 40 / beta, the only use of
+    scipy.  A zero bias carries no current and is not probed.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive (math.inf for T = 0)")
-    if v_bias == 0.0 or s.left.gamma * s.right.gamma == 0.0:
-        return 0.0
-    try:
-        z, a = _poles(s)
-    except np.linalg.LinAlgError:  # an exactly defective H_eff
-        return _current_quad(v_bias, beta, s)
-    if math.isinf(beta):
-        j = -_log1p(v_bias / z)
-    else:
-        x = 0.5 + 0.5j * beta * z / math.pi
-        j = digamma(x) - digamma(x + 0.5j * beta * v_bias / math.pi)
-    got = 2.0 * float(np.sum(a * j).real)
-    probe = -0.5 * v_bias
-    fit = 2.0 * float(np.sum(a / (probe - z)).real)
-    if math.isfinite(got) and abs(fit - _exact_transmission(probe, s)) <= _PROBE_TOL:
-        return got
-    return _current_quad(v_bias, beta, s)
+    v = np.atleast_1d(np.asarray(v_bias, dtype=float))
+    out = np.zeros(v.shape)
+    # a zero bias, or a decoupled lead, carries no current and is not probed
+    on = np.flatnonzero(v) if s.left.gamma * s.right.gamma != 0.0 else np.arange(0)
+    checked = np.zeros(len(on), dtype=bool)
+    if len(on):
+        try:
+            z, a = _poles(s)
+        except np.linalg.LinAlgError:  # an exactly defective H_eff
+            pass
+        else:
+            # one row per bias; each row's sum over the poles runs along
+            # the contiguous axis, as the sum for a single bias does
+            vb = v[on]
+            if math.isinf(beta):
+                j = -_log1p(vb[:, None] / z)
+            else:
+                x = 0.5 + 0.5j * beta * z / math.pi
+                j = digamma(x) - digamma(x + 1j * (0.5 * beta * vb / math.pi)[:, None])
+            got = 2.0 * np.sum(a * j, axis=1).real
+            probe = -0.5 * vb
+            fit = 2.0 * np.sum(a / (probe[:, None] - z), axis=1).real
+            exact = np.array([_exact_transmission(e, s) for e in probe.tolist()])
+            checked = np.isfinite(got) & (np.abs(fit - exact) <= _PROBE_TOL)
+            out[on[checked]] = got[checked]
+    for i in on[~checked].tolist():
+        out[i] = _current_quad(float(v[i]), beta, s)
+    return float(out[0]) if np.ndim(v_bias) == 0 else out
 
 
 def _current_quad(v_bias: float, beta: float, s: TransportSetup) -> float:

@@ -9,8 +9,10 @@ spectrum on random chain matrices, and transport equivalence.
 
 from __future__ import annotations
 
+import cmath
+import random
+
 import numpy as np
-import numpy.random  # noqa: F401  numpy loads it lazily; the suites draw from it
 
 from .chain import ChainParams, build_chain_matrix
 from .closedform import appendix_a_solutions, characterize, xi_closed
@@ -20,13 +22,23 @@ from .transport import (LeadParams, TransportSetup, green_1n_dense,
                         green_1n_tetranacci)
 
 
+# The suites draw a few dozen numbers each from stdlib `random`, which the
+# interpreter has loaded already; numpy's random package would add its
+# import (and hashlib, secrets) to the start-up of every command.
+def _normal(rng) -> float:
+    return rng.gauss(0.0, 1.0)
+
+
+def _random_complex(rng) -> complex:
+    return complex(_normal(rng), _normal(rng))
+
+
 def _random_coeffs(rng) -> Coefficients:
-    return Coefficients(complex(rng.normal(), rng.normal()),
-                        complex(rng.normal(), rng.normal()))
+    return Coefficients(_random_complex(rng), _random_complex(rng))
 
 
 def _random_initials(rng) -> InitialValues:
-    return InitialValues(tuple(complex(a, b) for a, b in rng.normal(size=(4, 2))))
+    return InitialValues(tuple(_random_complex(rng) for _ in range(4)))
 
 
 # Weight zeta 2 and eta 1.  By induction on the recursion every T_i(j) has
@@ -88,15 +100,16 @@ def _near_degenerate_locus(rng) -> Coefficients:
     """zeta within 10^U(-14, -5) of the locus zeta = -2 - eta^2/4, where S_1
     and S_2 nearly coincide; one draw in four puts eta as close to +-4, the
     corner where both S_l also approach +-2."""
-    off = 10.0 ** rng.uniform(-14, -5, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
-    eta = complex(rng.normal(), rng.normal())
-    if rng.uniform() < 0.25:
-        eta = complex(4.0 * np.sign(rng.normal()) + off[0])
+    off = [cmath.rect(10.0 ** rng.uniform(-14, -5), rng.uniform(0.0, 2 * cmath.pi))
+           for _ in range(2)]
+    eta = _random_complex(rng)
+    if rng.random() < 0.25:
+        eta = rng.choice((-4.0, 4.0)) + off[0]
     return Coefficients(complex(-2.0 - eta * eta / 4.0 + off[1]), eta)
 
 
 def suite_closed_form(seed: int = 0):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     checks = []
     for label, draw in (("generic draws", _random_coeffs),
                         ("near the degenerate locus", _near_degenerate_locus)):
@@ -110,11 +123,11 @@ def suite_closed_form(seed: int = 0):
 
 
 def suite_oracle(seed: int = 0):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     checks = []
     worst_res, worst_orth = 0.0, 0.0
     for n in (5, 20, 60):
-        mu, t1, t2 = rng.normal(size=3)
+        mu, t1, t2 = (_normal(rng) for _ in range(3))
         m = build_chain_matrix(ChainParams(mu, t1, t2, n))
         w, v = np.linalg.eigh(m)
         worst_res = max(worst_res, float(np.abs(m @ v - v * w).max()) / np.abs(m).max())
@@ -125,24 +138,25 @@ def suite_oracle(seed: int = 0):
 
 
 def suite_transport(seed: int = 0):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     checks = []
     worst = 0.0
     skipped = 0
     for _ in range(10):
-        n = int(rng.integers(3, 15))
-        chain = ChainParams(mu=rng.normal(), t1=rng.normal(),
-                            t2=rng.normal() + np.sign(rng.normal()) * 0.5, n=n)
+        n = rng.randint(3, 14)
+        chain = ChainParams(mu=_normal(rng), t1=_normal(rng),
+                            t2=_normal(rng) + rng.choice((-0.5, 0.5)), n=n)
         setup = TransportSetup(chain,
-                               LeadParams(abs(rng.normal()), rng.normal() * 0.2),
-                               LeadParams(abs(rng.normal()), rng.normal() * 0.2))
-        for e in rng.normal(size=8) * 3.0:
+                               LeadParams(abs(_normal(rng)), _normal(rng) * 0.2),
+                               LeadParams(abs(_normal(rng)), _normal(rng) * 0.2))
+        for _ in range(8):
+            e = 3.0 * _normal(rng)
             try:
-                gt = green_1n_tetranacci(float(e), setup)
+                gt = green_1n_tetranacci(e, setup)
             except SingularBoundaryError:
                 skipped += 1
                 continue
-            gd = green_1n_dense(float(e), setup)
+            gd = green_1n_dense(e, setup)
             worst = max(worst, abs(gt - gd) / max(abs(gd), 1e-300))
     checks.append(("corner Green's function vs dense", worst < 1e-8,
                    f"max rel err {worst:.3e}, skipped {skipped}"))

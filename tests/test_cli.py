@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,9 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tetranacci
+from tetranacci import cli
 from tetranacci.chain import ChainParams
 from tetranacci.cli import main
 from tetranacci.kitaev import KitaevParams, bdg_spectrum
@@ -195,19 +200,71 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(capsys):
-    # at t1 = 0 and odd N the even sublattice touches neither lead; at its
-    # exact eigenvalue E = -t2 the boundary system is singular
-    code, _, err = run(capsys, "transport", "--n", "5", "--t1", "0",
-                       "--t2", "1", "--gamma-l", "0.5", "--gamma-r", "0.5",
-                       "--e-grid", "-1:-1:1")
+    # leads so strong that 4 gamma_L gamma_R overflows: the boundary solve
+    # is singular, and the dense trace formula is not finite either
+    code, _, err = run(capsys, "transport", "--n", "3", "--gamma-l", "1e308",
+                       "--gamma-r", "1e308", "--e-grid", "0:0:1")
     assert code == 4
     assert "numerical failure" in err
+
+
+def _sublattice_setup():
+    # at t1 = 0 and odd N the odd sites 1, 3, 5 form a nearest-neighbour
+    # chain with hopping t2, which carries G_1N; the even sublattice touches
+    # neither lead, and at its eigenvalue E = -t2 the boundary system and
+    # the full dense system are both exactly singular
+    full = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=5),
+                          LeadParams(0.5), LeadParams(0.5))
+    odd = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=0.0, n=3),
+                         LeadParams(0.5), LeadParams(0.5))
+    return full, odd
+
+
+def test_transport_at_decoupled_eigenvalue(capsys):
+    code, out, err = run(capsys, "transport", "--n", "5", "--t1", "0", "--t2", "1",
+                         "--gamma-l", "0.5", "--gamma-r", "0.5", "--e-grid", "-1:-1:1")
+    assert code == 0, err
+    _, odd = _sublattice_setup()
+    got = float(json.loads(out)["rows"][0]["transmission"])
+    assert abs(got - transmission_dense(-1.0, odd)) <= 1e-14
+
+
+def test_current_probe_at_decoupled_eigenvalue(capsys):
+    # the probe E = -V/2 = -1 falls on the decoupled eigenvalue
+    from scipy import integrate
+    code, out, err = run(capsys, "transport", "--n", "5", "--t1", "0", "--t2", "1",
+                         "--gamma-l", "0.5", "--gamma-r", "0.5", "--v-grid", "2:2:1")
+    assert code == 0, err
+    full, _ = _sublattice_setup()
+    want, _ = integrate.quad(lambda x: transmission_dense(x, full), -2.0, 0.0,
+                             points=[-1.0], epsabs=1e-13, epsrel=1e-12, limit=400)
+    got = float(json.loads(out)["rows"][0]["current"])
+    assert abs(got - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("t2", ["0", "1e-320"])
+def test_transport_transmission_without_coefficient_map(capsys, t2):
+    # t2 = 0, or a t2 so small that eta = -t1 / t2 overflows: the boundary
+    # solve has no coefficient map, and the dense trace formula answers
+    code, out, err = run(capsys, "transport", "--n", "6", "--mu", "0.2", "--t1", "1",
+                         f"--t2={t2}", "--gamma-l", "0.5", "--gamma-r", "0.3",
+                         "--e-grid", "-1:1:5")
+    assert code == 0, err
+    s = TransportSetup(ChainParams(mu=0.2, t1=1.0, t2=float(t2), n=6),
+                       LeadParams(0.5), LeadParams(0.3))
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 5
+    for row in rows:
+        assert float(row["transmission"]) == transmission_dense(float(row["e"]), s)
 
 
 @pytest.mark.parametrize("argv", [
     # eta = -t1/t2 overflows a double
     ("spectrum", "--n", "3", "--t1", "1", "--t2", "1e-320"),
-    ("transport", "--n", "3", "--t1", "1", "--t2", "1e-320", "--e-grid", "0:0:1"),
+    # the exact boundary division overflows, and the dense solve of the
+    # chain matrix, whose entries are all -1e308, is not finite
+    ("transport", "--n", "3", "--mu", "1e308", "--t1", "1e308", "--t2", "1e308",
+     "--e-grid", "1:1:1"),
     # the characteristic roots overflow
     ("seq", "--zeta", "1e308", "--eta", "1e308", "--g", "1,1,1,1",
      "--lo", "-5", "--hi", "50"),
@@ -318,15 +375,21 @@ def test_transport_current_at_t2_zero(capsys, beta):
 
 def test_start_up_imports_no_scipy():
     # scipy's import dominated every CLI process; only the quadrature
-    # fallback of `current` may load it, and healthy chains never take it
+    # fallback of `current` may load it, and healthy chains never take it.
+    # numpy.random (with hashlib and secrets) is never needed: `verify`
+    # draws from stdlib random
     script = (
         "import sys\n"
         "from tetranacci.cli import main\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "def loaded(): return sorted(m for m in sys.modules\n"
+        "                            if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
+        "print(loaded(), file=sys.stderr)\n"
+        "main(['spectrum', '--n', '10', '--t1', '1', '--t2', '0.5'])\n"
         "print(loaded(), file=sys.stderr)\n"
         "for beta in ('inf', '10'):\n"
         "    main(['transport', '--n', '10', '--t1', '1', '--t2', '0.8', '--beta', beta,\n"
         "          '--v-grid', '0.5:2:4'])\n"
+        "main(['transport', '--n', '10', '--t1', '1', '--t2', '0.8', '--e-grid', '-1:1:5'])\n"
         "print(loaded(), file=sys.stderr)\n")
     src = str(Path(tetranacci.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -334,4 +397,83 @@ def test_start_up_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines() == ["[]", "[]"]
+    assert done.stderr.splitlines() == ["[]", "[]", "[]"]
+
+
+def _fmt_reference(value):
+    """The cell formatter as first written: one str.format call per cell."""
+    if isinstance(value, complex):
+        return "{:.17g}".format(value.real) + ("+" if value.imag >= 0 else "-") \
+            + "{:.17g}".format(abs(value.imag)) + "j"
+    if isinstance(value, float):
+        return "{:.17g}".format(value)
+    if isinstance(value, (list, tuple)):
+        return ";".join(_fmt_reference(v) for v in value)
+    return value
+
+
+# every double, subnormals, +-0.0, +-inf and nan included, as a Python
+# float or a numpy float64, and complex values of either kind
+floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+scalars = st.one_of(floats, floats.map(np.float64),
+                    st.builds(complex, floats, floats),
+                    st.builds(complex, floats, floats).map(np.complex128))
+cells = st.one_of(scalars, st.lists(floats, max_size=20), st.lists(scalars, max_size=20),
+                  st.lists(floats, max_size=5).map(tuple), st.integers(), st.booleans(),
+                  st.text(max_size=5), st.none())
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells)
+@example(-0.0)
+@example(complex(-0.0, -0.0))
+@example(complex(math.nan, math.nan))
+@example([5e-324, -0.0, math.inf, -math.inf, math.nan, 1.0 / 3.0])
+@example([np.float64(0.1), 0.2, complex(1, -2)])
+def test_fmt_matches_str_format(value):
+    assert cli._fmt(value) == _fmt_reference(value)
+
+
+EMIT_ROWS = [
+    {"j": 3, "x": 0.1, "z": complex(1.5, -0.0), "v": [1.0 / 3.0, -0.0, 5e-324],
+     "ok": True, "name": "inside", "none": None},
+    {"j": -1, "x": math.inf, "z": complex(-2.0, math.nan), "v": (math.nan, -math.inf),
+     "ok": False, "name": "a,b", "none": None},
+]
+
+
+def test_emit_json_bytes(capsys):
+    cli._emit(argparse.Namespace(format="json", out=None), {"command": "t"}, EMIT_ROWS)
+    rows = """[
+    {
+      "j": 3,
+      "x": "0.10000000000000001",
+      "z": "1.5+0j",
+      "v": "0.33333333333333331;-0;4.9406564584124654e-324",
+      "ok": true,
+      "name": "inside",
+      "none": null
+    },
+    {
+      "j": -1,
+      "x": "inf",
+      "z": "-2-nanj",
+      "v": "nan;-inf",
+      "ok": false,
+      "name": "a,b",
+      "none": null
+    }
+  ]"""
+    meta = '{\n    "command": "t",\n    "version": "%s"\n  }' % tetranacci.__version__
+    assert capsys.readouterr().out == '{\n  "meta": %s,\n  "rows": %s\n}\n' % (meta, rows)
+
+
+def test_emit_csv_bytes(capsys):
+    cli._emit(argparse.Namespace(format="csv", out=None), {"command": "t"}, EMIT_ROWS,
+              extra_lines=["count: 2"])
+    assert capsys.readouterr().out == (
+        "j,x,z,v,ok,name,none\r\n"
+        "3,0.10000000000000001,1.5+0j,0.33333333333333331;-0;4.9406564584124654e-324,"
+        "True,inside,\r\n"
+        '-1,inf,-2-nanj,nan;-inf,False,"a,b",\r\n'
+        "count: 2\n")

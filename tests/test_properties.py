@@ -21,7 +21,9 @@ Each chain eigenvector must be mirror-symmetric, v[::-1] = lambda_i v, to
 1e-12 of its largest entry; the sector solve of `spectrum` makes it exact.
 The current from the pole expansion must match an adaptive quadrature of
 the exact transmission to 1e-8, relative to the current or, for a current
-below 1e-6 |V|, to 1e-6 |V| (0 <= T <= 1 bounds |I| by |V|).
+below 1e-6 |V|, to 1e-6 |V| (0 <= T <= 1 bounds |I| by |V|).  A bias grid
+must give each bias's single-bias current to 1e-14 with the same floor,
+from one pole expansion, with every nonzero bias probed at -V/2.
 """
 
 import cmath
@@ -32,6 +34,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tetranacci import transport
 from tetranacci.chain import ChainParams, build_chain_matrix, spectrum
 from tetranacci.closedform import characterize, xi_closed
 from tetranacci.errors import SingularBoundaryError
@@ -291,3 +294,36 @@ def test_current_matches_quadrature(chain, left, right, v, beta):
     except SingularBoundaryError:  # a quadrature node at a decoupled mode
         return
     assert abs(current(v, beta, s) - want) <= 1e-8 * max(abs(want), 1e-6 * abs(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(ChainParams, mu=coupling, t1=coupling, t2=next_nearest,
+                 n=st.integers(1, 12)), leads, leads,
+       st.lists(st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.floats(-5.0, -0.01)),
+                min_size=1, max_size=8),
+       st.one_of(st.just(math.inf), st.floats(0.5, 200.0)))
+def test_current_grid_matches_single_biases(chain, left, right, biases, beta):
+    s = TransportSetup(chain, left, right)
+    singles = [current(v, beta, s) for v in biases]
+    calls = {"poles": 0, "probes": []}
+    poles, exact = transport._poles, transport._exact_transmission
+
+    def count_poles(setup):
+        calls["poles"] += 1
+        return poles(setup)
+
+    def record_probe(e, setup):
+        calls["probes"].append(e)
+        return exact(e, setup)
+
+    transport._poles, transport._exact_transmission = count_poles, record_probe
+    try:
+        grid = current(np.array(biases), beta, s)
+    finally:
+        transport._poles, transport._exact_transmission = poles, exact
+    assert grid.shape == (len(biases),)
+    for got, want, v in zip(grid, singles, biases):
+        assert abs(got - want) <= 1e-14 * max(abs(want), 1e-6 * abs(v))
+    assert calls["poles"] == (1 if any(biases) else 0)
+    probed = [-0.5 * v for v in biases if v != 0.0]
+    assert calls["probes"][:len(probed)] == probed

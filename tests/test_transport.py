@@ -84,6 +84,23 @@ def test_green_singular_at_decoupled_eigenvalue():
         green_1n_tetranacci(float(w[0]), s)
 
 
+def test_dense_green_at_weightless_eigenvalue():
+    # at t1 = 0 and N = 5 the even sites 2, 4 touch neither lead, and E = -1
+    # is an eigenvalue of theirs: E - H - Sigma is exactly singular, yet the
+    # odd sites 1, 3, 5, a nearest-neighbour chain with hopping t2, fix G_1N
+    full = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=5),
+                          LeadParams(0.5), LeadParams(0.5))
+    odd = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=0.0, n=3),
+                         LeadParams(0.5), LeadParams(0.5))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(-np.eye(5) - build_chain_matrix(full.chain), np.eye(5)[-1])
+    want = green_1n_dense(-1.0, odd)
+    assert abs(green_1n_dense(-1.0, full) - want) <= 1e-15 * abs(want)
+    # with a lead decoupled the singular system is a true pole
+    with pytest.raises(np.linalg.LinAlgError):
+        green_1n_dense(-1.0, TransportSetup(full.chain, LeadParams(0.0), LeadParams(0.5)))
+
+
 def test_green_overflowing_pole_is_singular():
     # t1 = 2.2e-311 barely couples the two sublattices, so at E = 0 the
     # solution diverges past the largest double instead of past 1e12
@@ -193,6 +210,14 @@ def test_fermi_limits():
 
 def test_current_zero_bias():
     assert current(0.0, math.inf, default_setup()) == 0.0
+
+
+def test_current_scalar_and_grid_shapes():
+    s = default_setup()
+    one = current(0.8, 10.0, s)
+    assert type(one) is float
+    grid = current([0.0, 0.8, -0.8], 10.0, s)
+    assert grid.shape == (3,) and grid[0] == 0.0 and grid[1] == one
 
 
 def test_current_zero_temperature_is_window_integral():
