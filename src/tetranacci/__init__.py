@@ -3,7 +3,7 @@
 from .recurrence import Coefficients, InitialValues, SequenceWindow
 from .closedform import CharacteristicData, RootClass, characterize
 from .chain import Arrow, ChainParams, CrossingRecord, EigenMode
-from .kitaev import KitaevParams, XYParams
+from .kitaev import KitaevParams
 from .transport import LeadParams, TransportSetup
 
 __version__ = "0.1.0"
@@ -12,5 +12,5 @@ __all__ = [
     "Arrow", "ChainParams", "CharacteristicData", "Coefficients",
     "CrossingRecord", "EigenMode", "InitialValues", "KitaevParams",
     "LeadParams", "RootClass", "SequenceWindow", "TransportSetup",
-    "XYParams", "characterize", "__version__",
+    "characterize", "__version__",
 ]

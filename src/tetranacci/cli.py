@@ -26,7 +26,7 @@ from .closedform import characterize, xi_closed
 from .errors import TetranacciError, ZeroT2Error
 from .kitaev import KitaevParams, kitaev_effective_coeffs, kitaev_spectrum
 from .recurrence import Coefficients, InitialValues, eval_range
-from .transport import LeadParams, TransportSetup, _exact_transmission, current
+from .transport import LeadParams, TransportSetup, current, transmission
 from .verification import run_suite
 
 
@@ -241,7 +241,7 @@ def cmd_transport(args, parser):
                 for v, i in zip(args.v_grid.tolist(), currents.tolist())]
         grid_key, grid_raw = "v_grid", args.v_grid_raw
     else:
-        rows = [{"e": e, "transmission": _exact_transmission(e, setup)}
+        rows = [{"e": e, "transmission": transmission(e, setup)}
                 for e in args.e_grid.tolist()]
         grid_key, grid_raw = "e_grid", args.e_grid_raw
     meta = {"command": "transport", "n": args.n, "mu": args.mu, "t1": args.t1,

@@ -8,6 +8,11 @@ eigenvector entries obey the recursion with effective coefficients
     eta  = -2 t mu / (t^2 - delta^2)
 
 i.e. effective hoppings t1_eff = 2 t mu and t2_eff = t^2 - delta^2.
+
+The transverse-field XY chain (couplings Jx, Jy, field h) is, after the
+Jordan-Wigner transformation, the Kitaev chain at mu = -2 h, t = (Jx +
+Jy) / 2 and delta = (Jx - Jy) / 2, so t1_eff = -2 h (Jx + Jy) and t2_eff
+= Jx Jy.
 """
 
 from __future__ import annotations
@@ -36,16 +41,6 @@ class KitaevParams:
         require_real(self.mu, self.t, self.delta)
 
 
-@dataclass(frozen=True)
-class XYParams:
-    jx: float
-    jy: float
-    hfield: float
-
-    def __post_init__(self):
-        require_real(self.jx, self.jy, self.hfield)
-
-
 def kitaev_effective_hoppings(p: KitaevParams):
     """Emergent (nearest, next-nearest) couplings of the sublattice matrix."""
     return 2.0 * p.t * p.mu, p.t * p.t - p.delta * p.delta
@@ -58,11 +53,6 @@ def kitaev_effective_coeffs(e: float, p: KitaevParams) -> Coefficients:
     zeta = (e * e - p.mu * p.mu - 2.0 * p.t * p.t - 2.0 * p.delta * p.delta) / t2_eff
     eta = -2.0 * p.t * p.mu / t2_eff
     return Coefficients(zeta=zeta, eta=eta)
-
-
-def xy_effective_hoppings(p: XYParams):
-    """Emergent couplings of the transverse-field XY chain."""
-    return -2.0 * p.hfield * (p.jx + p.jy), p.jx * p.jy
 
 
 def effective_h_matrix(p: KitaevParams) -> np.ndarray:

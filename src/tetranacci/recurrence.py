@@ -5,9 +5,8 @@ The sequence obeys
     xi_{j+2} = zeta*xi_j - xi_{j-2} + eta*(xi_{j+1} + xi_{j-1})
 
 for all integer j, with four initial values g_{-2}, ..., g_1.  Everything
-here is exact-by-replay: no closed forms, just the recursion and the
-generating-function long division.  Higher modules use these values as
-reference oracles.
+here is exact-by-replay: no closed forms, just the recursion run forwards
+and backwards.  Higher modules use these values as reference oracles.
 """
 
 from __future__ import annotations
@@ -114,26 +113,3 @@ def eval_range(g: InitialValues, c: Coefficients, lo: int, hi: int) -> SequenceW
     if not exact and not all(map(cmath.isfinite, values)):
         raise OverflowError(f"recursion leaves the finite doubles in [{lo}, {hi}]")
     return SequenceWindow(lo, tuple(values))
-
-
-def generating_series(g: InitialValues, c: Coefficients, n: int) -> list:
-    """First n Taylor coefficients of the generating function.
-
-    The series numerator is g_1 t + g_0 (1 - eta t) + g_{-1}(eta t^2 - t^3)
-    - g_{-2} t^2 and the denominator 1 - eta t - zeta t^2 - eta t^3 + t^4;
-    coefficients come out of polynomial long division.
-    """
-    if n < 1:
-        raise ValueError("need at least one coefficient")
-    gm2, gm1, g0, g1 = g.g
-    num = [g0, g1 - c.eta * g0, c.eta * gm1 - gm2, -gm1]
-    den = [1.0, -c.eta, -c.zeta, -c.eta, 1.0]
-    out = []
-    for k in range(n):
-        acc = num[k] if k < len(num) else 0.0
-        for m in range(1, 5):
-            if k - m >= 0:
-                acc -= den[m] * out[k - m]
-        out.append(acc)
-    return out
-

@@ -1,13 +1,13 @@
-"""Lead-coupled Green's functions, transmission, current and conductance.
+"""Lead-coupled Green's functions, transmission and current.
 
 Leads attach only to the first and last site, adding corner self-energies
-Lambda_alpha - i gamma_alpha to the chain matrix.  The corner Green's
-function entry G^r_{1N} follows from a 2x2 boundary solve over the basic
-recursion polynomials; the dense path solves (E - H - Sigma) x = e_N and
-serves as the oracle.  The current integrates the pole expansion of
-|G_1N|^2 over the eigenvalues of H + Sigma in closed form, one
-eigendecomposition for a whole bias grid, checked against the exact
-transmission at one energy per bias; scipy's adaptive quadrature is
+Lambda_alpha - i gamma_alpha to the chain matrix.  `transmission`, the one
+exact T(E), takes the corner entry G^r_{1N} from a 2x2 boundary solve over
+the basic polynomial T_-2, or where that has no answer from the dense
+solve of (E - H - Sigma) x = e_N.  The current integrates the pole
+expansion of |G_1N|^2 over the eigenvalues of H + Sigma in closed form,
+one eigendecomposition for a whole bias grid, checked against
+`transmission` at one energy per bias; scipy's adaptive quadrature is
 imported only for the fallback of a bias that fails that check.
 """
 
@@ -52,8 +52,8 @@ def _gmul(u, v):
     return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
 
-def _boundary_solve(e: float, s: TransportSetup, reach: int = 1):
-    """Solve the 2x2 boundary system exactly.
+def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
+    """Corner entry G^r_{1N} from the exact 2x2 boundary solve.
 
     The general solution compatible with sigma_0 = 0 and the left-lead
     condition is sigma_j = g_m2 T_-2(j) + h row(j), row(j) = t2 T_1(j) +
@@ -61,11 +61,9 @@ def _boundary_solve(e: float, s: TransportSetup, reach: int = 1):
     reduction identities give row(j) = -t2 T_-2(j+1) + w_L (T_-2(j-1) -
     eta T_-2(j)), so one scaled-integer replay of T_-2 (`exactnum`) carries
     the solve: with D = 2^k the common denominator of all inputs, each
-    T_-2(i) with |i| <= top is tau(i) / D^(top+2) for an int tau(i), and
-    a, b, c, d and det are Gaussian integers over known powers of D.  As
-    T_-2(1) = 0 and row(1) = t2, G_1N = sigma_1 = t2 a / det.
-
-    Returns (G_1N, sigma) where sigma(j) is sigma_j for |j| <= reach.
+    T_-2(i) with 0 <= i <= top is tau(i) / D^(top+2) for an int tau(i),
+    and a, b, c, d and det are Gaussian integers over known powers of D.
+    As T_-2(1) = 0 and row(1) = t2, G_1N = sigma_1 = t2 a / det.
     """
     p = s.chain
     c = coeffs_from_energy(e, p)
@@ -73,12 +71,11 @@ def _boundary_solve(e: float, s: TransportSetup, reach: int = 1):
     k, (z, eta, t2, *w) = dyadic(c.zeta, c.eta, p.t2, -s.left.lam, s.left.gamma,
                                  -s.right.lam, s.right.gamma)
     w_l, w_r = tuple(w[:2]), tuple(w[2:])
-    top = max(n + 3, reach + 1)
+    top = n + 3
     y = tm2_replay(z, eta, k, top)
 
-    def tau(i):  # D^(top+2) T_-2(i); negative i by the odd symmetry
-        v = y[abs(i) + 2] << k * (top - abs(i))
-        return v if i >= 0 else -v
+    def tau(i):  # D^(top+2) T_-2(i)
+        return y[i + 2] << k * (top - i)
 
     def row(j):  # D^(top+4) row(j)
         u = (tau(j - 1) << k) - eta * tau(j)
@@ -103,26 +100,22 @@ def _boundary_solve(e: float, s: TransportSetup, reach: int = 1):
         g_m2 = over_det((-b[0], -b[1]), k * (top + 3))
     except OverflowError:
         raise SingularBoundaryError(f"resolvent pole at E = {e}") from None
+    # The bound is absolute on purpose: G has units of 1/energy, so |G|
+    # times the largest energy of the problem is already dimensionless.  A
+    # false positive costs no answer, as `transmission` then takes T from
+    # the dense solve.
     e_scale = max(abs(e), abs(p.mu), abs(p.t1), abs(p.t2), 1e-300)
     if max(abs(g_1n), abs(g_m2)) * e_scale > 1e12:
         raise SingularBoundaryError(f"resolvent pole at E = {e}")
-
-    def sigma(j):  # D (a row(j) - b T_-2(j)) / det in the scaled ints
-        r, tj = row(j), tau(j)
-        return over_det((a * r[0] - b[0] * tj, a * r[1] - b[1] * tj), k)
-
-    return g_1n, sigma
+    return g_1n
 
 
-def sigma_sequence(e: float, s: TransportSetup, lo: int, hi: int):
-    """Extended resolvent-column sequence sigma_lo..sigma_hi."""
-    _, sigma = _boundary_solve(e, s, reach=max(abs(lo), abs(hi)))
-    return [sigma(j) for j in range(lo, hi + 1)]
-
-
-def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
-    """Corner entry G^r_{1N} = sigma_1 from the boundary solve."""
-    return _boundary_solve(e, s)[0]
+def _h_eff(s: TransportSetup) -> np.ndarray:
+    """H_eff = H + Sigma_L + Sigma_R, the chain matrix with both leads."""
+    h = build_chain_matrix(s.chain).astype(complex)
+    h[0, 0] += s.left.self_energy
+    h[-1, -1] += s.right.self_energy
+    return h
 
 
 def green_1n_dense(e: float, s: TransportSetup) -> complex:
@@ -135,9 +128,7 @@ def green_1n_dense(e: float, s: TransportSetup) -> complex:
     system is solved for 2^-k_N x, so only x_1 is scaled back.
     """
     p = s.chain
-    a = e * np.eye(p.n, dtype=complex) - build_chain_matrix(p)
-    a[0, 0] -= s.left.self_energy
-    a[-1, -1] -= s.right.self_energy
+    a = e * np.eye(p.n) - _h_eff(s)
     k = -np.frexp(np.abs(a).max(axis=1))[1]
     a.real = np.ldexp(a.real, k[:, None])
     a.imag = np.ldexp(a.imag, k[:, None])
@@ -163,20 +154,33 @@ def transmission_dense(e: float, s: TransportSetup) -> float:
     gamma_R) e_N, the trace is 2 gamma_L |(G^r w)_1|^2 = 4 gamma_L gamma_R
     |G^r_{1N}|^2.
     """
-    return 4.0 * s.left.gamma * s.right.gamma * abs(green_1n_dense(e, s)) ** 2
+    g = abs(green_1n_dense(e, s))
+    return (2.0 * s.left.gamma * g) * (2.0 * s.right.gamma * g)
 
 
 def transmission(e: float, s: TransportSetup) -> float:
-    """T(E) = 4 gamma_L gamma_R |G^r_{1N}|^2.
+    """The exact T(E) = 4 gamma_L gamma_R |G^r_{1N}|^2.
 
-    With a lead decoupled (gamma = 0) T vanishes identically, so no
-    boundary solve is made: at an eigenvalue of the chain it would be
-    singular.
+    G_1N comes from the boundary solve, or from the dense solve where that
+    has no answer: at t2 = 0 it lacks the coefficient map, and at the
+    eigenvalue of a mode with no weight on site 1 or N (the even sublattice
+    at t1 = 0, odd N) its 2x2 system is singular, though T is not.  A dense
+    T that is not finite leaves the boundary solve's error standing.  With
+    a lead decoupled (gamma = 0) T vanishes identically and no solve is
+    made: at an eigenvalue of the chain it would be singular.
     """
-    coupling = 4.0 * s.left.gamma * s.right.gamma
-    if coupling == 0.0:
+    if s.left.gamma == 0.0 or s.right.gamma == 0.0:
         return 0.0
-    return coupling * abs(green_1n_tetranacci(e, s)) ** 2
+    try:
+        g = abs(green_1n_tetranacci(e, s))
+    except (ZeroT2Error, SingularBoundaryError):
+        t = transmission_dense(e, s)
+        if not math.isfinite(t):
+            raise
+        return t
+    # two factors, as strong leads overflow 4 gamma_L gamma_R where they
+    # underflow |G|^2, and weak leads the other way round
+    return (2.0 * s.left.gamma * g) * (2.0 * s.right.gamma * g)
 
 
 def fermi(e: float, beta: float) -> float:
@@ -236,10 +240,7 @@ def _poles(s: TransportSetup):
     gamma_R c_k sum_l conj(c_l) / (z_k - conj(z_l)).
     """
     p = s.chain
-    h = build_chain_matrix(p).astype(complex)
-    h[0, 0] += s.left.self_energy
-    h[-1, -1] += s.right.self_energy
-    z, r = np.linalg.eig(h)
+    z, r = np.linalg.eig(_h_eff(s))
     e_n = np.zeros(p.n)
     e_n[-1] = 1.0
     c = r[0] * np.linalg.solve(r, e_n)
@@ -253,24 +254,9 @@ def _poles(s: TransportSetup):
                 abs(s.right.self_energy))
     keep = -z.imag > 64 * np.finfo(float).eps * p.n * scale
     z, c = z[keep], c[keep]
-    coupling = 4.0 * s.left.gamma * s.right.gamma
-    return z, coupling * c * ((1.0 / (z[:, None] - z.conj())) @ c.conj())
-
-
-def _exact_transmission(e: float, s: TransportSetup) -> float:
-    """The exact T(E), from the dense solve where the boundary solve has no
-    answer: at t2 = 0 it lacks the coefficient map, and at the eigenvalue of
-    a mode with no weight on site 1 or N (the even sublattice at t1 = 0, odd
-    N) its 2x2 system is singular, though T is not.  A dense value that is
-    not finite (entries or couplings near the overflow threshold) is no
-    answer either, and the boundary solve's error stands."""
-    try:
-        return transmission(e, s)
-    except (ZeroT2Error, SingularBoundaryError):
-        t = transmission_dense(e, s)
-        if not math.isfinite(t):
-            raise
-        return t
+    # the couplings ride on c and conj(c), as in `transmission`
+    return z, (2.0 * s.left.gamma * c) * (
+        (1.0 / (z[:, None] - z.conj())) @ (2.0 * s.right.gamma * c.conj()))
 
 
 # largest miss of the pole sum against the exact T(-V/2) that is accepted,
@@ -325,7 +311,7 @@ def current(v_bias, beta: float, s: TransportSetup):
             got = 2.0 * np.sum(a * j, axis=1).real
             probe = -0.5 * vb
             fit = 2.0 * np.sum(a / (probe[:, None] - z), axis=1).real
-            exact = np.array([_exact_transmission(e, s) for e in probe.tolist()])
+            exact = np.array([transmission(e, s) for e in probe.tolist()])
             checked = np.isfinite(got) & (np.abs(fit - exact) <= _PROBE_TOL)
             out[on[checked]] = got[checked]
     for i in on[~checked].tolist():
@@ -342,14 +328,9 @@ def _current_quad(v_bias: float, beta: float, s: TransportSetup) -> float:
 
     pad = 40.0 / beta  # 0.0 at beta = inf
     result = integrate.quad(
-        lambda x: _exact_transmission(x, s) * (fermi(x, beta) - fermi(x + v_bias, beta)),
+        lambda x: transmission(x, s) * (fermi(x, beta) - fermi(x + v_bias, beta)),
         min(0.0, -v_bias) - pad, max(0.0, -v_bias) + pad,
         epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, full_output=1)
     if len(result) > 3:
         raise QuadratureError(f"current integral did not converge: {result[3]}")
     return result[0]
-
-
-def conductance(s: TransportSetup) -> float:
-    """Zero-temperature linear conductance T(E=0) in units of e^2/h."""
-    return transmission(0.0, s)

@@ -21,9 +21,9 @@ from tetranacci.errors import DegenerateModeError, SingularBoundaryError
 from tetranacci.kitaev import (KitaevParams, bdg_spectrum, effective_h_matrix,
                                kitaev_spectrum)
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range
-from tetranacci.transport import (LeadParams, TransportSetup, conductance,
-                                  current, green_1n_dense,
-                                  green_1n_tetranacci, transmission)
+from tetranacci.transport import (LeadParams, TransportSetup, current,
+                                  green_1n_dense, green_1n_tetranacci,
+                                  transmission)
 from tetranacci.verification import _lemma_grid
 
 from band_oracle import chain_eigh
@@ -260,7 +260,7 @@ def test_10_transport_equivalence():
                        LeadParams(0.5), LeadParams(0.5))
     v = 1e-6 * 4.0  # bandwidth-scaled probe bias
     didv = current(v, math.inf, s) / v
-    g0 = conductance(s)
+    g0 = transmission(0.0, s)
     cond_dev = abs(didv - g0) / abs(g0)
     report("corner Green's function vs dense; transmission bound; conductance",
            worst < 1e-8 and t_bad == 0 and cond_dev < 1e-4,

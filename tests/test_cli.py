@@ -208,6 +208,18 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("grid", ["--e-grid", "--v-grid"])
+def test_transport_strong_leads(capsys, grid):
+    # 4 gamma_L gamma_R overflows and |G_1N|^2 underflows, so their product
+    # is inf * 0 = nan, and nan residues send the current to a quadrature
+    # that does not converge; T and the current are 0 to doubles
+    code, out, err = run(capsys, "transport", "--n", "3", "--t1", "1", "--t2", "1",
+                         "--gamma-l", "1e200", "--gamma-r", "1e200", grid, "1:1:1")
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    assert float(row["transmission" if grid == "--e-grid" else "current"]) == 0.0
+
+
 def _sublattice_setup():
     # at t1 = 0 and odd N the odd sites 1, 3, 5 form a nearest-neighbour
     # chain with hopping t2, which carries G_1N; the even sublattice touches

@@ -3,19 +3,16 @@ import pytest
 
 from tetranacci.chain import ChainParams
 from tetranacci.errors import ZeroT2Error
-from tetranacci.kitaev import (KitaevParams, XYParams, bdg_matrix,
-                               bdg_spectrum, effective_h_matrix,
-                               kitaev_effective_coeffs,
-                               kitaev_effective_hoppings, kitaev_spectrum,
-                               xy_effective_hoppings)
+from tetranacci.kitaev import (KitaevParams, bdg_matrix, bdg_spectrum,
+                               effective_h_matrix, kitaev_effective_coeffs,
+                               kitaev_effective_hoppings, kitaev_spectrum)
 
 from band_oracle import chain_eigh
 
 
 @pytest.mark.parametrize("make", [
     lambda: KitaevParams(mu=0.5j, t=1.0, delta=0.3, n=4),
-    lambda: XYParams(jx=1.0, jy=1j, hfield=0.0),
-], ids=["kitaev", "xy"])
+], ids=["kitaev"])
 def test_params_reject_complex(make):
     with pytest.raises(ValueError, match="non-real"):
         make()
@@ -42,10 +39,17 @@ def test_effective_coeffs_rejects_t_eq_delta():
         kitaev_effective_coeffs(0.0, KitaevParams(mu=0.5, t=1.0, delta=1.0, n=4))
 
 
+def _xy_hoppings(jx, jy, hfield):
+    # the XY chain is the Kitaev chain at mu = -2h, t = (Jx+Jy)/2, delta = (Jx-Jy)/2
+    return kitaev_effective_hoppings(KitaevParams(mu=-2.0 * hfield, t=(jx + jy) / 2,
+                                                  delta=(jx - jy) / 2, n=4))
+
+
 def test_xy_hoppings():
-    assert xy_effective_hoppings(XYParams(jx=1.0, jy=1.0, hfield=0.0))[0] == 0.0
-    assert xy_effective_hoppings(XYParams(jx=1.0, jy=1.0, hfield=1.0)) == (-4.0, 1.0)
-    assert xy_effective_hoppings(XYParams(jx=2.0, jy=-1.0, hfield=0.3))[1] == -2.0
+    # t1_eff = -2 h (Jx + Jy), t2_eff = Jx Jy
+    assert _xy_hoppings(1.0, 1.0, 0.0)[0] == 0.0
+    assert _xy_hoppings(1.0, 1.0, 1.0) == (-4.0, 1.0)
+    assert _xy_hoppings(2.0, -1.0, 0.3)[1] == -2.0
 
 
 def test_h_matrix_structure():

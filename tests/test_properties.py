@@ -306,7 +306,7 @@ def test_current_grid_matches_single_biases(chain, left, right, biases, beta):
     s = TransportSetup(chain, left, right)
     singles = [current(v, beta, s) for v in biases]
     calls = {"poles": 0, "probes": []}
-    poles, exact = transport._poles, transport._exact_transmission
+    poles, exact = transport._poles, transport.transmission
 
     def count_poles(setup):
         calls["poles"] += 1
@@ -316,11 +316,11 @@ def test_current_grid_matches_single_biases(chain, left, right, biases, beta):
         calls["probes"].append(e)
         return exact(e, setup)
 
-    transport._poles, transport._exact_transmission = count_poles, record_probe
+    transport._poles, transport.transmission = count_poles, record_probe
     try:
         grid = current(np.array(biases), beta, s)
     finally:
-        transport._poles, transport._exact_transmission = poles, exact
+        transport._poles, transport.transmission = poles, exact
     assert grid.shape == (len(biases),)
     for got, want, v in zip(grid, singles, biases):
         assert abs(got - want) <= 1e-14 * max(abs(want), 1e-6 * abs(v))

@@ -4,8 +4,7 @@ import pytest
 from tetranacci.errors import PreconditionError
 from tetranacci.exactnum import tm2_replay
 from tetranacci.recurrence import (Coefficients, InitialValues, eval_range,
-                                   generating_series, step_backward,
-                                   step_forward)
+                                   step_backward, step_forward)
 from tetranacci.verification import _holds, _lemma_grid
 
 
@@ -96,25 +95,6 @@ def test_eval_range_residual():
             rhs = (c.zeta * w.value(j) - w.value(j - 2)
                    + c.eta * (w.value(j + 1) + w.value(j - 1)))
             assert abs(lhs - rhs) <= 1e-10 * scale
-
-
-def test_generating_series_first_terms():
-    rng = np.random.default_rng(3)
-    c, g = random_setup(rng)
-    assert generating_series(g, c, 1) == [g.g[2]]
-    two = generating_series(g, c, 2)
-    assert two[0] == g.g[2] and abs(two[1] - g.g[3]) < 1e-14 * max(1, abs(g.g[3]))
-
-
-def test_generating_series_matches_recursion():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        c, g = random_setup(rng)
-        series = generating_series(g, c, 40)
-        w = eval_range(g, c, 0, 39)
-        scale = max(abs(v) for v in w.values) or 1.0
-        for k in range(40):
-            assert abs(series[k] - w.value(k)) <= 1e-10 * scale
 
 
 def test_basic_ref_selective_property():

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from tetranacci import transport
-from tetranacci.chain import ChainParams, build_chain_matrix, coeffs_from_energy
-from tetranacci.errors import SingularBoundaryError
-from tetranacci.transport import (LeadParams, TransportSetup, conductance,
-                                  current, digamma, fermi, green_1n_dense,
-                                  green_1n_tetranacci, sigma_sequence,
+from tetranacci.chain import ChainParams, build_chain_matrix
+from tetranacci.errors import SingularBoundaryError, ZeroT2Error
+from tetranacci.transport import (LeadParams, TransportSetup, current, digamma,
+                                  fermi, green_1n_dense, green_1n_tetranacci,
                                   transmission, transmission_dense)
 
 from band_oracle import chain_eigh
@@ -110,47 +109,6 @@ def test_green_overflowing_pole_is_singular():
         green_1n_tetranacci(0.0, s)
 
 
-def test_sigma_boundary_conditions():
-    s = default_setup()
-    e = 0.25
-    chain = s.chain
-    sig = sigma_sequence(e, s, -1, chain.n + 2)
-
-    def at(j):
-        return sig[j + 1]
-
-    t2 = chain.t2
-    scale = max(abs(x) for x in sig)
-    # homogeneous conditions sigma_0 = sigma_{N+1} = 0
-    assert abs(at(0)) <= 1e-9 * scale
-    assert abs(at(chain.n + 1)) <= 1e-9 * scale
-    # left lead condition
-    wl = 1j * s.left.gamma - s.left.lam
-    assert abs(wl * at(1) - t2 * at(-1)) <= 1e-9 * scale
-    # right lead condition carries the inhomogeneous unit source
-    wr = 1j * s.right.gamma - s.right.lam
-    assert abs(wr * at(chain.n) - t2 * at(chain.n + 2) - 1.0) <= 1e-9 * scale
-
-
-def test_sigma_sequence_obeys_recursion_at_negative_indices():
-    # T_-2 at negative indices comes from its odd symmetry; sigma must still
-    # obey the four-term recursion there, and sigma_1 is G_1N bit for bit
-    s = default_setup(n=7)
-    e = 0.25
-    c = coeffs_from_energy(e, s.chain)
-    lo = -6
-    sig = sigma_sequence(e, s, lo, s.chain.n + 2)
-
-    def at(j):
-        return sig[j - lo]
-
-    scale = max(abs(x) for x in sig)
-    for j in range(lo + 2, s.chain.n + 1):
-        want = c.zeta * at(j) - at(j - 2) + c.eta * (at(j + 1) + at(j - 1))
-        assert abs(at(j + 2) - want) <= 1e-9 * scale
-    assert at(1) == green_1n_tetranacci(e, s)
-
-
 def test_green_equals_dense_over_grid():
     rng = np.random.default_rng(0)
     for _ in range(8):
@@ -191,6 +149,53 @@ def test_transmission_matches_dense_trace():
         t_dense = transmission_dense(float(e), s)
         assert abs(t_fast - t_dense) <= 1e-8
         assert -1e-12 <= t_fast <= 1.0 + 1e-9
+
+
+def test_transmission_without_coefficient_map_is_dense():
+    # at t2 = 0 the boundary solve has no coefficient map
+    s = TransportSetup(ChainParams(mu=0.2, t1=1.0, t2=0.0, n=6),
+                       LeadParams(0.5), LeadParams(0.3))
+    with pytest.raises(ZeroT2Error):
+        green_1n_tetranacci(0.4, s)
+    assert transmission(0.4, s) == transmission_dense(0.4, s)
+
+
+def test_transmission_at_weightless_eigenvalue_is_dense():
+    # E = -1 is an eigenvalue of the even sublattice, which touches neither
+    # lead: the 2x2 boundary system is singular, T is not
+    s = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=5),
+                       LeadParams(0.5), LeadParams(0.5))
+    with pytest.raises(SingularBoundaryError):
+        green_1n_tetranacci(-1.0, s)
+    t = transmission(-1.0, s)
+    assert t == transmission_dense(-1.0, s) and 0.0 < t <= 1.0
+
+
+def test_transmission_strong_leads():
+    # gamma = 1e150: 4 gamma_L gamma_R = 4e300 is a double, but |G_1N|^2 ~
+    # 1e-600 underflows to 0 while T = 4.2e-300 does not
+    s = TransportSetup(ChainParams(mu=0.3, t1=1.0, t2=0.7, n=4),
+                       LeadParams(1e150), LeadParams(1e150))
+    t, want = transmission(0.5, s), transmission_dense(0.5, s)
+    assert want > 4e-300 and abs(t - want) <= 1e-15 * want
+    # gamma = 1e200: 4 gamma_L gamma_R overflows as well, and inf * 0 is nan
+    s = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=1.0, n=3),
+                       LeadParams(1e200), LeadParams(1e200))
+    assert transmission(1.0, s) == 0.0 and transmission_dense(1.0, s) == 0.0
+    # the pole residues carry the couplings the same way, or they are nan
+    # and the current falls back to a quadrature that does not converge
+    _, a = transport._poles(s)
+    assert np.all(np.isfinite(a))
+    assert current(1.0, math.inf, s) == 0.0
+
+
+def test_transmission_weak_leads_at_resonance():
+    # a single level at E = 0 between equal leads transmits fully for any
+    # gamma; at gamma = 1e-170, 4 gamma_L gamma_R underflows to 0, which is
+    # not a decoupled lead, and |G_1N|^2 = 1e340 overflows
+    s = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=1),
+                       LeadParams(1e-170), LeadParams(1e-170))
+    assert transmission(0.0, s) == 1.0 and transmission_dense(0.0, s) == 1.0
 
 
 def test_transmission_resonance_near_unity():
@@ -234,7 +239,7 @@ def test_current_small_bias_linear_response():
     s = default_setup()
     v = 1e-6
     got = current(v, math.inf, s)
-    assert abs(got - conductance(s) * v) <= 1e-4 * abs(got)
+    assert abs(got - transmission(0.0, s) * v) <= 1e-4 * abs(got)
 
 
 def test_current_finite_temperature_approaches_zero_t():
@@ -243,14 +248,6 @@ def test_current_finite_temperature_approaches_zero_t():
     cold = current(v, 5000.0, s)
     zero = current(v, math.inf, s)
     assert abs(cold - zero) < 1e-2 * max(abs(zero), 1e-12)
-
-
-def test_conductance_values():
-    chain = ChainParams(mu=0.3, t1=1.0, t2=0.8, n=5)
-    off = TransportSetup(chain, LeadParams(0.0), LeadParams(0.5))
-    assert conductance(off) == 0.0
-    s = default_setup()
-    assert abs(conductance(s) - transmission(0.0, s)) == 0.0
 
 
 def test_digamma_matches_scipy():
