@@ -54,17 +54,19 @@ class Arrow(enum.Enum):
 
 @dataclass(frozen=True)
 class EigenMode:
-    """One chain eigenvalue with its wavevector and symmetry data."""
+    """One chain eigenvalue with its wavevector and symmetry data; the fields
+    of the coefficient map (all but e, lambda_i and vector) are None at
+    t2 = 0."""
 
     e: float
-    k1: complex
-    k2: complex
-    k_plus: complex
-    k_minus: complex
-    s_q: int
+    k1: complex | None
+    k2: complex | None
+    k_plus: complex | None
+    k_minus: complex | None
+    s_q: int | None
     lambda_i: int
-    arrow: Arrow
-    quant_residual: float
+    arrow: Arrow | None
+    quant_residual: float | None
     vector: np.ndarray
 
 
@@ -146,28 +148,39 @@ def _branch_residuals(k1: complex, k2: complex, n: int, d: float):
     return {+1: abs(fp - fm) / scale, -1: abs(fp + fm) / scale}
 
 
+def _wave_fields(e: float, lam: int, p: ChainParams) -> dict:
+    """The EigenMode fields that come from the coefficient map of one mode."""
+    k1, k2 = wavevectors_from_energy(e, p)
+    res = _branch_residuals(k1, k2, p.n, p.d)
+    # both signs hold at a crossing and where f(k+) = f(k-) = 0 (e.g.
+    # k2 = pi at E = -mu, t1 = t2, 3 | N + 2); the parity decides
+    s_q = -lam if max(res.values()) < _BRANCH_TOL else min(res, key=res.get)
+    # absolute, in Im(k d): theta = arccos(S/2) of an argument
+    # rounded just past +-1 picks up an imaginary part, e.g.
+    # acos(1 + 2^-52) = 2.1e-8 i, which must stay inside
+    inside = (abs(k1.imag) < 1e-7 / p.d) and (abs(k2.imag) < 1e-7 / p.d)
+    return dict(k1=k1, k2=k2, k_plus=(k1 + k2) / 2.0, k_minus=(k1 - k2) / 2.0,
+                s_q=s_q, arrow=Arrow.INSIDE if inside else Arrow.OUTSIDE,
+                quant_residual=float(res[s_q]))
+
+
+# at t2 = 0 the coefficient map does not exist: the nearest-neighbour chain
+# has no four-term recursion, so these fields are None
+_NO_WAVE_FIELDS = dict.fromkeys(
+    ("k1", "k2", "k_plus", "k_minus", "s_q", "arrow", "quant_residual"))
+
+
 def spectrum(p: ChainParams):
     """All N modes, sorted by energy, with symmetry and arrow diagnostics;
-    each mirror sector is solved on its own, and lambda_i is its sign."""
+    each mirror sector is solved on its own, and lambda_i is its sign.
+    At t2 = 0 the wavevector, branch and arrow fields are None."""
     h = build_chain_matrix(p)
     modes = []
     for lam, q in zip((1, -1), mirror_sectors(p.n)):
         w, u = np.linalg.eigh(q.T @ h @ q)
         for e, vec in zip(w.tolist(), (q @ u).T):
-            k1, k2 = wavevectors_from_energy(e, p)
-            res = _branch_residuals(k1, k2, p.n, p.d)
-            # both signs hold at a crossing and where f(k+) = f(k-) = 0 (e.g.
-            # k2 = pi at E = -mu, t1 = t2, 3 | N + 2); the parity decides
-            s_q = -lam if max(res.values()) < _BRANCH_TOL else min(res, key=res.get)
-            # absolute, in Im(k d): theta = arccos(S/2) of an argument
-            # rounded just past +-1 picks up an imaginary part, e.g.
-            # acos(1 + 2^-52) = 2.1e-8 i, which must stay inside
-            inside = (abs(k1.imag) < 1e-7 / p.d) and (abs(k2.imag) < 1e-7 / p.d)
-            modes.append(EigenMode(
-                e=e, k1=k1, k2=k2, k_plus=(k1 + k2) / 2.0, k_minus=(k1 - k2) / 2.0,
-                s_q=s_q, lambda_i=lam, arrow=Arrow.INSIDE if inside else Arrow.OUTSIDE,
-                quant_residual=float(res[s_q]), vector=vec,
-            ))
+            fields = _NO_WAVE_FIELDS if p.t2 == 0.0 else _wave_fields(e, lam, p)
+            modes.append(EigenMode(e=e, lambda_i=lam, vector=vec, **fields))
     modes.sort(key=lambda m: m.e)
     return modes
 

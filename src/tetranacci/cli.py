@@ -4,6 +4,11 @@ Subcommands: seq, spectrum, crossings, arrow, kitaev, transport, verify.
 Every command emits a row-oriented dataset as JSON ({"meta": ..., "rows":
 [...]}) or CSV (header always present), to stdout or --out.
 
+Each command's flags are declared once, in its builder in `COMMANDS`.
+`tetranacci CMD ...` builds the parser of CMD alone and parses what follows
+the name; the full parser, with every command as a subparser, is built
+only for --help, --version, no command or an unknown one.
+
 Exit codes: 0 success, 2 usage error, 3 verification/deviation failure,
 4 numerical failure inside the library.
 """
@@ -61,11 +66,29 @@ def _fmt(value):
     return value
 
 
+# the separators that json.dumps(indent=2) puts inside a row; with no
+# indent set, json encodes through its C encoder
+_ROWS_JSON = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_text(meta: dict, rows: list[dict]) -> str:
+    """json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n", for rows
+    that each hold at least one cell, every cell a str, int, bool or None.
+
+    JSON escapes a newline inside a string, so every newline of the row
+    encoding is structural, and "},\n      {" occurs only between rows.
+    """
+    text = json.dumps({"meta": meta, "rows": []}, indent=2)
+    if not rows:
+        return text + "\n"
+    body = _ROWS_JSON.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return text[:-4] + "[\n    {\n      " + body + "\n    }\n  ]\n}\n"
+
+
 def _emit(args, meta: dict, rows: list[dict], extra_lines=()):
     if args.format == "json":
-        payload = {"meta": {**meta, "version": __version__},
-                   "rows": [{k: _fmt(v) for k, v in row.items()} for row in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text({**meta, "version": __version__},
+                          [{k: _fmt(v) for k, v in row.items()} for row in rows])
     else:
         buf = io.StringIO()
         fields = list(rows[0].keys()) if rows else list(meta.get("columns", []))
@@ -167,9 +190,11 @@ def cmd_spectrum(args, parser):
         rows = []
         for eta, p in chains:
             for mode in spectrum(p):
-                c = coeffs_from_energy(mode.e, p)
-                rows.append({"eta": float(eta), "zeta": c.zeta.real,
-                             "e": mode.e, "arrow": mode.arrow.value})
+                # at t2 = 0 the coefficient map, and with it zeta and the
+                # arrow, is undefined; the energies are still emitted
+                zeta = None if p.t2 == 0.0 else coeffs_from_energy(mode.e, p).zeta.real
+                rows.append({"eta": float(eta), "zeta": zeta, "e": mode.e,
+                             "arrow": None if mode.arrow is None else mode.arrow.value})
         meta = {"command": "spectrum", "n": args.n, "mu": args.mu,
                 "t2": args.t2, "sweep_eta": args.sweep_eta_raw}
         _emit(args, meta, rows)
@@ -177,7 +202,8 @@ def cmd_spectrum(args, parser):
     p = _chain_from_args(args, parser)
     rows = [{"e": m.e, "k1": m.k1, "k2": m.k2, "k_plus": m.k_plus,
              "k_minus": m.k_minus, "s_q": m.s_q, "lambda_i": m.lambda_i,
-             "arrow": m.arrow.value, "quant_residual": m.quant_residual,
+             "arrow": None if m.arrow is None else m.arrow.value,
+             "quant_residual": m.quant_residual,
              "vector": m.vector.tolist()} for m in spectrum(p)]
     meta = {"command": "spectrum", "n": args.n, "mu": args.mu,
             "t1": args.t1, "t2": args.t2}
@@ -266,11 +292,6 @@ def cmd_verify(args, parser):
     return 0 if all(ok for _, ok, _ in results) else 3
 
 
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="write to file instead of stdout")
-
-
 def _add_chain_flags(sub):
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--mu", type=float, default=0.0)
@@ -278,76 +299,105 @@ def _add_chain_flags(sub):
     sub.add_argument("--t2", type=float, default=1.0)
 
 
+def _seq_flags(sub):
+    sub.add_argument("--zeta", type=_parse_complex, required=True)
+    sub.add_argument("--eta", type=_parse_complex, required=True)
+    sub.add_argument("--g", type=_parse_initials, required=True,
+                     help="four comma-separated initial values g(-2)..g(1)")
+    sub.add_argument("--lo", type=int, default=-10)
+    sub.add_argument("--hi", type=int, default=10)
+    sub.add_argument("--mode", choices=("recursion", "closed", "both"),
+                     default="both")
+    sub.set_defaults(func=cmd_seq)
+
+
+def _spectrum_flags(sub):
+    _add_chain_flags(sub)
+    sub.add_argument("--sweep-eta", dest="sweep_eta_raw", default=None,
+                     metavar="MIN:MAX:STEPS",
+                     help="sweep the hopping ratio instead of one spectrum")
+    sub.set_defaults(func=cmd_spectrum)
+
+
+def _crossings_flags(sub):
+    sub.add_argument("--n", type=int, required=True)
+    sub.set_defaults(func=cmd_crossings)
+
+
+def _arrow_flags(sub):
+    sub.add_argument("--eta-grid", dest="eta_grid_raw", required=True,
+                     metavar="MIN:MAX:STEPS")
+    sub.add_argument("--zeta-grid", dest="zeta_grid_raw", required=True,
+                     metavar="MIN:MAX:STEPS")
+    sub.set_defaults(func=cmd_arrow)
+
+
+def _kitaev_flags(sub):
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--t", type=float, required=True)
+    sub.add_argument("--delta", type=float, required=True)
+    sub.add_argument("--mu-grid", dest="mu_grid_raw", required=True,
+                     metavar="MIN:MAX:STEPS")
+    sub.set_defaults(func=cmd_kitaev)
+
+
+def _transport_flags(sub):
+    _add_chain_flags(sub)
+    sub.add_argument("--gamma-l", type=float, default=1.0)
+    sub.add_argument("--gamma-r", type=float, default=1.0)
+    sub.add_argument("--lambda-l", type=float, default=0.0)
+    sub.add_argument("--lambda-r", type=float, default=0.0)
+    sub.add_argument("--beta", default="inf",
+                     help="inverse temperature, or 'inf' for T = 0")
+    grid = sub.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--e-grid", dest="e_grid_raw", metavar="MIN:MAX:STEPS")
+    grid.add_argument("--v-grid", dest="v_grid_raw", metavar="MIN:MAX:STEPS")
+    sub.set_defaults(func=cmd_transport)
+
+
+def _verify_flags(sub):
+    sub.add_argument("--suite", default="all",
+                     choices=("lemmata", "closed-form", "oracle", "transport", "all"))
+    sub.add_argument("--seed", type=int, default=0)
+    sub.set_defaults(func=cmd_verify)
+
+
+# name -> (help, builder): the one place a command's flags are declared
+COMMANDS = {
+    "seq": ("evaluate a sequence window", _seq_flags),
+    "spectrum": ("finite open-chain spectrum", _spectrum_flags),
+    "crossings": ("enumerate exact level crossings", _crossings_flags),
+    "arrow": ("classify the coefficient plane", _arrow_flags),
+    "kitaev": ("Kitaev chain excitation spectrum", _kitaev_flags),
+    "transport": ("transmission or I-V curves", _transport_flags),
+    "verify": ("run a seeded self-check suite", _verify_flags),
+}
+
+
+def _add_command(sub, name):
+    _, add_flags = COMMANDS[name]
+    add_flags(sub)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.add_argument("--out", default=None, help="write to file instead of stdout")
+    sub.set_defaults(command=name)
+    return sub
+
+
+def _command_parser(name) -> argparse.ArgumentParser:
+    """The parser of one command alone; it parses what follows the name."""
+    return _add_command(argparse.ArgumentParser(prog=f"tetranacci {name}"), name)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every command as a subparser."""
     parser = argparse.ArgumentParser(
         prog="tetranacci",
         description="Symmetric four-term recurrence sequences, chain spectra "
                     "and quantum transport.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    seq = subs.add_parser("seq", help="evaluate a sequence window")
-    seq.add_argument("--zeta", type=_parse_complex, required=True)
-    seq.add_argument("--eta", type=_parse_complex, required=True)
-    seq.add_argument("--g", type=_parse_initials, required=True,
-                     help="four comma-separated initial values g(-2)..g(1)")
-    seq.add_argument("--lo", type=int, default=-10)
-    seq.add_argument("--hi", type=int, default=10)
-    seq.add_argument("--mode", choices=("recursion", "closed", "both"),
-                     default="both")
-    _add_output_flags(seq)
-    seq.set_defaults(func=cmd_seq)
-
-    spect = subs.add_parser("spectrum", help="finite open-chain spectrum")
-    _add_chain_flags(spect)
-    spect.add_argument("--sweep-eta", dest="sweep_eta_raw", default=None,
-                       metavar="MIN:MAX:STEPS",
-                       help="sweep the hopping ratio instead of one spectrum")
-    _add_output_flags(spect)
-    spect.set_defaults(func=cmd_spectrum)
-
-    cross = subs.add_parser("crossings", help="enumerate exact level crossings")
-    cross.add_argument("--n", type=int, required=True)
-    _add_output_flags(cross)
-    cross.set_defaults(func=cmd_crossings)
-
-    arrow = subs.add_parser("arrow", help="classify the coefficient plane")
-    arrow.add_argument("--eta-grid", dest="eta_grid_raw", required=True,
-                       metavar="MIN:MAX:STEPS")
-    arrow.add_argument("--zeta-grid", dest="zeta_grid_raw", required=True,
-                       metavar="MIN:MAX:STEPS")
-    _add_output_flags(arrow)
-    arrow.set_defaults(func=cmd_arrow)
-
-    kit = subs.add_parser("kitaev", help="Kitaev chain excitation spectrum")
-    kit.add_argument("--n", type=int, required=True)
-    kit.add_argument("--t", type=float, required=True)
-    kit.add_argument("--delta", type=float, required=True)
-    kit.add_argument("--mu-grid", dest="mu_grid_raw", required=True,
-                     metavar="MIN:MAX:STEPS")
-    _add_output_flags(kit)
-    kit.set_defaults(func=cmd_kitaev)
-
-    trans = subs.add_parser("transport", help="transmission or I-V curves")
-    _add_chain_flags(trans)
-    trans.add_argument("--gamma-l", type=float, default=1.0)
-    trans.add_argument("--gamma-r", type=float, default=1.0)
-    trans.add_argument("--lambda-l", type=float, default=0.0)
-    trans.add_argument("--lambda-r", type=float, default=0.0)
-    trans.add_argument("--beta", default="inf",
-                       help="inverse temperature, or 'inf' for T = 0")
-    grid = trans.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--e-grid", dest="e_grid_raw", metavar="MIN:MAX:STEPS")
-    grid.add_argument("--v-grid", dest="v_grid_raw", metavar="MIN:MAX:STEPS")
-    _add_output_flags(trans)
-    trans.set_defaults(func=cmd_transport)
-
-    ver = subs.add_parser("verify", help="run a seeded self-check suite")
-    ver.add_argument("--suite", default="all",
-                     choices=("lemmata", "closed-form", "oracle", "transport", "all"))
-    ver.add_argument("--seed", type=int, default=0)
-    _add_output_flags(ver)
-    ver.set_defaults(func=cmd_verify)
+    for name, (help_text, _) in COMMANDS.items():
+        _add_command(subs.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -393,9 +443,14 @@ def _join_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(
-        sys.argv[1:] if argv is None else list(argv)))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
+    if argv and argv[0] in COMMANDS:
+        parser = _command_parser(argv[0])
+        args = parser.parse_args(argv[1:])
+    else:
+        # --help, --version, no command or an unknown one
+        parser = build_parser()
+        args = parser.parse_args(argv)
     _materialize_grids(args, parser)
     if args.command == "transport" and args.beta != "inf":
         try:

@@ -210,7 +210,9 @@ def digamma(x):
     """
     x = np.asarray(x, dtype=complex)
     y = x + _PSI_SHIFT
-    w = 1.0 / (y * y)
+    # (1 / y)^2 underflows quietly where y * y would overflow
+    r = 1.0 / y
+    w = r * r
     series = 0.0
     for b in reversed(_PSI_SERIES):
         series = (series + b) * w

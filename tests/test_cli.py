@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import tetranacci
 from tetranacci import cli
-from tetranacci.chain import ChainParams
+from tetranacci.chain import ChainParams, build_chain_matrix
 from tetranacci.cli import main
 from tetranacci.kitaev import KitaevParams, bdg_spectrum
 from tetranacci.transport import LeadParams, TransportSetup, fermi, transmission_dense
@@ -97,6 +98,39 @@ def test_spectrum_sweep_row_count(capsys):
     rows = json.loads(out)["rows"]
     assert len(rows) == 4 * 11
     assert {"eta", "zeta", "e", "arrow"} <= set(rows[0])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_t2_zero(capsys, fmt):
+    # the nearest-neighbour chain has no coefficient map, so the fields it
+    # would give are null (JSON) or empty (CSV), and the spectrum is emitted
+    code, out, err = run(capsys, "spectrum", "--n", "5", "--mu", "0.2", "--t1", "1",
+                         "--t2", "0", "--format", fmt)
+    assert code == 0, err
+    rows = json.loads(out)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+    empty = None if fmt == "json" else ""
+    for row in rows:
+        assert all(row[k] == empty for k in ("k1", "k2", "k_plus", "k_minus", "s_q",
+                                             "arrow", "quant_residual"))
+    want = sorted(-0.2 - 2.0 * math.cos(m * math.pi / 6) for m in range(1, 6))
+    assert [float(r["e"]) for r in rows] == pytest.approx(want, abs=1e-14)
+    h = build_chain_matrix(ChainParams(mu=0.2, t1=1.0, t2=0.0, n=5))
+    for row in rows:
+        vec = np.array([float(x) for x in row["vector"].split(";")])
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-14
+        assert np.abs(h @ vec - float(row["e"]) * vec).max() <= 1e-14
+        assert int(row["lambda_i"]) * vec == pytest.approx(vec[::-1], abs=0)
+
+
+def test_spectrum_sweep_t2_zero(capsys):
+    # t2 = 0 makes every chain of the sweep the bare on-site level -mu
+    code, out, err = run(capsys, "spectrum", "--n", "3", "--mu", "0.5", "--t2", "0",
+                         "--sweep-eta", "-1:1:3")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 9
+    assert all(r["zeta"] is None and r["arrow"] is None for r in rows)
+    assert [float(r["e"]) for r in rows] == pytest.approx([-0.5] * 9, abs=1e-15)
 
 
 def test_crossings_counts(capsys):
@@ -489,3 +523,88 @@ def test_emit_csv_bytes(capsys):
         "True,inside,\r\n"
         '-1,inf,-2-nanj,nan;-inf,False,"a,b",\r\n'
         "count: 2\n")
+
+
+# one valid command line per command, every flag of it set
+VALID_ARGV = {
+    "seq": ("seq", "--zeta", "1-2j", "--eta", "-0.5", "--g", "0,1j,2,3", "--lo=-3",
+            "--hi", "5", "--mode", "closed", "--format", "csv"),
+    "spectrum": ("spectrum", "--n", "6", "--mu", "-2e-05", "--t1", "1", "--t2", "0.5",
+                 "--sweep-eta", "-6:6:3", "--out", "x.json"),
+    "crossings": ("crossings", "--n", "7"),
+    "arrow": ("arrow", "--eta-grid", "-6:6:5", "--zeta-grid", "-8:4:7"),
+    "kitaev": ("kitaev", "--n", "4", "--t", "1", "--delta", "0.3", "--mu-grid", "-3:3:5"),
+    "transport": ("transport", "--n", "10", "--mu", "0.1", "--t1", "1", "--t2", "0.8",
+                  "--gamma-l", "0.5", "--gamma-r", "0.25", "--lambda-l", "-1e-3",
+                  "--lambda-r", "0.2", "--beta", "10", "--v-grid", "0.5:2:4"),
+    "verify": ("verify", "--suite", "oracle", "--seed", "3"),
+}
+
+
+def test_valid_argv_covers_every_command():
+    assert set(VALID_ARGV) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV.values(), ids=VALID_ARGV)
+def test_command_parser_matches_full_parser(argv):
+    argv = cli._join_negative_values(argv)
+    full = cli.build_parser().parse_args(argv)
+    alone = cli._command_parser(argv[0]).parse_args(argv[1:])
+    assert alone.command == argv[0]
+    assert alone == full
+
+
+def test_full_parser_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tetranacci [-h] [--version]")
+    for name, (help_text, _) in cli.COMMANDS.items():
+        assert name in out and help_text in out
+
+
+@pytest.mark.parametrize("argv", [(), ("bogus",), ("bogus", "--n", "3"), ("--n", "3")])
+def test_unknown_or_missing_command_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: tetranacci [-h] [--version]")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--seed=-1"),
+    ("transport", "--n", "4", "--beta", "0", "--v-grid", "1:1:1"),
+])
+def test_post_parse_error_prints_command_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tetranacci {argv[0]} [-h]")
+    assert f"tetranacci {argv[0]}: error:" in err
+
+
+# quotes, backslashes, newlines, braces and the row separator itself, or
+# any other character
+json_text = st.lists(st.one_of(st.sampled_from(['"', "\\", "\n", "{", "}", ",", ":",
+                                                "},\n      {", "é", "€", "\x00"]),
+                               st.characters()), max_size=8).map("".join)
+row_cells = st.one_of(json_text, st.integers(), st.booleans(), st.none(), floats)
+json_rows = st.lists(st.dictionaries(json_text, row_cells, min_size=1, max_size=6),
+                     max_size=6)
+json_meta = st.dictionaries(json_text, st.one_of(row_cells, st.lists(row_cells, max_size=3)),
+                            max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_meta, json_rows)
+@example({"command": "t", "grid": ["0:1:3", 2, None]}, [])
+@example({"command": "t"}, [{"a": "x\ny"}, {"b": "}"}, {"c": "\"},\n      {\""}])
+def test_emit_json_matches_indented_dumps(meta, rows):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(argparse.Namespace(format="json", out=None), meta, rows)
+    payload = {"meta": {**meta, "version": tetranacci.__version__},
+               "rows": [{k: cli._fmt(v) for k, v in row.items()} for row in rows]}
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"

@@ -189,6 +189,15 @@ def test_transmission_strong_leads():
     assert current(1.0, math.inf, s) == 0.0
 
 
+def test_current_strong_leads_finite_temperature():
+    # the poles lie about 1e200 off the real axis, so the digamma argument
+    # y ~ beta 1e200 / 2 pi squares past the doubles; its series weight 1/y^2
+    # must underflow to 0 without an overflow warning
+    s = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=1.0, n=3),
+                       LeadParams(1e200), LeadParams(1e200))
+    assert current(1.0, 10.0, s) == 0.0
+
+
 def test_transmission_weak_leads_at_resonance():
     # a single level at E = 0 between equal leads transmits fully for any
     # gamma; at gamma = 1e-170, 4 gamma_L gamma_R underflows to 0, which is
