@@ -282,14 +282,14 @@ def cmd_verify(args, parser):
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     results = run_suite(args.suite, args.seed)
-    rows = [{"check": name, "passed": bool(ok), "detail": detail}
-            for name, ok, detail in results]
+    rows = [{"check": name, "passed": ok, "detail": detail, "elapsed_s": elapsed}
+            for name, ok, detail, elapsed in results]
     meta = {"command": "verify", "suite": args.suite, "seed": args.seed}
     _emit(args, meta, rows)
-    for name, ok, detail in results:
+    for name, ok, detail, _ in results:
         status = "PASS" if ok else "FAIL"
         print(f"[{status}] {name}: {detail}", file=sys.stderr)
-    return 0 if all(ok for _, ok, _ in results) else 3
+    return 0 if all(row["passed"] for row in rows) else 3
 
 
 def _add_chain_flags(sub):

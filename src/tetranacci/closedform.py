@@ -92,7 +92,7 @@ def characterize(c: Coefficients) -> CharacteristicData:
     )
 
 
-def standing_wave(m: int, x: complex) -> complex:
+def standing_wave(m, x: complex):
     """Q_m(x) = sin(m x) / sin(x), with Q_m(0) = m, for -pi <= Re x <= pi.
 
     x is folded onto 0 <= Re x <= pi/2 by Q_m(-x) = Q_m(x) and Q_m(pi - x) =
@@ -100,22 +100,33 @@ def standing_wave(m: int, x: complex) -> complex:
     vanishes, but near 0 both sines carry the relative error of x, which
     cancels.  Both sines are divided by |sin x|, so |sin x|^2 cannot
     underflow, and multiplying by conj(sin x) / |sin x|^2 makes Q_1 exactly 1.
+
+    m is an int, giving a complex, or a 1-D int array, giving a complex
+    array equal bit for bit to the int calls: x is folded and sin(x) formed
+    once, and each entry is the int call's own expression.
     """
     if x.real < 0.0:
         x = -x
     sign = 1
     if x.real > math.pi / 2:
-        x, sign = math.pi - x, (-1) ** (m + 1)
+        x, sign = math.pi - x, 2 * (m % 2) - 1
+    many = isinstance(m, np.ndarray)
     if x == 0:
-        return complex(sign * m)
+        return (sign * m).astype(complex) if many else complex(sign * m)
     s = cmath.sin(x)
     a = abs(s)
-    s, t = s / a, cmath.sin(m * x) / a
-    return sign * t * s.conjugate() / (s * s.conjugate()).real
+    s = s / a
+    if not many:
+        return sign * (cmath.sin(m * x) / a) * s.conjugate() / (s * s.conjugate()).real
+    sc, den = s.conjugate(), (s * s.conjugate()).real
+    signs = sign.tolist() if isinstance(sign, np.ndarray) else [1] * len(m)
+    return np.array([g * (cmath.sin(k * x) / a) * sc / den
+                     for k, g in zip(m.tolist(), signs)], dtype=complex)
 
 
-def phi(l: int, j: int, cd: CharacteristicData) -> complex:
-    """Standing wave phi_l(j) = sin(j theta_l) / sin(theta_l)."""
+def phi(l: int, j, cd: CharacteristicData):
+    """Standing wave phi_l(j) = sin(j theta_l) / sin(theta_l), for an int j
+    or an int array of them."""
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
     return standing_wave(j, cd.theta(l))
@@ -127,7 +138,7 @@ def t_minus2(cd: CharacteristicData, lo: int, hi: int) -> np.ndarray:
     |j| in a..b is formed, one 'valid' convolution: O(b (b - a)) work."""
     j = np.arange(lo, hi + 1)
     a, b = int(np.abs(j).min()), int(np.abs(j).max())
-    w1, w2 = ([phi(l, k, cd) for k in range(b + 1)] for l in (1, 2))
+    w1, w2 = (phi(l, np.arange(b + 1), cd) for l in (1, 2))
     c = np.convolve(w1, np.concatenate([np.zeros(b), w2])[a:], "valid")
     return -np.sign(j) * c[np.abs(j) - a]
 
@@ -150,7 +161,7 @@ def xi_closed(g: InitialValues, cd: CharacteristicData, lo: int, hi: int) -> Seq
     (s_s, th_s), (s_f, _) = sorted([(cd.s1, cd.theta1), (cd.s2, cd.theta2)],
                                    key=lambda root: abs(root[1].imag))
     top, a0 = max(hi, -1 - lo), max(0, lo, -1 - hi)  # the j >= 0 both halves need
-    slow = np.array([standing_wave(k, th_s) for k in range(top + 2)])
+    slow = standing_wave(np.arange(top + 2), th_s)
     t = t_minus2(cd, a0 + 1, top + 2)
 
     def half(gm2, gm1, g0, g1, a, b):  # xi_a..xi_b, a0 <= a <= b <= top

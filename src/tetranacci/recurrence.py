@@ -83,14 +83,30 @@ class SequenceWindow:
 
 def step_forward(window, c: Coefficients) -> complex:
     """Next element from the four-element tail (xi_{j-2}..xi_{j+1})."""
-    xm2, xm1, x0, x1 = window[-4], window[-3], window[-2], window[-1]
-    return c.zeta * x0 - xm2 + c.eta * (x1 + xm1)
+    return replay(window[-4:], c.zeta, c.eta, 2, 2)[0]
 
 
 def step_backward(window, c: Coefficients) -> complex:
     """Previous element from the four-element head (xi_{j-1}..xi_{j+2})."""
-    xm1, x0, x1, x2 = window[0], window[1], window[2], window[3]
-    return c.zeta * x0 - x2 + c.eta * (x1 + xm1)
+    return replay(window[:4], c.zeta, c.eta, -3, -3)[0]
+
+
+def replay(g, zeta, eta, lo: int, hi: int) -> list:
+    """[xi_lo, ..., xi_hi] from g = (g_-2, g_-1, g_0, g_1), lo <= hi.
+
+    Any values with +, - and * replay: ints exactly, floats and complex
+    numbers in doubles, numpy object arrays of ints as many exact sequences
+    at once.  The recursion is palindromic, so the backward replay is the
+    forward one on the sequence read downwards.
+    """
+    def extend(xs, count):  # xs gains count terms, xi_{j+2} from xi_{j-2}..xi_{j+1}
+        for _ in range(count):
+            xs.append(zeta * xs[-2] - xs[-4] + eta * (xs[-1] + xs[-3]))
+        return xs
+
+    up = extend(list(g), hi - 1)  # xi_-2, xi_-1, ... upwards
+    down = extend(up[3::-1], -2 - lo)  # xi_1, xi_0, ... downwards
+    return (down[:3:-1] + up)[lo - min(lo, -2):hi - min(lo, -2) + 1]
 
 
 def eval_range(g: InitialValues, c: Coefficients, lo: int, hi: int) -> SequenceWindow:
@@ -102,13 +118,7 @@ def eval_range(g: InitialValues, c: Coefficients, lo: int, hi: int) -> SequenceW
     """
     if lo > hi:
         raise PreconditionError(f"empty range [{lo}, {hi}]")
-    up = list(g.g)  # xi_-2, xi_-1, ... upwards
-    for _ in range(hi - 1):
-        up.append(step_forward(up, c))
-    down = up[3::-1]  # xi_1, xi_0, ... downwards
-    for _ in range(-2 - lo):  # the head xi_{j-1}..xi_{j+2} is down's tail, reversed
-        down.append(step_backward(down[-1:-5:-1], c))
-    values = (down[:3:-1] + up)[lo - min(lo, -2):hi - min(lo, -2) + 1]
+    values = replay(g.g, c.zeta, c.eta, lo, hi)
     exact = all(isinstance(v, int) for v in (*g.g, c.zeta, c.eta))
     if not exact and not all(map(cmath.isfinite, values)):
         raise OverflowError(f"recursion leaves the finite doubles in [{lo}, {hi}]")

@@ -118,24 +118,39 @@ def _h_eff(s: TransportSetup) -> np.ndarray:
     return h
 
 
-def green_1n_dense(e: float, s: TransportSetup) -> complex:
+def green_1n_dense(e, s: TransportSetup):
     """Corner entry G^r_{1N} from a dense solve of (E - H - Sigma) x = e_N.
 
+    e is one energy, giving a complex, or a 1-D array of them, giving a
+    complex array: H_eff is built once and the systems of all energies go
+    to one stacked solve, with the same digits as one solve per energy.
     The rows are first scaled by exact powers of two 2^k_i to a largest
     entry in [1/2, 1): a row of a lead-decoupled site holding only a
     subnormal E - mu (E = 1e-313, say) would make the solver's reciprocal
     pivot overflow, and inf * 0 turn the solution into nan.  The scaled
     system is solved for 2^-k_N x, so only x_1 is scaled back.
     """
-    p = s.chain
-    a = e * np.eye(p.n) - _h_eff(s)
-    k = -np.frexp(np.abs(a).max(axis=1))[1]
-    a.real = np.ldexp(a.real, k[:, None])
-    a.imag = np.ldexp(a.imag, k[:, None])
-    rhs = np.zeros(p.n, dtype=complex)
+    n = s.chain.n
+    energies = np.atleast_1d(np.asarray(e, dtype=float))
+    a = energies[:, None, None] * np.eye(n) - _h_eff(s)
+    k = -np.frexp(np.abs(a).max(axis=2))[1]
+    a.real = np.ldexp(a.real, k[:, :, None])
+    a.imag = np.ldexp(a.imag, k[:, :, None])
+    rhs = np.zeros((n, 1), dtype=complex)
     rhs[-1] = 1.0
     try:
-        x1 = np.linalg.solve(a, rhs)[0]
+        x1 = np.linalg.solve(a, rhs)[:, 0, 0]
+    except np.linalg.LinAlgError:
+        x1 = np.array([_solve_x1(m, rhs[:, 0], s) for m in a])
+    g = [complex(math.ldexp(x.real, kn), math.ldexp(x.imag, kn))
+         for x, kn in zip(x1.tolist(), k[:, -1].tolist())]
+    return g[0] if np.ndim(e) == 0 else np.array(g, dtype=complex)
+
+
+def _solve_x1(a: np.ndarray, rhs: np.ndarray, s: TransportSetup) -> complex:
+    """x_1 of one scaled system a x = rhs of `green_1n_dense`, singular or not."""
+    try:
+        return np.linalg.solve(a, rhs)[0]
     except np.linalg.LinAlgError:
         if s.left.gamma == 0.0 or s.right.gamma == 0.0:
             raise
@@ -143,8 +158,7 @@ def green_1n_dense(e: float, s: TransportSetup) -> complex:
         # for a mode u with u_1 = u_N = 0 (Im E = -gamma_L |u_1|^2 - gamma_R
         # |u_N|^2).  Then the system is consistent and all its solutions
         # share x_1, so the least-squares solution carries G_1N.
-        x1 = np.linalg.lstsq(a, rhs, rcond=None)[0][0]
-    return complex(math.ldexp(x1.real, int(k[-1])), math.ldexp(x1.imag, int(k[-1])))
+        return np.linalg.lstsq(a, rhs, rcond=None)[0][0]
 
 
 def transmission_dense(e: float, s: TransportSetup) -> float:

@@ -220,9 +220,30 @@ def test_verify_suites_pass(capsys):
 
 
 def test_verify_deterministic_output(capsys):
-    _, out1, _ = run(capsys, "verify", "--suite", "closed-form", "--seed", "7")
-    _, out2, _ = run(capsys, "verify", "--suite", "closed-form", "--seed", "7")
-    assert out1 == out2
+    # every field but the suite's elapsed time repeats
+    runs = [json.loads(run(capsys, "verify", "--suite", "closed-form", "--seed", "7")[1])
+            for _ in range(2)]
+    for data in runs:
+        for row in data["rows"]:
+            assert float(row.pop("elapsed_s")) > 0.0
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_rows_carry_elapsed_seconds(capsys, fmt):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "0", "--format", fmt)
+    assert code == 0
+    rows = json.loads(out)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+    assert [list(row) for row in rows] == [["check", "passed", "detail", "elapsed_s"]] * 8
+    elapsed = {}
+    for row in rows:
+        assert row["passed"] in (True, "True")
+        elapsed.setdefault(row["check"].split(":")[0], set()).add(float(row["elapsed_s"]))
+    # one time per suite, on each of its rows
+    assert list(elapsed) == ["lemmata", "closed-form", "oracle", "transport"]
+    assert all(len(t) == 1 and min(t) > 0.0 for t in elapsed.values())
+    assert err.splitlines()[0] == \
+        "[PASS] lemmata: inversion identities (4 relations): j in [-12, 12]"
 
 
 def test_out_file(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetranacci.closedform import (RootClass, _power_residual,
                                    appendix_a_solutions, characterize, phi,
@@ -319,3 +321,35 @@ def test_continuity_across_degenerate_locus():
     vals_on = t_minus2(cd_on, -10, 10)
     scale = np.abs(vals_on).max()
     assert np.abs(t_minus2(cd_near, -10, 10) - vals_on).max() <= 1e-6 * scale
+
+
+def _bits(z):
+    # repr tells -0.0 from 0.0, which == does not
+    return repr(z.real), repr(z.imag)
+
+
+# real parts: negative, past pi/2, on 0, +-pi/2 and +-pi, and within an ulp of pi
+_re = st.one_of(st.floats(-math.pi, math.pi),
+                st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2,
+                                 math.nextafter(math.pi, 0.0), 1e-300]))
+# imaginary parts: zero, near-real, moderate, and large enough that sin(m x) overflows
+_im = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-300]),
+                st.floats(-1e-8, 1e-8), st.floats(-40.0, 40.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_re, _im, st.integers(-5, 0), st.integers(0, 60), st.booleans())
+def test_standing_wave_array_equals_int_calls(re, im, lo, size, real_x):
+    x = re if real_x else complex(re, im)
+    m = np.arange(lo, lo + size)
+    want = []
+    for k in m.tolist():
+        try:
+            want.append(standing_wave(k, x))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                standing_wave(m, x)
+            return
+    got = standing_wave(m, x)
+    assert got.dtype == complex and got.shape == m.shape
+    assert [_bits(z) for z in got.tolist()] == [_bits(z) for z in want]

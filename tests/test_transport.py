@@ -100,6 +100,51 @@ def test_dense_green_at_weightless_eigenvalue():
         green_1n_dense(-1.0, TransportSetup(full.chain, LeadParams(0.0), LeadParams(0.5)))
 
 
+def _dense_one(e, s):
+    """G_1N of `green_1n_dense` for one energy, one unstacked solve."""
+    n = s.chain.n
+    a = e * np.eye(n) - transport._h_eff(s)
+    k = -np.frexp(np.abs(a).max(axis=1))[1]
+    a.real = np.ldexp(a.real, k[:, None])
+    a.imag = np.ldexp(a.imag, k[:, None])
+    rhs = np.eye(n, dtype=complex)[-1]
+    try:
+        x1 = np.linalg.solve(a, rhs)[0]
+    except np.linalg.LinAlgError:
+        x1 = np.linalg.lstsq(a, rhs, rcond=None)[0][0]
+    return complex(math.ldexp(x1.real, int(k[-1])), math.ldexp(x1.imag, int(k[-1])))
+
+
+def _same_bits(got, want):
+    return [(repr(z.real), repr(z.imag)) for z in got] == \
+        [(repr(z.real), repr(z.imag)) for z in want]
+
+
+@pytest.mark.parametrize("setup, energies", [
+    (default_setup(), [-3.0, -0.4, 0.0, 0.1, 1.7, 2.9]),
+    (default_setup(n=17, gamma=2.0), [-1.3, 0.25, 4.0]),
+    # a row holding only the subnormal E, scaled by 2^1030 (see above)
+    (TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=3),
+                    LeadParams(0.5), LeadParams(0.5)), [2.2e-313, 0.5, -2.2e-313]),
+    # the weightless eigenvalue E = -1 makes the stack singular: least squares
+    (TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=5),
+                    LeadParams(0.5), LeadParams(0.5)), [0.3, -1.0, 2.0, -1.0]),
+])
+def test_dense_green_array_equals_per_energy_calls(setup, energies):
+    got = transport.green_1n_dense(np.array(energies), setup)
+    assert got.dtype == complex and got.shape == (len(energies),)
+    assert _same_bits(got.tolist(), [green_1n_dense(e, setup) for e in energies])
+    assert _same_bits(got.tolist(), [_dense_one(e, setup) for e in energies])
+
+
+def test_dense_green_array_with_decoupled_lead_at_pole_raises():
+    s = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=5),
+                       LeadParams(0.0), LeadParams(0.5))
+    with pytest.raises(np.linalg.LinAlgError):
+        green_1n_dense(np.array([0.3, -1.0]), s)
+    assert green_1n_dense(np.array([0.3]), s)[0] == green_1n_dense(0.3, s)
+
+
 def test_green_overflowing_pole_is_singular():
     # t1 = 2.2e-311 barely couples the two sublattices, so at E = 0 the
     # solution diverges past the largest double instead of past 1e12
