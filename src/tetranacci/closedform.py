@@ -102,26 +102,26 @@ def standing_wave(m, x: complex):
     underflow, and multiplying by conj(sin x) / |sin x|^2 makes Q_1 exactly 1.
 
     m is an int, giving a complex, or a 1-D int array, giving a complex
-    array equal bit for bit to the int calls: x is folded and sin(x) formed
-    once, and each entry is the int call's own expression.
+    array: x is folded and sin(x) formed once, and each entry is the same
+    expression as for an int m.
     """
+    many = isinstance(m, np.ndarray)
+    ks = m.tolist() if many else (m,)
     if x.real < 0.0:
         x = -x
-    sign = 1
-    if x.real > math.pi / 2:
-        x, sign = math.pi - x, 2 * (m % 2) - 1
-    many = isinstance(m, np.ndarray)
+    fold = x.real > math.pi / 2
+    if fold:
+        x = math.pi - x
     if x == 0:
-        return (sign * m).astype(complex) if many else complex(sign * m)
-    s = cmath.sin(x)
-    a = abs(s)
-    s = s / a
-    if not many:
-        return sign * (cmath.sin(m * x) / a) * s.conjugate() / (s * s.conjugate()).real
-    sc, den = s.conjugate(), (s * s.conjugate()).real
-    signs = sign.tolist() if isinstance(sign, np.ndarray) else [1] * len(m)
-    return np.array([g * (cmath.sin(k * x) / a) * sc / den
-                     for k, g in zip(m.tolist(), signs)], dtype=complex)
+        q = [complex((2 * (k % 2) - 1) * k if fold else k) for k in ks]
+    else:
+        s = cmath.sin(x)
+        a = abs(s)
+        s = s / a
+        sc, den = s.conjugate(), (s * s.conjugate()).real
+        q = [(2 * (k % 2) - 1 if fold else 1) * (cmath.sin(k * x) / a) * sc / den
+             for k in ks]
+    return np.array(q, dtype=complex) if many else q[0]
 
 
 def phi(l: int, j, cd: CharacteristicData):

@@ -81,16 +81,6 @@ class SequenceWindow:
         return self.values[j - self.lo]
 
 
-def step_forward(window, c: Coefficients) -> complex:
-    """Next element from the four-element tail (xi_{j-2}..xi_{j+1})."""
-    return replay(window[-4:], c.zeta, c.eta, 2, 2)[0]
-
-
-def step_backward(window, c: Coefficients) -> complex:
-    """Previous element from the four-element head (xi_{j-1}..xi_{j+2})."""
-    return replay(window[:4], c.zeta, c.eta, -3, -3)[0]
-
-
 def replay(g, zeta, eta, lo: int, hi: int) -> list:
     """[xi_lo, ..., xi_hi] from g = (g_-2, g_-1, g_0, g_1), lo <= hi.
 

@@ -136,12 +136,14 @@ def green_1n_dense(e, s: TransportSetup):
     k = -np.frexp(np.abs(a).max(axis=2))[1]
     a.real = np.ldexp(a.real, k[:, :, None])
     a.imag = np.ldexp(a.imag, k[:, :, None])
-    rhs = np.zeros((n, 1), dtype=complex)
-    rhs[-1] = 1.0
+    # a stack of one n x 1 matrix: with a b of fewer dimensions than a,
+    # numpy before 2.0 reads b as a stack of vectors, and would not broadcast
+    rhs = np.zeros((1, n, 1), dtype=complex)
+    rhs[0, -1, 0] = 1.0
     try:
         x1 = np.linalg.solve(a, rhs)[:, 0, 0]
     except np.linalg.LinAlgError:
-        x1 = np.array([_solve_x1(m, rhs[:, 0], s) for m in a])
+        x1 = np.array([_solve_x1(m, rhs[0, :, 0], s) for m in a])
     g = [complex(math.ldexp(x.real, kn), math.ldexp(x.imag, kn))
          for x, kn in zip(x1.tolist(), k[:, -1].tolist())]
     return g[0] if np.ndim(e) == 0 else np.array(g, dtype=complex)

@@ -337,7 +337,7 @@ _im = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-300]),
                 st.floats(-1e-8, 1e-8), st.floats(-40.0, 40.0))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(_re, _im, st.integers(-5, 0), st.integers(0, 60), st.booleans())
 def test_standing_wave_array_equals_int_calls(re, im, lo, size, real_x):
     x = re if real_x else complex(re, im)

@@ -3,9 +3,8 @@ import pytest
 
 from tetranacci.errors import PreconditionError
 from tetranacci.exactnum import tm2_replay
-from tetranacci.recurrence import (Coefficients, InitialValues, eval_range,
-                                   step_backward, step_forward)
-from tetranacci.verification import _holds, _lemma_grid
+from tetranacci.recurrence import Coefficients, InitialValues, eval_range, replay
+from tetranacci.verification import _INVERSION, _REDUCTION, _holds, _lemma_grid
 
 
 def random_setup(rng):
@@ -18,26 +17,26 @@ def random_setup(rng):
 def test_step_forward_unit_g1():
     c = Coefficients(0.3 + 0.1j, -1.2 + 0.4j)
     # window (xi_-2..xi_1) = (0,0,0,1): xi_2 = eta
-    assert step_forward((0, 0, 0, 1), c) == c.eta
+    assert replay((0, 0, 0, 1), c.zeta, c.eta, 2, 2)[0] == c.eta
 
 
 def test_step_forward_unit_gm2():
     c = Coefficients(0.3, -1.2)
-    assert step_forward((1, 0, 0, 0), c) == -1
+    assert replay((1, 0, 0, 0), c.zeta, c.eta, 2, 2)[0] == -1
 
 
 def test_step_forward_zero_window():
-    assert step_forward((0, 0, 0, 0), Coefficients(1, 1)) == 0
+    assert replay((0, 0, 0, 0), 1, 1, 2, 2)[0] == 0
 
 
 def test_step_backward_consistency():
     c = Coefficients(0.5 + 0.2j, 1.1)
     # from (xi_-1, xi_0, xi_1, xi_2) with g = e_1 the backward step is g_-2 = 0
-    assert step_backward((0, 0, 1, c.eta), c) == 0
+    assert replay((0, 0, 1, c.eta), c.zeta, c.eta, -3, -3)[0] == 0
 
 
 def test_step_backward_zero_window():
-    assert step_backward((0, 0, 0, 0), Coefficients(1, 1)) == 0
+    assert replay((0, 0, 0, 0), 1, 1, -3, -3)[0] == 0
 
 
 def test_forward_backward_roundtrip():
@@ -47,9 +46,9 @@ def test_forward_backward_roundtrip():
         w = eval_range(g, c, -6, 8)
         for j in range(-4, 7):
             tail = tuple(w.value(j + s) for s in (-2, -1, 0, 1))
-            forward = step_forward(tail, c)
+            forward = replay(tail, c.zeta, c.eta, 2, 2)[0]
             head = (w.value(j - 1), w.value(j), w.value(j + 1), forward)
-            recovered = step_backward(head, c)
+            recovered = replay(head, c.zeta, c.eta, -3, -3)[0]
             scale = max(abs(w.value(j - 2)), 1.0)
             assert abs(recovered - w.value(j - 2)) <= 1e-12 * scale
 
@@ -188,18 +187,12 @@ def test_table_one_window():
 
 def test_inversion_identities_exact():
     grid = _lemma_grid()
-    assert _holds(lambda t, eta, j: t[1][j] == t[-2][-1 - j], grid)
-    assert _holds(lambda t, eta, j: t[0][j] == t[-1][-1 - j], grid)
-    assert _holds(lambda t, eta, j: t[-2][j] == t[1][-1 - j], grid)
-    assert _holds(lambda t, eta, j: t[-1][j] == t[0][-1 - j], grid)
+    assert all(_holds(relation, grid) for relation in _INVERSION)
 
 
 def test_reduction_identities_exact():
     grid = _lemma_grid()
-    assert _holds(lambda t, eta, j: t[-2][j] == -t[-2][-j], grid)
-    assert _holds(lambda t, eta, j: t[-1][j] == t[-2][j - 1] - eta * t[-2][j], grid)
-    assert _holds(lambda t, eta, j: t[0][j] == eta * t[-2][j + 1] - t[-2][j + 2], grid)
-    assert _holds(lambda t, eta, j: t[1][j] == -t[-2][j + 1], grid)
+    assert all(_holds(relation, grid) for relation in _REDUCTION)
 
 
 def test_false_identities_fail_on_grid():

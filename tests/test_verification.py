@@ -24,12 +24,6 @@ def test_batched_suite_fails_on_flipped_sign(monkeypatch):
     assert [ok for _, ok, _ in suite_lemmata()] == [True, False]
 
 
-def test_batched_relations_match_per_point_check():
-    grid = _lemma_grid()
-    for relation in verification._INVERSION + verification._REDUCTION:
-        assert verification._holds(relation, grid)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_run_suite_rows_are_python_bools_with_elapsed(seed):
     rows = run_suite("all", seed)
