@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import characterize, standing_wave
-from .errors import DegenerateModeError, PreconditionError, ZeroT2Error
+from .errors import PreconditionError, ZeroT2Error
 from .exactnum import dyadic, tm2_replay
 from .recurrence import Coefficients, require_real
 
@@ -252,7 +252,7 @@ def eigenvector_tetranacci(e: float, p: ChainParams) -> np.ndarray:
     scale = max(abs(y[j + 2] / (1 << k * (j + 2))) for j in range(0, p.n + 3)) or 1.0
     yn2, yn1 = y[p.n + 4], y[p.n + 3]
     if abs(yn2 / (1 << k * (p.n + 4))) <= 1e-10 * scale:
-        raise DegenerateModeError(
+        raise PreconditionError(
             "boundary value vanishes; eigenvalue is (numerically) degenerate")
     if yn2 < 0:  # a positive divisor rounds an exact zero to +0.0
         yn2, yn1 = -yn2, -yn1

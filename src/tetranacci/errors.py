@@ -13,16 +13,10 @@ class ZeroT2Error(TetranacciError):
 
 class PreconditionError(TetranacciError):
     """Operation precondition violated: an index outside its range or
-    guard, or a root class the operation does not apply to."""
-
-
-class DegenerateModeError(TetranacciError):
-    """Eigenvalue is degenerate; single-vector closed form inapplicable."""
+    guard, a root class the operation does not apply to, or a degenerate
+    eigenvalue, for which the single-vector closed form is inapplicable."""
 
 
 class SingularBoundaryError(TetranacciError):
     """Boundary 2x2 system is singular at this energy."""
 
-
-class QuadratureError(TetranacciError):
-    """Adaptive quadrature failed to converge."""

@@ -17,6 +17,7 @@ Jy) / 2 and delta = (Jx - Jy) / 2, so t1_eff = -2 h (Jx + Jy) and t2_eff
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ def kitaev_effective_coeffs(e: float, p: KitaevParams) -> Coefficients:
         raise ZeroT2Error("effective map needs t^2 != delta^2")
     zeta = (e * e - p.mu * p.mu - 2.0 * p.t * p.t - 2.0 * p.delta * p.delta) / t2_eff
     eta = -2.0 * p.t * p.mu / t2_eff
+    if not (math.isfinite(zeta) and math.isfinite(eta)):
+        raise ZeroT2Error(f"effective map overflows at t^2 - delta^2 = {t2_eff!r}")
     return Coefficients(zeta=zeta, eta=eta)
 
 
@@ -95,7 +98,10 @@ def kitaev_spectrum(p: KitaevParams):
     roundoff of h, enough to miss the particle-hole spectrum by more than
     1e-8 on long topological chains.
     """
-    w, v = np.linalg.eigh(effective_h_matrix(p))
+    h = effective_h_matrix(p)
+    if not np.isfinite(h).all():
+        raise OverflowError("sublattice matrix overflows")
+    w, v = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(w).max()))
     if w[0] < -1e-10 * scale:
         raise ValueError(f"sublattice matrix not PSD: eigenvalue {w[0]}")

@@ -7,8 +7,9 @@ the basic polynomial T_-2, or where that has no answer from the dense
 solve of (E - H - Sigma) x = e_N.  The current integrates the pole
 expansion of |G_1N|^2 over the eigenvalues of H + Sigma in closed form,
 one eigendecomposition for a whole bias grid, checked against
-`transmission` at one energy per bias; scipy's adaptive quadrature is
-imported only for the fallback of a bias that fails that check.
+`transmission` at one energy per bias.  A bias that fails that check takes
+a fixed Gauss-Legendre rule of the exact T(E), on panels graded to the
+poles.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainParams, build_chain_matrix, coeffs_from_energy
-from .errors import QuadratureError, SingularBoundaryError, ZeroT2Error
+from .errors import SingularBoundaryError, ZeroT2Error
 from .exactnum import dyadic, gaussian_divider, tm2_replay
 from .recurrence import require_real
 
@@ -249,28 +250,37 @@ def _log1p(w):
     return np.where(small, near, np.log1p(w))
 
 
+def _weighted(z: np.ndarray, s: TransportSetup) -> np.ndarray:
+    """Mask of the eigenvalues z of H_eff whose poles carry weight in T(E).
+
+    A normalized eigenvector psi has Im z = -gamma_L |psi_1|^2 - gamma_R
+    |psi_N|^2, so |psi_1|^2 <= |Im z| / gamma_L, |psi_N|^2 <= |Im z| /
+    gamma_R, and its own term |a_k| ~ 4 gamma_L gamma_R |psi_1 psi_N|^2 /
+    (2 |Im z|) <= 2 |Im z|: a pole within roundoff of the real axis (a mode
+    with no weight on site 1 or N) carries no weight.
+    """
+    p = s.chain
+    scale = max(abs(p.mu), abs(p.t1), abs(p.t2), abs(s.left.self_energy),
+                abs(s.right.self_energy))
+    return -z.imag > 64 * np.finfo(float).eps * p.n * scale
+
+
 def _poles(s: TransportSetup):
     """Poles z_k and residues a_k of T(E) = 2 Re sum_k a_k / (E - z_k).
 
     G_1N(E) = sum_k c_k / (E - z_k) over the eigenvalues z_k of H_eff = H
     + Sigma_L + Sigma_R, with c_k = R_1k (R^-1)_kN from its eigenvectors R.
     Splitting |G_1N|^2 into partial fractions gives a_k = 4 gamma_L
-    gamma_R c_k sum_l conj(c_l) / (z_k - conj(z_l)).
+    gamma_R c_k sum_l conj(c_l) / (z_k - conj(z_l)).  Weightless poles
+    (`_weighted`) are dropped before 1 / (z_k - conj(z_k)) divides by the
+    roundoff of their width.
     """
     p = s.chain
     z, r = np.linalg.eig(_h_eff(s))
     e_n = np.zeros(p.n)
     e_n[-1] = 1.0
     c = r[0] * np.linalg.solve(r, e_n)
-    # A normalized eigenvector psi has Im z = -gamma_L |psi_1|^2 - gamma_R
-    # |psi_N|^2, so |psi_1|^2 <= |Im z| / gamma_L, |psi_N|^2 <= |Im z| /
-    # gamma_R, and its own term |a_k| ~ 4 gamma_L gamma_R |psi_1 psi_N|^2 /
-    # (2 |Im z|) <= 2 |Im z|: a pole within roundoff of the real axis (a mode
-    # with no weight on site 1 or N) carries no weight, and is dropped
-    # before 1 / (z_k - conj(z_k)) divides by its roundoff.
-    scale = max(abs(p.mu), abs(p.t1), abs(p.t2), abs(s.left.self_energy),
-                abs(s.right.self_energy))
-    keep = -z.imag > 64 * np.finfo(float).eps * p.n * scale
+    keep = _weighted(z, s)
     z, c = z[keep], c[keep]
     # the couplings ride on c and conj(c), as in `transmission`
     return z, (2.0 * s.left.gamma * c) * (
@@ -280,8 +290,6 @@ def _poles(s: TransportSetup):
 # largest miss of the pole sum against the exact T(-V/2) that is accepted,
 # absolute as 0 <= T <= 1; healthy chains up to N = 300 miss by 3e-13
 _PROBE_TOL = 1e-10
-# absolute and relative tolerance of the adaptive quadrature fallback
-_QUAD_TOL = 1e-9
 
 
 def current(v_bias, beta: float, s: TransportSetup):
@@ -301,9 +309,10 @@ def current(v_bias, beta: float, s: TransportSetup):
     E = -V/2, against the exact transmission.  Near an exceptional point of
     H_eff its eigenvectors are nearly parallel and the pole sum is
     inaccurate; where it misses by more than 1e-10, or the sum is not
-    finite, that bias's current is instead one adaptive quadrature of T(E)
-    (f(E) - f(E + V)) over its window padded by 40 / beta, the only use of
-    scipy.  A zero bias carries no current and is not probed.
+    finite, that bias's current is instead a composite Gauss-Legendre sum
+    of the exact T(E) (f(E) - f(E + V)) on panels graded to the poles of
+    the integrand (`_current_quad`), which needs the eigenvalues alone.  A
+    zero bias carries no current and is not probed.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive (math.inf for T = 0)")
@@ -338,17 +347,42 @@ def current(v_bias, beta: float, s: TransportSetup):
 
 
 def _current_quad(v_bias: float, beta: float, s: TransportSetup) -> float:
-    """The current by adaptive quadrature of the exact T(E).  At beta =
-    math.inf the pad is zero and the Fermi difference is exactly +1 or -1
-    at every interior node, so the integral is the signed integral of T
-    over the bias window."""
-    from scipy import integrate
+    """The current as a composite Gauss-Legendre sum of T(E) (f(E) - f(E + V)).
 
-    pad = 40.0 / beta  # 0.0 at beta = inf
-    result = integrate.quad(
-        lambda x: transmission(x, s) * (fermi(x, beta) - fermi(x + v_bias, beta)),
-        min(0.0, -v_bias) - pad, max(0.0, -v_bias) + pad,
-        epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, full_output=1)
-    if len(result) > 3:
-        raise QuadratureError(f"current integral did not converge: {result[3]}")
-    return result[0]
+    The integrand is the exact `transmission` times the Fermi difference,
+    over the bias window padded by 40 / beta (0 at beta = math.inf), beyond
+    which the Fermi difference is below e^-40.  The window is cut into
+    panels at Re z_k and Re z_k +- 2^m |Im z_k|, m >= 0, for every weighted
+    eigenvalue z_k of H_eff, the poles of T, and at finite beta at 0 and -V
+    and 2^m pi / beta either side of each, graded to the nearest poles of
+    the Fermi functions.  So every panel lies inside one graded interval of
+    every pole, and each pole is at least about one panel length away from
+    it: 24 nodes per panel then converge to roundoff, and no error estimate
+    or adaptivity is needed.  At beta = math.inf the Fermi difference is
+    exactly +1 or -1 at every node.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    pad = 40.0 / beta
+    lo, hi = min(0.0, -v_bias) - pad, max(0.0, -v_bias) + pad
+    z = np.linalg.eigvals(_h_eff(s))
+    z = z[_weighted(z, s)]
+    centres, widths = z.real.tolist(), (-z.imag).tolist()
+    if not math.isinf(beta):
+        centres += [0.0, -v_bias]
+        widths += [math.pi / beta] * 2
+    # m runs while 2^m w fits in the window: past the last cut a panel is
+    # shorter than its distance to the pole, and no offset overflows, even
+    # for |Im z| = 1e200 under strong leads
+    span = math.log2(hi - lo)
+    cuts = [lo, hi]
+    for c, w in zip(centres, widths):
+        off = np.ldexp(w, np.arange(max(0, math.floor(span - math.log2(w)) + 1)))
+        cuts += [c, *(c - off).tolist(), *(c + off).tolist()]
+    edges = np.unique(np.clip(cuts, lo, hi))
+    x, wts = leggauss(24)
+    half = 0.5 * np.diff(edges)
+    nodes = ((edges[:-1] + half)[:, None] + half[:, None] * x).ravel().tolist()
+    f = np.array([transmission(e, s) * (fermi(e, beta) - fermi(e + v_bias, beta))
+                  for e in nodes]).reshape(len(half), len(x))
+    return float(half @ (f @ wts))

@@ -17,7 +17,7 @@ from tetranacci.chain import (Arrow, ChainParams, arrow_classify,
                               eigenvector_tetranacci, spectrum,
                               t1_zero_spectrum)
 from tetranacci.closedform import RootClass, characterize, xi_closed
-from tetranacci.errors import DegenerateModeError, SingularBoundaryError
+from tetranacci.errors import PreconditionError, SingularBoundaryError
 from tetranacci.kitaev import (KitaevParams, bdg_spectrum, effective_h_matrix,
                                kitaev_spectrum)
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range
@@ -204,7 +204,7 @@ def test_08_eigenvector_formula():
             for idx in range(n):
                 try:
                     vec = eigenvector_tetranacci(float(w[idx]), p)
-                except DegenerateModeError:
+                except PreconditionError:
                     continue
                 vec = vec / np.linalg.norm(vec)
                 dense = v[:, idx]

@@ -341,6 +341,10 @@ def test_transport_transmission_without_coefficient_map(capsys, t2):
     # the closed-form window leaves the finite doubles
     ("seq", "--zeta", "3", "--eta", "3", "--g", "1e300,1e300,0,0",
      "--lo", "-30", "--hi", "30", "--mode", "closed"),
+    # mu^2 = 1e320 overflows the Kitaev sublattice matrix, away from and at
+    # the sweet spot t = delta
+    ("kitaev", "--n", "3", "--t", "1", "--delta", "0.5", "--mu-grid", "1e160:1e160:1"),
+    ("kitaev", "--n", "3", "--t", "1", "--delta", "1", "--mu-grid", "1e160:1e160:1"),
 ])
 def test_overflow_is_numerical_failure(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -350,11 +354,24 @@ def test_overflow_is_numerical_failure(capsys, argv):
 
 def test_nonconvergent_eigensolve_is_numerical_failure(capsys):
     # mu = 1e308 puts infinite entries, and no nan, into the chain matrix,
-    # so LAPACK reports no convergence
+    # on which LAPACK would report no convergence; the matrix is refused
+    # as overflowing before the eigensolve
     code, _, err = run(capsys, "kitaev", "--n", "3", "--t", "1", "--delta", "0.5",
                        "--mu-grid", "0:1e308:2")
     assert code == 4
     assert "numerical failure" in err
+
+
+def test_kitaev_overflowing_map_is_null(capsys):
+    # t^2 - delta^2 = 1e-310: the spectrum is finite, but eta = -2 t mu /
+    # 1e-310 overflows, so the map is left empty as at the sweet spot
+    code, out, err = run(capsys, "kitaev", "--n", "3", "--t", "1e-155", "--delta", "0",
+                         "--mu-grid", "1e154:1e154:1")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 6
+    assert all(r["zeta"] is None and r["eta"] is None and math.isfinite(float(r["e"]))
+               for r in rows)
 
 
 @pytest.mark.parametrize("grid, column", [
@@ -409,7 +426,7 @@ def test_invalid_parameters_usage_error(capsys, argv):
 
 def test_transport_weak_coupling_current(capsys):
     # 100 resonances about 1e-4 wide, on which a plain adaptive quadrature
-    # of T(E) raises QuadratureError.  The reference is a quadrature of the
+    # of T(E) does not converge.  The reference is a quadrature of the
     # dense T split at every Re z_k of H_eff (138 s of CPU).
     code, out, err = run(capsys, "transport", "--n=100", "--mu=0", "--t1=1", "--t2=0.8",
                          "--gamma-l=0.005", "--gamma-r=0.005", "--beta=10",
@@ -441,15 +458,17 @@ def test_transport_current_at_t2_zero(capsys, beta):
 
 
 def test_start_up_imports_no_scipy():
-    # scipy's import dominated every CLI process; only the quadrature
-    # fallback of `current` may load it, and healthy chains never take it.
-    # numpy.random (with hashlib and secrets) is never needed: `verify`
-    # draws from stdlib random
+    # scipy's import dominated every CLI process, and the package no longer
+    # uses it; numpy.polynomial is loaded only by the quadrature fallback of
+    # `current`, which healthy chains never take, and the exceptional point
+    # N = 2, gamma_L = 2.5, gamma_R = 0.5 does.  numpy.random (with hashlib
+    # and secrets) is never needed: `verify` draws from stdlib random
     script = (
         "import sys\n"
         "from tetranacci.cli import main\n"
         "def loaded(): return sorted(m for m in sys.modules\n"
-        "                            if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
+        "                            if m.split('.')[0] == 'scipy'\n"
+        "                            or m.startswith(('numpy.random', 'numpy.polynomial')))\n"
         "print(loaded(), file=sys.stderr)\n"
         "main(['spectrum', '--n', '10', '--t1', '1', '--t2', '0.5'])\n"
         "print(loaded(), file=sys.stderr)\n"
@@ -457,14 +476,18 @@ def test_start_up_imports_no_scipy():
         "    main(['transport', '--n', '10', '--t1', '1', '--t2', '0.8', '--beta', beta,\n"
         "          '--v-grid', '0.5:2:4'])\n"
         "main(['transport', '--n', '10', '--t1', '1', '--t2', '0.8', '--e-grid', '-1:1:5'])\n"
-        "print(loaded(), file=sys.stderr)\n")
+        "print(loaded(), file=sys.stderr)\n"
+        "main(['transport', '--n', '2', '--mu', '0.1', '--t1', '1', '--t2', '1',\n"
+        "      '--gamma-l', '2.5', '--gamma-r', '0.5', '--v-grid', '1:1:1'])\n"
+        "print([m for m in loaded() if not m.startswith('numpy.polynomial')], file=sys.stderr)\n"
+        "print('numpy.polynomial.legendre' in sys.modules, file=sys.stderr)\n")
     src = str(Path(tetranacci.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines() == ["[]", "[]", "[]"]
+    assert done.stderr.splitlines() == ["[]", "[]", "[]", "[]", "True"]
 
 
 def _fmt_reference(value):

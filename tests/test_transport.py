@@ -343,6 +343,21 @@ def test_current_edge_cases(monkeypatch, chain, gammas, want, fallback):
     assert bool(calls) is fallback
 
 
+def test_current_quad_resolves_narrow_resonance(monkeypatch):
+    # the resonance example of test_current_matches_quadrature: sublattices
+    # coupled by t1 = 1e-5 hold resonances 1.5e-11 wide, which an adaptive
+    # quadrature without split points misses by 2.1e-9 relative
+    calls = _spy_quad(monkeypatch)
+    lead = LeadParams(0.2558811373430868)
+    s = TransportSetup(ChainParams(mu=-1e-05, t1=-1e-05, t2=2.5774780254716845, n=7),
+                       lead, lead)
+    v, beta = 0.2558811373430868, 78.94830302877999
+    want = current(v, beta, s)
+    assert not calls  # the probe-checked pole sum
+    got = transport._current_quad(v, beta, s)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize("beta", [math.inf, 10.0])
 def test_current_decoupled_lead_is_zero(monkeypatch, beta):
     calls = _spy_quad(monkeypatch)
