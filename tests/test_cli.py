@@ -297,16 +297,20 @@ def test_transport_at_decoupled_eigenvalue(capsys):
 
 
 def test_current_probe_at_decoupled_eigenvalue(capsys):
-    # the probe E = -V/2 = -1 falls on the decoupled eigenvalue
+    # the probe is Re z_k = +-1.39 of the worst-conditioned pole clipped into
+    # the window, [-1, 0] at V = 1 and [0, 1] at V = -1: at one of the two
+    # biases it falls on a decoupled eigenvalue, E = -1 or E = 1
     from scipy import integrate
     code, out, err = run(capsys, "transport", "--n", "5", "--t1", "0", "--t2", "1",
-                         "--gamma-l", "0.5", "--gamma-r", "0.5", "--v-grid", "2:2:1")
+                         "--gamma-l", "0.5", "--gamma-r", "0.5", "--v-grid", "-1:1:2")
     assert code == 0, err
     full, _ = _sublattice_setup()
-    want, _ = integrate.quad(lambda x: transmission_dense(x, full), -2.0, 0.0,
-                             points=[-1.0], epsabs=1e-13, epsrel=1e-12, limit=400)
-    got = float(json.loads(out)["rows"][0]["current"])
-    assert abs(got - want) <= 1e-9 * want
+    for row in json.loads(out)["rows"]:
+        v = float(row["v"])
+        want, _ = integrate.quad(lambda x: transmission_dense(x, full), min(0.0, -v),
+                                 max(0.0, -v), epsabs=1e-13, epsrel=1e-12, limit=400)
+        got = float(row["current"])
+        assert abs(got - math.copysign(want, v)) <= 1e-9 * want
 
 
 @pytest.mark.parametrize("t2", ["0", "1e-320"])

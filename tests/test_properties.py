@@ -23,7 +23,8 @@ The current from the pole expansion must match an adaptive quadrature of
 the exact transmission to 1e-8, relative to the current or, for a current
 below 1e-6 |V|, to 1e-6 |V| (0 <= T <= 1 bounds |I| by |V|).  A bias grid
 must give each bias's single-bias current to 1e-14 with the same floor,
-from one pole expansion, with every nonzero bias probed at -V/2.
+from one pole expansion, with every nonzero bias probed at Re z_k of the
+worst-conditioned pole clipped into its window, once per distinct energy.
 """
 
 import cmath
@@ -287,6 +288,11 @@ def _current_quad(v, beta, s):
 # three weightless poles within 3e-17 of the real axis
 @example(ChainParams(mu=0.0, t1=4.417763531144255e-134, t2=-0.5, n=7),
          LeadParams(2.0), LeadParams(2.0), 3.1875, 6.5)
+# t1 = 0, even N, equal leads: the sublattices are mirror images and every
+# eigenvalue is doubled; the solve-free c_k = R_1k R_Nk / (r_k^T r_k) of
+# `_poles` holds only if r_k^T r_l = 0 within each eigenspace
+@example(ChainParams(mu=0.3, t1=0.0, t2=1.0, n=6), LeadParams(0.5, 0.2),
+         LeadParams(0.5, 0.2), 1.0, 10.0)
 def test_current_matches_quadrature(chain, left, right, v, beta):
     s = TransportSetup(chain, left, right)
     try:
@@ -325,5 +331,7 @@ def test_current_grid_matches_single_biases(chain, left, right, biases, beta):
     for got, want, v in zip(grid, singles, biases):
         assert abs(got - want) <= 1e-14 * max(abs(want), 1e-6 * abs(v))
     assert calls["poles"] == (1 if any(biases) else 0)
-    probed = [-0.5 * v for v in biases if v != 0.0]
+    z, _, kappa = poles(s)
+    probed = sorted({float(np.clip(z.real[np.argmax(kappa)], min(0.0, -v), max(0.0, -v)))
+                     if len(z) else -0.5 * v for v in biases if v != 0.0})
     assert calls["probes"][:len(probed)] == probed

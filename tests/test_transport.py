@@ -229,7 +229,7 @@ def test_transmission_strong_leads():
     assert transmission(1.0, s) == 0.0 and transmission_dense(1.0, s) == 0.0
     # the pole residues carry the couplings the same way, or they are nan
     # and the current falls back to a quadrature that does not converge
-    _, a = transport._poles(s)
+    _, a, _ = transport._poles(s)
     assert np.all(np.isfinite(a))
     assert current(1.0, math.inf, s) == 0.0
 
@@ -331,8 +331,8 @@ def _spy_quad(monkeypatch):
     (ChainParams(mu=0.1, t1=0.0, t2=0.8, n=3), (0.5, 0.5), 0.8938879790620324, False),
     (ChainParams(mu=0.1, t1=0.0, t2=0.8, n=5), (0.5, 0.5), 0.8431134491031017, False),
     # an exact exceptional point of H_eff: the expansion misses the current
-    # by 2.9e-3 and T(-V/2) by 3.0e-3, so the probe sends the current to
-    # the quadrature
+    # by 2.9e-3 and T by 0.14 at its probe, E = 0 (Re z_k clipped into the
+    # window), so the probe sends the current to the quadrature
     (ChainParams(mu=0.1, t1=1.0, t2=1.0, n=2), (2.5, 0.5), 0.82558208596338711, True),
 ])
 def test_current_edge_cases(monkeypatch, chain, gammas, want, fallback):
@@ -354,7 +354,7 @@ def test_current_quad_resolves_narrow_resonance(monkeypatch):
     v, beta = 0.2558811373430868, 78.94830302877999
     want = current(v, beta, s)
     assert not calls  # the probe-checked pole sum
-    got = transport._current_quad(v, beta, s)
+    got = transport._current_quad(np.array([v]), beta, s, transport._poles(s)[0])[0]
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -367,3 +367,78 @@ def test_current_decoupled_lead_is_zero(monkeypatch, beta):
         assert current(0.7, beta, s) == 0.0
     assert not calls
 
+
+
+def _exceptional_point():
+    # N = 2 with (gamma_L - gamma_R) / 2 = t1: H_eff is defective
+    return TransportSetup(ChainParams(mu=0.1, t1=1.0, t2=1.0, n=2),
+                          LeadParams(2.5), LeadParams(0.5))
+
+
+# want: the current at V = 1e6, whose window already holds all of T, and
+# the graded quadrature of the exact T at V = 1e10 and 1e300 alike
+@pytest.mark.parametrize("beta, want", [(math.inf, 1.262026794064185),
+                                        (10.0, 1.2593983920215057)])
+@pytest.mark.parametrize("v", [1e10, 1e300])
+def test_current_large_bias_at_exceptional_point(monkeypatch, v, beta, want):
+    # a probe at -V/2 lies in the tail, where every pole sum is near 0, and
+    # passed a current 1.0 % (V = 1e10) and 12 % (V = 1e300) off; a probe
+    # at Re z_k of the worst-conditioned pole sees the wrong residues
+    calls = _spy_quad(monkeypatch)
+    s = _exceptional_point()
+    got = current(v, beta, s)
+    assert len(calls) == 1
+    assert got == transport._current_quad(np.array([v]), beta, s, transport._poles(s)[0])[0]
+    assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("beta", [math.inf, 10.0])
+def test_current_grid_fallback_is_one_table(monkeypatch, beta):
+    # every bias falls back: the whole grid is one call of the quadrature,
+    # on the poles of the one eigendecomposition, and matches the pole sum
+    s = default_setup()
+    biases = np.arange(-10, 11) * 0.3
+    want = current(biases, beta, s)
+    eigs = []
+    for name in ("eig", "eigvals"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, f=f: eigs.append(args) or f(*args))
+    calls = _spy_quad(monkeypatch)
+    monkeypatch.setattr(transport, "_PROBE_TOL", -1.0)
+    got = current(biases, beta, s)
+    assert len(calls) == 1 and len(eigs) == 1
+    assert got[10] == 0.0 and want[10] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_current_exactly_defective_falls_back(monkeypatch):
+    # an eigensolver that returns the one isotropic eigenvector (r^T r = 0
+    # exactly) of the defective H_eff makes the residues not finite, and
+    # the current comes from the quadrature without a warning
+    s = _exceptional_point()
+    h = transport._h_eff(s)
+    z = np.trace(h) / 2
+    r = np.array([h[0, 1], z - h[0, 0]])
+    assert r @ r == 0
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda a: (np.array([z, z]), np.column_stack([r, r]) / abs(r[0])))
+    calls = _spy_quad(monkeypatch)
+    got = current(1.0, math.inf, s)
+    assert len(calls) == 1
+    assert abs(got - 0.82558208596338711) <= 1e-12 * got
+
+
+def test_poles_of_degenerate_sublattices(monkeypatch):
+    # at t1 = 0 and even N the sublattices touch one lead each, mirror
+    # images under equal leads: every eigenvalue is doubled, and the
+    # eigenvectors LAPACK returns stay on one sublattice, so every residue
+    # of the solve-free c_k vanishes and T = 0 passes its probe
+    calls = _spy_quad(monkeypatch)
+    lead = LeadParams(0.5, 0.2)
+    s = TransportSetup(ChainParams(mu=0.3, t1=0.0, t2=1.0, n=8), lead, lead)
+    z, a, _ = transport._poles(s)
+    z = np.sort_complex(z)
+    assert len(z) == 8 and np.abs(z[::2] - z[1::2]).max() <= 1e-14
+    assert np.all(a == 0)
+    assert current(1.0, 10.0, s) == 0.0 and not calls
