@@ -16,9 +16,10 @@ of D is a shift and no gcd is ever taken.  The paper's reduction
 identities T_1(j) = -T_-2(j+1), T_-1(j) = T_-2(j-1) - eta T_-2(j) and the
 odd symmetry T_-2(-j) = -T_-2(j) (all proven exactly by `verify --suite
 lemmata`) give the other basic polynomials at every index, so T_-2 is the
-only sequence ever replayed.  Quotients are rounded with int / int true
-division, which is correctly rounded, so each result is the double
-nearest the exact value.
+only sequence ever replayed.  A quotient of Gaussian integers, such as
+the corner entry G_1N = t2 a / det of the boundary solve, is rounded with
+int / int true division, which is correctly rounded, so each component is
+the double nearest the exact value.
 """
 
 from __future__ import annotations
@@ -40,17 +41,9 @@ def tm2_replay(z: int, h: int, k: int, hi: int) -> list:
     return y
 
 
-def gaussian_divider(den):
-    """Function (num, shift) -> num / den * 2^shift for Gaussian integers
-    (re, im), each component rounded once; |den|^2 is formed once."""
-    dr, di = den
+def gaussian_divider(num, den, shift: int) -> complex:
+    """num / den * 2^shift for Gaussian integers (re, im) and shift >= 0,
+    each component rounded once."""
+    (nr, ni), (dr, di) = num, den
     q = dr * dr + di * di
-
-    def divide(num, shift: int = 0) -> complex:
-        nr, ni = num
-        re, im = nr * dr + ni * di, ni * dr - nr * di
-        if shift >= 0:
-            return complex((re << shift) / q, (im << shift) / q)
-        return complex(re / (q << -shift), im / (q << -shift))
-
-    return divide
+    return complex(((nr * dr + ni * di) << shift) / q, ((ni * dr - nr * di) << shift) / q)

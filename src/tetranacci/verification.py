@@ -74,24 +74,10 @@ def _lemma_replay():
     return dict(zip((-2, -1, 0, 1), t)), zeta, eta
 
 
-def _lemma_grid():
-    """(zeta, eta, T) at every grid point, with T[i][j] = T_i(j) exactly for
-    i in -2..1 and j in [-14, 14]."""
-    t, zeta, eta = _lemma_replay()
-    cols = {i: t[i][np.arange(-14, 15)].T.tolist() for i in t}
-    return [(zeta[p], eta[p], {i: dict(zip(range(-14, 15), cols[i][p])) for i in t})
-            for p in range(len(eta))]
-
-
-def _holds(relation, grid) -> bool:
-    """True iff relation(T, eta, j) holds at every grid point for j in [-12, 12]."""
-    return all(relation(t, eta, j) for _, eta, t in grid for j in range(-12, 13))
-
-
-# Each relation holds at one (eta, j) as written, and over the batched
-# replay as one whole-array equality for all j in [-12, 12] and all grid
-# points.  Its shifts reach j +- 2 only: inside the replayed [-14, 14], where
-# the batched rows, indexed modulo 29, do not wrap round.
+# Each relation, at the array j of [-12, 12], is one whole-array equality
+# over the batched replay for all those j and all grid points.  Its shifts
+# reach j +- 2 only: inside the replayed [-14, 14], where the batched rows,
+# indexed modulo 29, do not wrap round.
 _INVERSION = (
     lambda t, eta, j: t[1][j] == t[-2][-1 - j],
     lambda t, eta, j: t[0][j] == t[-1][-1 - j],

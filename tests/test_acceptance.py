@@ -24,7 +24,7 @@ from tetranacci.recurrence import Coefficients, InitialValues, eval_range
 from tetranacci.transport import (LeadParams, TransportSetup, current,
                                   green_1n_dense, green_1n_tetranacci,
                                   transmission)
-from tetranacci.verification import _lemma_grid
+from tetranacci.verification import _lemma_replay
 
 from band_oracle import chain_eigh
 
@@ -40,29 +40,30 @@ def test_01_exact_lemma_suite():
     # polynomial compared has low enough degree for equality on the grid to
     # be equality as polynomials in (zeta, eta)
     start = time.time()
-    grid = _lemma_grid()
-    ok = True
-    for zeta, eta, t in grid:
-        for j in range(-12, 13):
-            ok &= t[1][j] == t[-2][-1 - j]
-            ok &= t[0][j] == t[-1][-1 - j]
-            ok &= t[-2][j] == t[1][-1 - j]
-            ok &= t[-1][j] == t[0][-1 - j]
-            ok &= t[-2][j] == -t[-2][-j]
-            ok &= t[-1][j] == t[-2][j - 1] - eta * t[-2][j]
-            ok &= t[0][j] == eta * t[-2][j + 1] - t[-2][j + 2]
-            ok &= t[1][j] == -t[-2][j + 1]
-        table = {
-            -3: (eta, zeta, eta, -1),
-            -2: (1, 0, 0, 0),
-            -1: (0, 1, 0, 0),
-            0: (0, 0, 1, 0),
-            1: (0, 0, 0, 1),
-            2: (-1, eta, zeta, eta),
-        }
-        for j, row in table.items():
-            for i, want in zip((-2, -1, 0, 1), row):
-                ok &= t[i][j] == want
+    t, zeta, eta = _lemma_replay()
+    j = np.arange(-12, 13)
+    # each check is one equality over every j and every grid point at once
+    checks = [
+        t[1][j] == t[-2][-1 - j],
+        t[0][j] == t[-1][-1 - j],
+        t[-2][j] == t[1][-1 - j],
+        t[-1][j] == t[0][-1 - j],
+        t[-2][j] == -t[-2][-j],
+        t[-1][j] == t[-2][j - 1] - eta * t[-2][j],
+        t[0][j] == eta * t[-2][j + 1] - t[-2][j + 2],
+        t[1][j] == -t[-2][j + 1],
+    ]
+    table = {
+        -3: (eta, zeta, eta, -1),
+        -2: (1, 0, 0, 0),
+        -1: (0, 1, 0, 0),
+        0: (0, 0, 1, 0),
+        1: (0, 0, 0, 1),
+        2: (-1, eta, zeta, eta),
+    }
+    checks += [t[i][row] == want for row, wants in table.items()
+               for i, want in zip((-2, -1, 0, 1), wants)]
+    ok = all(bool(np.all(c)) for c in checks)
     elapsed = time.time() - start
     report("exact identity suite (8 relations, j in [-12,12]; value table)",
            ok and elapsed < 5.0, f"{elapsed:.2f} s")

@@ -332,10 +332,6 @@ def test_transport_transmission_without_coefficient_map(capsys, t2):
 @pytest.mark.parametrize("argv", [
     # eta = -t1/t2 overflows a double
     ("spectrum", "--n", "3", "--t1", "1", "--t2", "1e-320"),
-    # the exact boundary division overflows, and the dense solve of the
-    # chain matrix, whose entries are all -1e308, is not finite
-    ("transport", "--n", "3", "--mu", "1e308", "--t1", "1e308", "--t2", "1e308",
-     "--e-grid", "1:1:1"),
     # the characteristic roots overflow
     ("seq", "--zeta", "1e308", "--eta", "1e308", "--g", "1,1,1,1",
      "--lo", "-5", "--hi", "50"),
@@ -354,6 +350,30 @@ def test_overflow_is_numerical_failure(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 4
     assert "numerical failure" in err
+
+
+def test_transport_at_largest_chain_entries(capsys):
+    # no overflow at entries of 1e308: the row is the one printed at mu =
+    # 1e307, where T ~ 1e-616.  At mu = 1e308 the coefficient map rounds E + mu
+    # to mu, and the exact solve answers for E = 0, where G_13 = 0 exactly;
+    # the unrounded E = 1 would give T = 0.2 in a system of condition ~1e308
+    rows = []
+    for mu in ("1e307", "1e308"):
+        code, out, err = run(capsys, "transport", "--n", "3", "--mu", mu, "--t1", "1e308",
+                             "--t2", "1e308", "--e-grid", "1:1:1")
+        assert code == 0, err
+        rows.append(json.loads(out)["rows"])
+    assert rows[0] == rows[1] == [{"e": "1", "transmission": "0"}]
+
+
+def test_transport_at_barely_coupled_sublattices(capsys):
+    # t1 = 2.2e-311: at E = 0, G_13 = (1 + i) / 4 for any t1 != 0, so T = 1/2
+    code, out, err = run(capsys, "transport", "--n", "3", "--t1", "2.225073858507e-311",
+                         "--t2", "1", "--gamma-l", "1", "--gamma-r", "1",
+                         "--e-grid", "0:0:1")
+    assert code == 0, err
+    got = float(json.loads(out)["rows"][0]["transmission"])
+    assert abs(got - 0.5) <= math.ulp(0.5)
 
 
 def test_nonconvergent_eigensolve_is_numerical_failure(capsys):

@@ -66,9 +66,16 @@ def test_scaled_replay_equals_fraction_replay(seed, n):
 
 
 def test_gaussian_divider_rounds_once():
-    divide = gaussian_divider((3, 4))  # 1 / (3 + 4i) = (3 - 4i) / 25
-    assert divide((25, 0)) == 3 - 4j
+    den = (3, 4)  # 1 / (3 + 4i) = (3 - 4i) / 25
+    assert gaussian_divider((25, 0), den, 0) == 3 - 4j
     # quotients of exact small ints: IEEE division rounds them once too
-    assert divide((1, 0), 3) == complex(24 / 25, -32 / 25)
-    assert divide((1 << 300, 0), -300) == complex(3 / 25, -4 / 25)
-    assert divide((0, -1), -2) == complex(-4 / 100, -3 / 100)
+    assert gaussian_divider((1, 0), den, 3) == complex(24 / 25, -32 / 25)
+    assert gaussian_divider((0, -1), (12, 16), 0) == complex(-4 / 100, -3 / 100)
+    # ints far past the doubles with a quotient inside them
+    big = (3 << 2000, 4 << 2000)
+    assert gaussian_divider((1, 0), big, 2000) == complex(3 / 25, -4 / 25)
+    assert gaussian_divider((1 << 2000, 0), big, 0) == complex(3 / 25, -4 / 25)
+    # a quotient past the largest double raises instead of rounding to inf
+    assert gaussian_divider((1, 0), (1, 0), 1023) == complex(2.0 ** 1023, 0.0)
+    with pytest.raises(OverflowError):
+        gaussian_divider((1, 0), (1, 0), 1024)

@@ -4,7 +4,7 @@ import pytest
 from tetranacci.errors import PreconditionError
 from tetranacci.exactnum import tm2_replay
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range, replay
-from tetranacci.verification import _INVERSION, _REDUCTION, _holds, _lemma_grid
+from tetranacci.verification import _INVERSION, _REDUCTION, _lemma_replay
 
 
 def random_setup(rng):
@@ -161,48 +161,53 @@ def test_eval_range_big_ints_not_rejected():
 # polynomial compared has degree <= 7 in zeta and <= 14 in eta (see
 # `verification`), so equality on the integer grid is equality as polynomials.
 
+def _holds(relation) -> bool:
+    """True iff relation(T, eta, j) holds at every grid point for every j in
+    [-12, 12], checked as one whole-array equality on `_lemma_replay`."""
+    t, _, eta = _lemma_replay()
+    return bool(np.all(relation(t, eta, np.arange(-12, 13))))
+
+
 def test_known_polynomials():
-    for zeta, eta, t in _lemma_grid():
-        assert t[0][4] == (zeta + 1) * (zeta - 1 + eta * eta)
-        assert t[1][3] == eta * eta + zeta
-        assert t[-2][0] == 0
+    t, zeta, eta = _lemma_replay()
+    assert np.all(t[0][4] == (zeta + 1) * (zeta - 1 + eta * eta))
+    assert np.all(t[1][3] == eta * eta + zeta)
+    assert np.all(t[-2][0] == 0)
 
 
 def test_table_one_window():
-    """All four columns on j in [-3, 2], exactly."""
-    for zeta, eta, t in _lemma_grid():
-        table = {
-            # j: (T_-2, T_-1, T_0, T_1)
-            -3: (eta, zeta, eta, -1),
-            -2: (1, 0, 0, 0),
-            -1: (0, 1, 0, 0),
-            0: (0, 0, 1, 0),
-            1: (0, 0, 0, 1),
-            2: (-1, eta, zeta, eta),
-        }
-        for j, row in table.items():
-            for i, want in zip((-2, -1, 0, 1), row):
-                assert t[i][j] == want, (i, j, zeta, eta)
+    """All four columns on j in [-3, 2], exactly, at every grid point."""
+    t, zeta, eta = _lemma_replay()
+    table = {
+        # j: (T_-2, T_-1, T_0, T_1)
+        -3: (eta, zeta, eta, -1),
+        -2: (1, 0, 0, 0),
+        -1: (0, 1, 0, 0),
+        0: (0, 0, 1, 0),
+        1: (0, 0, 0, 1),
+        2: (-1, eta, zeta, eta),
+    }
+    for j, row in table.items():
+        for i, want in zip((-2, -1, 0, 1), row):
+            assert np.all(t[i][j] == want), (i, j)
 
 
 def test_inversion_identities_exact():
-    grid = _lemma_grid()
-    assert all(_holds(relation, grid) for relation in _INVERSION)
+    assert all(_holds(relation) for relation in _INVERSION)
 
 
 def test_reduction_identities_exact():
-    grid = _lemma_grid()
-    assert all(_holds(relation, grid) for relation in _REDUCTION)
+    assert all(_holds(relation) for relation in _REDUCTION)
 
 
 def test_false_identities_fail_on_grid():
-    grid = _lemma_grid()
-    assert not _holds(lambda t, eta, j: t[1][j] == t[-2][j + 1], grid)  # sign flipped
-    assert not _holds(lambda t, eta, j: t[-1][j] == t[-2][j - 1] + eta * t[-2][j], grid)
+    assert not _holds(lambda t, eta, j: t[1][j] == t[-2][j + 1])  # sign flipped
+    assert not _holds(lambda t, eta, j: t[-1][j] == t[-2][j - 1] + eta * t[-2][j])
 
 
 def test_distinct_polynomials_differ():
-    assert any(t[0][5] != t[1][5] for _, _, t in _lemma_grid())
+    t, _, _ = _lemma_replay()
+    assert np.any(t[0][5] != t[1][5])
     c = Coefficients(1, 1)
     assert (eval_range(InitialValues.unit(0), c, 5, 5).values
             != eval_range(InitialValues.unit(1), c, 5, 5).values)

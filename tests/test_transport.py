@@ -10,8 +10,6 @@ from tetranacci.transport import (LeadParams, TransportSetup, current, digamma,
                                   fermi, green_1n_dense, green_1n_tetranacci,
                                   transmission, transmission_dense)
 
-from band_oracle import chain_eigh
-
 
 def default_setup(n=5, gamma=0.5):
     chain = ChainParams(mu=0.3, t1=1.0, t2=0.8, n=n)
@@ -78,9 +76,10 @@ def test_green_decoupled_leads_is_isolated_resolvent():
 def test_green_singular_at_decoupled_eigenvalue():
     chain = ChainParams(mu=0.0, t1=0.0, t2=1.0, n=4)
     s = TransportSetup(chain, LeadParams(0.0), LeadParams(0.0))
-    w = chain_eigh(chain)[0]
+    # E = -1 = -t2 is an eigenvalue of both sublattices (t1 = 0), at which
+    # the boundary system is exactly singular
     with pytest.raises(SingularBoundaryError):
-        green_1n_tetranacci(float(w[0]), s)
+        green_1n_tetranacci(-1.0, s)
 
 
 def test_dense_green_at_weightless_eigenvalue():
@@ -145,13 +144,25 @@ def test_dense_green_array_with_decoupled_lead_at_pole_raises():
     assert green_1n_dense(np.array([0.3]), s)[0] == green_1n_dense(0.3, s)
 
 
-def test_green_overflowing_pole_is_singular():
-    # t1 = 2.2e-311 barely couples the two sublattices, so at E = 0 the
-    # solution diverges past the largest double instead of past 1e12
+def test_green_at_barely_coupled_sublattices():
+    # t1 = 2.2e-311 barely couples the two sublattices, yet at E = 0 G_13 =
+    # t1^2 / (t1^2 (2 t2 - 2 i gamma)) = (1 + i) / 4 for any t1 != 0
     chain = ChainParams(mu=0.0, t1=2.225073858507e-311, t2=1.0, n=3)
     s = TransportSetup(chain, LeadParams(1.0), LeadParams(1.0))
-    with pytest.raises(SingularBoundaryError):
-        green_1n_tetranacci(0.0, s)
+    assert green_1n_tetranacci(0.0, s) == 0.25 + 0.25j
+    assert abs(transmission(0.0, s) - 0.5) <= math.ulp(0.5)
+
+
+def test_weak_leads_stay_exact(monkeypatch):
+    # N = 1 with both leads on its one site: G = 1 / (2 i gamma), |G| =
+    # 5e169, and T = (2 gamma |G|)^2 = 1 from the boundary solve alone
+    def refuse(e, s):
+        raise AssertionError("dense solve called")
+
+    monkeypatch.setattr(transport, "transmission_dense", refuse)
+    s = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=1.0, n=1),
+                       LeadParams(1e-170), LeadParams(1e-170))
+    assert transmission(0.0, s) == 1.0
 
 
 def test_green_equals_dense_over_grid():

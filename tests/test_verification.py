@@ -1,19 +1,23 @@
+import numpy as np
 import pytest
 
 from tetranacci import verification
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range
-from tetranacci.verification import _lemma_grid, run_suite, suite_lemmata
+from tetranacci.verification import _lemma_replay, run_suite, suite_lemmata
 
 
 def test_batched_lemma_replay_equals_eval_range():
-    grid = _lemma_grid()
-    assert [(zeta, eta) for zeta, eta, _ in grid] == [(z, e) for z in range(8) for e in range(15)]
-    for zeta, eta, t in grid:
-        assert type(zeta) is int and type(eta) is int
+    t, zeta, eta = _lemma_replay()
+    points = list(zip(zeta.tolist(), eta.tolist()))
+    assert points == [(z, e) for z in range(8) for e in range(15)]
+    rows = np.arange(-14, 15)
+    for p, (z, e) in enumerate(points):
+        assert type(z) is int and type(e) is int
         for i in (-2, -1, 0, 1):
-            want = eval_range(InitialValues.unit(i), Coefficients(zeta, eta), -14, 14)
-            assert tuple(t[i][j] for j in range(-14, 15)) == want.values
-            assert all(type(v) is int for v in t[i].values())
+            want = eval_range(InitialValues.unit(i), Coefficients(z, e), -14, 14)
+            got = t[i][rows, p].tolist()
+            assert tuple(got) == want.values
+            assert all(type(v) is int for v in got)
 
 
 def test_batched_suite_fails_on_flipped_sign(monkeypatch):
