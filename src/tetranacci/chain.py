@@ -26,7 +26,7 @@ import numpy as np
 
 from .closedform import characterize, standing_wave
 from .errors import PreconditionError, ZeroT2Error
-from .exactnum import dyadic, tm2_replay
+from .exactnum import tm2_replay, tm2_scale
 from .recurrence import Coefficients, require_real
 
 
@@ -173,11 +173,19 @@ _NO_WAVE_FIELDS = dict.fromkeys(
 def spectrum(p: ChainParams):
     """All N modes, sorted by energy, with symmetry and arrow diagnostics;
     each mirror sector is solved on its own, and lambda_i is its sign.
-    At t2 = 0 the wavevector, branch and arrow fields are None."""
+    At t2 = 0 the wavevector, branch and arrow fields are None.
+    OverflowError is raised where a sector matrix or an eigenvalue leaves
+    the doubles (entries near 1e308)."""
     h = build_chain_matrix(p)
     modes = []
     for lam, q in zip((1, -1), mirror_sectors(p.n)):
-        w, u = np.linalg.eigh(q.T @ h @ q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sector = q.T @ h @ q
+        if not np.isfinite(sector).all():
+            raise OverflowError("chain eigenproblem overflows: sector matrix not finite")
+        w, u = np.linalg.eigh(sector)
+        if not np.isfinite(w).all():
+            raise OverflowError("chain eigenproblem overflows: eigenvalue not finite")
         for e, vec in zip(w.tolist(), (q @ u).T):
             fields = _NO_WAVE_FIELDS if p.t2 == 0.0 else _wave_fields(e, lam, p)
             modes.append(EigenMode(e=e, lambda_i=lam, vector=vec, **fields))
@@ -242,13 +250,13 @@ def eigenvector_tetranacci(e: float, p: ChainParams) -> np.ndarray:
 
     The combination T_-2(j) T_-2(N+2) - T_-2(N+1) T_-2(j+1) cancels down
     by |r|^(2j) for modes with complex wavevectors, so it is formed exactly
-    on the scaled-integer replay y_j = D^(j+2) T_-2(j) (`exactnum`), where
-    it reads (y_j y_{N+2} - y_{N+1} y_{j+1}) / (y_{N+2} D^(j+2)), and
-    rounded once.
+    on the scaled-integer replay y_j = D^(j+2) T_-2(j) (`exactnum`, zeta
+    over D^2 and eta over D = 2^k), where it reads (y_j y_{N+2} - y_{N+1}
+    y_{j+1}) / (y_{N+2} D^(j+2)), and rounded once.
     """
     c = coeffs_from_energy(e, p)
-    k, (z, h) = dyadic(c.zeta, c.eta)
-    y = tm2_replay(z, h, k, p.n + 2)  # y[j + 2] = D^(j+2) T_-2(j), D = 2^k
+    k, (z, h) = tm2_scale(c.zeta, c.eta)
+    y = tm2_replay(z, h, k, p.n + 2)  # y[j + 2] = D^(j+2) T_-2(j)
     scale = max(abs(y[j + 2] / (1 << k * (j + 2))) for j in range(0, p.n + 3)) or 1.0
     yn2, yn1 = y[p.n + 4], y[p.n + 3]
     if abs(yn2 / (1 << k * (p.n + 4))) <= 1e-10 * scale:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .chain import ChainParams, build_chain_matrix, coeffs_from_energy
 from .errors import SingularBoundaryError, ZeroT2Error
-from .exactnum import dyadic, gaussian_divider, tm2_replay
+from .exactnum import dyadic, gaussian_divider, tm2_replay, tm2_scale
 from .recurrence import require_real
 
 
@@ -62,12 +62,14 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     T_-1(j), w_L = i gamma_L - Lambda_L, with g_1 = t2 h.  The reduction
     identities give row(j) = -t2 T_-2(j+1) + w_L (T_-2(j-1) - eta T_-2(j)),
     so one scaled-integer replay of T_-2 (`exactnum`) carries the solve:
-    with D = 2^k the common denominator of all inputs, each T_-2(i) with 0
-    <= i <= top is tau(i) / D^(top+2) for an int tau(i), and a, b, c, d and
-    det are Gaussian integers over known powers of D.  As T_-2(1) = 0 and
-    row(1) = t2, G_1N = sigma_1 = t2 a / det, the one unknown solved for,
-    rounded once.  It is exact for zeta and eta as `coeffs_from_energy`
-    rounds them.
+    zeta and eta are written over D^2 and D, D = 2^k, and t2, Lambda and
+    gamma over their own D' = 2^k'.  Each T_-2(i) with 0 <= i <= top is
+    tau(i) / D^(top+2) for an int tau(i), and a, b, c, d and det are
+    Gaussian integers over D^(top+2), D' D^(top+3), D' D^(top+2), D'^2
+    D^(top+3) and D'^2 D^(2top+5).  As T_-2(1) = 0 and row(1) = t2, G_1N =
+    sigma_1 = t2 a / det, the one unknown solved for, is the quotient of
+    these ints times D' D^(top+3), rounded once.  It is exact for zeta and
+    eta as `coeffs_from_energy` rounds them.
 
     SingularBoundaryError is raised where there is no such double: at det =
     0 (the eigenvalue of a mode with no weight on site 1 or N), and where
@@ -77,8 +79,8 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     p = s.chain
     c = coeffs_from_energy(e, p)
     n = p.n
-    k, (z, eta, t2, *w) = dyadic(c.zeta, c.eta, p.t2, -s.left.lam, s.left.gamma,
-                                 -s.right.lam, s.right.gamma)
+    k, (z, eta) = tm2_scale(c.zeta, c.eta)
+    kc, (t2, *w) = dyadic(p.t2, -s.left.lam, s.left.gamma, -s.right.lam, s.right.gamma)
     w_l, w_r = tuple(w[:2]), tuple(w[2:])
     top = n + 3
     y = tm2_replay(z, eta, k, top)
@@ -86,31 +88,35 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     def tau(i):  # D^(top+2) T_-2(i)
         return y[i + 2] << k * (top - i)
 
-    def row(j):  # D^(top+4) row(j)
+    def row(j):  # D' D^(top+3) row(j)
         u = (tau(j - 1) << k) - eta * tau(j)
         return ((-t2 * tau(j + 1)) << k) + w_l[0] * u, w_l[1] * u
 
     a = tau(n + 1)  # D^(top+2) a
-    b = row(n + 1)  # D^(top+4) b
+    b = row(n + 1)  # D' D^(top+3) b
     tn = tau(n)
-    cc = w_r[0] * tn - t2 * tau(n + 2), w_r[1] * tn  # D^(top+3) c
+    cc = w_r[0] * tn - t2 * tau(n + 2), w_r[1] * tn  # D' D^(top+2) c
     rn, rn2 = _gmul(w_r, row(n)), row(n + 2)
-    d = rn[0] - t2 * rn2[0], rn[1] - t2 * rn2[1]  # D^(top+5) d
+    d = rn[0] - t2 * rn2[0], rn[1] - t2 * rn2[1]  # D'^2 D^(top+3) d
     bc = _gmul(b, cc)
-    det = a * d[0] - bc[0], a * d[1] - bc[1]  # D^(2 top+7) det
+    det = a * d[0] - bc[0], a * d[1] - bc[1]  # D'^2 D^(2 top+5) det
     if det == (0, 0):
         raise SingularBoundaryError(f"boundary system singular at E = {e}")
     try:
-        return gaussian_divider((t2 * a, 0), det, k * (top + 4))
+        return gaussian_divider((t2 * a, 0), det, kc + k * (top + 3))
     except OverflowError:
         raise SingularBoundaryError(f"G_1N overflows at E = {e}") from None
 
 
 def _h_eff(s: TransportSetup) -> np.ndarray:
-    """H_eff = H + Sigma_L + Sigma_R, the chain matrix with both leads."""
+    """H_eff = H + Sigma_L + Sigma_R, the chain matrix with both leads;
+    OverflowError where -mu + Lambda leaves the doubles."""
     h = build_chain_matrix(s.chain).astype(complex)
-    h[0, 0] += s.left.self_energy
-    h[-1, -1] += s.right.self_energy
+    with np.errstate(over="ignore"):
+        h[0, 0] += s.left.self_energy
+        h[-1, -1] += s.right.self_energy
+    if not (np.isfinite(h[0, 0]) and np.isfinite(h[-1, -1])):
+        raise OverflowError("H + Sigma overflows at a lead site")
     return h
 
 
@@ -125,10 +131,16 @@ def green_1n_dense(e, s: TransportSetup):
     subnormal E - mu (E = 1e-313, say) would make the solver's reciprocal
     pivot overflow, and inf * 0 turn the solution into nan.  The scaled
     system is solved for 2^-k_N x, so only x_1 is scaled back.
+    OverflowError is raised where E - H_eff itself overflows (E + mu near
+    2e308).
     """
     n = s.chain.n
     energies = np.atleast_1d(np.asarray(e, dtype=float))
-    a = energies[:, None, None] * np.eye(n) - _h_eff(s)
+    with np.errstate(over="ignore"):
+        a = energies[:, None, None] * np.eye(n) - _h_eff(s)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise OverflowError(f"E - H_eff overflows at E = {float(energies[~finite][0])!r}")
     k = -np.frexp(np.abs(a).max(axis=2))[1]
     a.real = np.ldexp(a.real, k[:, :, None])
     a.imag = np.ldexp(a.imag, k[:, :, None])
@@ -178,7 +190,8 @@ def transmission(e: float, s: TransportSetup) -> float:
     eigenvalue of a mode with no weight on site 1 or N (the even sublattice
     at t1 = 0, odd N) its 2x2 system is singular, though T is not, and with
     a lead coupling near 1e-310 G_1N overflows a double.  A dense T that is
-    not finite leaves the boundary solve's error standing.  With a lead
+    not finite leaves the boundary solve's error standing, and an E - H_eff
+    that overflows raises OverflowError.  With a lead
     decoupled (gamma = 0) T vanishes identically and no solve is made: at
     an eigenvalue of the chain it would be singular.  With both leads
     coupled, T <= 1 bounds |G_1N| by 1 / (2 sqrt(gamma_L gamma_R)), so the

@@ -349,7 +349,18 @@ def test_transport_transmission_without_coefficient_map(capsys, t2):
     # double in the boundary and in the dense solve
     ("transport", "--n", "1", "--t1", "1", "--gamma-l", "1e-310", "--gamma-r", "1e-310",
      "--e-grid", "0:0:1"),
+    # the mirror-sector matrices of entries of 1e308 overflow before the
+    # eigensolve, with no numpy warning on the way
+    ("spectrum", "--n", "3", "--mu", "1e308", "--t1", "1e308", "--t2", "1e308"),
+    # E + mu = 2e308: no coefficient map, and E - H_eff of the dense solve
+    # overflows too
+    ("transport", "--n", "3", "--mu", "1e308", "--t1", "1", "--t2", "1",
+     "--e-grid", "1e308:1e308:1"),
+    # -mu + Lambda_L = 2e308 in the H_eff of the current's eigendecomposition
+    ("transport", "--n", "3", "--mu", "-1e308", "--t1", "1", "--lambda-l", "1e308",
+     "--v-grid", "1:1:1"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_overflow_is_numerical_failure(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 4
