@@ -27,7 +27,7 @@ import numpy as np
 from .closedform import characterize, standing_wave
 from .errors import PreconditionError, ZeroT2Error
 from .exactnum import tm2_replay, tm2_scale
-from .recurrence import Coefficients, require_real
+from .recurrence import Coefficients, all_finite, require_real
 
 
 @dataclass(frozen=True)
@@ -120,17 +120,20 @@ def dispersion(k: complex, p: ChainParams) -> complex:
     return -p.mu - 2.0 * p.t1 * cmath.cos(kd) - 2.0 * p.t2 * cmath.cos(2.0 * kd)
 
 
-def coeffs_from_energy(e: float, p: ChainParams) -> Coefficients:
+def coeffs_from_energy(e, p: ChainParams) -> Coefficients:
+    """(zeta, eta) = (-(E + mu) / t2, -t1 / t2) for one energy E, or for a
+    1-D array of them, giving a batch."""
     if p.t2 == 0.0:
         raise ZeroT2Error("coefficient map needs t2 != 0")
     zeta, eta = -(e + p.mu) / p.t2, -p.t1 / p.t2
-    if not (math.isfinite(zeta) and math.isfinite(eta)):
+    if not (all_finite(zeta) and math.isfinite(eta)):
         raise ZeroT2Error(f"coefficient map overflows at t2 = {p.t2!r}")
     return Coefficients(zeta=zeta, eta=eta)
 
 
-def wavevectors_from_energy(e: float, p: ChainParams):
-    """Recover (k1, k2) for one eigenvalue via the characteristic roots."""
+def wavevectors_from_energy(e, p: ChainParams):
+    """Recover (k1, k2) via the characteristic roots, for one eigenvalue or
+    for a 1-D array of them."""
     cd = characterize(coeffs_from_energy(e, p))
     return cd.theta1 / p.d, cd.theta2 / p.d
 
@@ -140,40 +143,48 @@ def wavevectors_from_energy(e: float, p: ChainParams):
 _BRANCH_TOL = 1e-6
 
 
-def _branch_residuals(k1: complex, k2: complex, n: int, d: float):
-    """Residuals {+1: ..., -1: ...} of f(k+) = +-f(k-), f(k) = sin(k d (N+2)) / sin(k d)."""
+def _branch_residuals(k1, k2, n: int, d: float):
+    """Residuals {+1: ..., -1: ...} of f(k+) = +-f(k-), f(k) = sin(k d (N+2)) / sin(k d),
+    for one pair (k1, k2) or entry by entry for arrays of them."""
     fp = standing_wave(n + 2, (k1 + k2) / 2.0 * d)
     fm = standing_wave(n + 2, (k1 - k2) / 2.0 * d)
-    scale = max(abs(fp), abs(fm), 1.0)
-    return {+1: abs(fp - fm) / scale, -1: abs(fp + fm) / scale}
+    scale = np.maximum(np.maximum(np.abs(fp), np.abs(fm)), 1.0)
+    return {+1: np.abs(fp - fm) / scale, -1: np.abs(fp + fm) / scale}
 
 
-def _wave_fields(e: float, lam: int, p: ChainParams) -> dict:
-    """The EigenMode fields that come from the coefficient map of one mode."""
-    k1, k2 = wavevectors_from_energy(e, p)
+# the EigenMode fields that come from the coefficient map; at t2 = 0 it does
+# not exist (the nearest-neighbour chain has no four-term recursion), and
+# they are None
+_WAVE_FIELDS = ("k1", "k2", "k_plus", "k_minus", "s_q", "arrow", "quant_residual")
+
+
+def _wave_fields(w: np.ndarray, lam: int, p: ChainParams) -> list:
+    """The coefficient-map fields of each mode of the sector of sign lam,
+    one dict per eigenvalue in w."""
+    with np.errstate(over="ignore"):  # an infinite zeta raises ZeroT2Error, as a float's
+        k1, k2 = wavevectors_from_energy(w, p)
     res = _branch_residuals(k1, k2, p.n, p.d)
     # both signs hold at a crossing and where f(k+) = f(k-) = 0 (e.g.
-    # k2 = pi at E = -mu, t1 = t2, 3 | N + 2); the parity decides
-    s_q = -lam if max(res.values()) < _BRANCH_TOL else min(res, key=res.get)
+    # k2 = pi at E = -mu, t1 = t2, 3 | N + 2); the parity decides, and
+    # otherwise the smaller residual, +1 on a tie
+    s_q = np.where(np.maximum(res[1], res[-1]) < _BRANCH_TOL, -lam,
+                   np.where(res[-1] < res[1], -1, 1))
     # absolute, in Im(k d): theta = arccos(S/2) of an argument
     # rounded just past +-1 picks up an imaginary part, e.g.
     # acos(1 + 2^-52) = 2.1e-8 i, which must stay inside
-    inside = (abs(k1.imag) < 1e-7 / p.d) and (abs(k2.imag) < 1e-7 / p.d)
-    return dict(k1=k1, k2=k2, k_plus=(k1 + k2) / 2.0, k_minus=(k1 - k2) / 2.0,
-                s_q=s_q, arrow=Arrow.INSIDE if inside else Arrow.OUTSIDE,
-                quant_residual=float(res[s_q]))
-
-
-# at t2 = 0 the coefficient map does not exist: the nearest-neighbour chain
-# has no four-term recursion, so these fields are None
-_NO_WAVE_FIELDS = dict.fromkeys(
-    ("k1", "k2", "k_plus", "k_minus", "s_q", "arrow", "quant_residual"))
+    inside = (np.abs(k1.imag) < 1e-7 / p.d) & (np.abs(k2.imag) < 1e-7 / p.d)
+    columns = (k1, k2, (k1 + k2) / 2.0, (k1 - k2) / 2.0, s_q,
+               np.where(inside, Arrow.INSIDE, Arrow.OUTSIDE),
+               np.where(s_q == 1, res[1], res[-1]))
+    return [dict(zip(_WAVE_FIELDS, mode)) for mode in zip(*(c.tolist() for c in columns))]
 
 
 def spectrum(p: ChainParams):
     """All N modes, sorted by energy, with symmetry and arrow diagnostics;
     each mirror sector is solved on its own, and lambda_i is its sign.
-    At t2 = 0 the wavevector, branch and arrow fields are None.
+    The wavevector, branch and arrow fields of a sector's modes come from
+    one batch of its eigenvalues (`characterize`, then one `standing_wave`
+    call per branch sign); at t2 = 0 they are None.
     OverflowError is raised where a sector matrix or an eigenvalue leaves
     the doubles (entries near 1e308)."""
     h = build_chain_matrix(p)
@@ -186,9 +197,10 @@ def spectrum(p: ChainParams):
         w, u = np.linalg.eigh(sector)
         if not np.isfinite(w).all():
             raise OverflowError("chain eigenproblem overflows: eigenvalue not finite")
-        for e, vec in zip(w.tolist(), (q @ u).T):
-            fields = _NO_WAVE_FIELDS if p.t2 == 0.0 else _wave_fields(e, lam, p)
-            modes.append(EigenMode(e=e, lambda_i=lam, vector=vec, **fields))
+        fields = ([dict.fromkeys(_WAVE_FIELDS)] * len(w) if p.t2 == 0.0
+                  else _wave_fields(w, lam, p))
+        for e, vec, f in zip(w.tolist(), (q @ u).T, fields):
+            modes.append(EigenMode(e=e, lambda_i=lam, vector=vec, **f))
     modes.sort(key=lambda m: m.e)
     return modes
 

@@ -7,6 +7,9 @@ The sequence obeys
 for all integer j, with four initial values g_{-2}, ..., g_1.  Everything
 here is exact-by-replay: no closed forms, just the recursion run forwards
 and backwards.  Higher modules use these values as reference oracles.
+
+`Coefficients` and `InitialValues` may hold 1-D float or complex arrays,
+one entry per draw, and `eval_range` then replays every draw at once.
 """
 
 from __future__ import annotations
@@ -15,13 +18,24 @@ import cmath
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PreconditionError
 
 
-def require_finite(*values: complex) -> None:
+def all_finite(v) -> bool:
+    """True if v is a finite number, or a 1-D array of finite numbers."""
+    if isinstance(v, np.ndarray):
+        return v.ndim <= 1 and bool(np.isfinite(v).all())
+    return cmath.isfinite(complex(v))
+
+
+def require_finite(*values) -> None:
+    """Reject values that are not finite numbers or 1-D arrays of them."""
     for v in values:
-        if not (cmath.isfinite(complex(v))):
-            raise ValueError(f"non-finite value {v!r}")
+        if not all_finite(v):
+            raise ValueError(f"non-finite value {v!r}" if np.ndim(v) <= 1
+                             else f"a batch is a 1-D array, not of shape {np.shape(v)}")
 
 
 def require_real(*values) -> None:
@@ -34,7 +48,7 @@ def require_real(*values) -> None:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Recursion coefficients (zeta, eta)."""
+    """Recursion coefficients (zeta, eta): numbers, or 1-D arrays for a batch."""
 
     zeta: complex
     eta: complex
@@ -45,7 +59,8 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class InitialValues:
-    """Initial values g_{-2}, g_{-1}, g_0, g_1 (in that order)."""
+    """Initial values g_{-2}, g_{-1}, g_0, g_1 (in that order): numbers, or
+    1-D arrays for a batch."""
 
     g: tuple
 
@@ -103,13 +118,18 @@ def eval_range(g: InitialValues, c: Coefficients, lo: int, hi: int) -> SequenceW
     """Materialize xi_lo..xi_hi by replaying the recursion from g.
 
     Plain Python arithmetic: integer g and (zeta, eta) replay in exact
-    ints, floats and complex numbers in doubles.  A float or complex
-    window that leaves the finite doubles raises OverflowError.
+    ints, floats and complex numbers in doubles.  A batch (arrays in g or
+    c) replays in numpy, entry by entry, and each window value is an array
+    of the entries; numpy may fuse a multiply and an add where Python
+    rounds twice, so an entry can differ from its single call in the last
+    digits.  A float or complex window that leaves the finite doubles
+    raises OverflowError.
     """
     if lo > hi:
         raise PreconditionError(f"empty range [{lo}, {hi}]")
-    values = replay(g.g, c.zeta, c.eta, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):  # a batch's inf is caught below
+        values = replay(g.g, c.zeta, c.eta, lo, hi)
     exact = all(isinstance(v, int) for v in (*g.g, c.zeta, c.eta))
-    if not exact and not all(map(cmath.isfinite, values)):
+    if not exact and not np.isfinite(np.array(values, dtype=complex)).all():
         raise OverflowError(f"recursion leaves the finite doubles in [{lo}, {hi}]")
     return SequenceWindow(lo, tuple(values))

@@ -345,12 +345,15 @@ def current(v_bias, beta: float, s: TransportSetup):
         # one row per bias; each row's sum over the poles runs along the
         # contiguous axis, as the sum for a single bias does
         vb = v[on]
-        if math.isinf(beta):
-            j = -_log1p(vb[:, None] / z)
-        else:
-            x = 0.5 + 0.5j * beta * z / math.pi
-            j = digamma(x) - digamma(x + 1j * (0.5 * beta * vb / math.pi)[:, None])
-        got = 2.0 * np.sum(a * j, axis=1).real
+        # beta V / 2 pi overflows at V near 1e308; a sum that is not finite
+        # goes quietly to the table of the exact T below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isinf(beta):
+                j = -_log1p(vb[:, None] / z)
+            else:
+                x = 0.5 + 0.5j * beta * z / math.pi
+                j = digamma(x) - digamma(x + 1j * (0.5 * beta * vb / math.pi)[:, None])
+            got = 2.0 * np.sum(a * j, axis=1).real
         probe = np.clip(z.real[np.argmax(kappa)], np.minimum(0.0, -vb),
                         np.maximum(0.0, -vb)) if len(z) else -0.5 * vb
         energies, which = np.unique(probe, return_inverse=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,18 +339,127 @@ _im = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-300]),
 
 
 @settings(max_examples=50, deadline=None)
-@given(_re, _im, st.integers(-5, 0), st.integers(0, 60), st.booleans())
-def test_standing_wave_array_equals_int_calls(re, im, lo, size, real_x):
-    x = re if real_x else complex(re, im)
+@given(st.lists(st.tuples(_re, _im), min_size=1, max_size=4),
+       st.integers(-5, 0), st.integers(0, 60), st.booleans())
+def test_standing_wave_array_equals_int_calls(xs, lo, size, real_x):
+    # an int m and a number x against an int array m, and against arrays of
+    # both: a batch raises OverflowError where one of its single calls does
+    xs = [re if real_x else complex(re, im) for re, im in xs]
     m = np.arange(lo, lo + size)
     want = []
-    for k in m.tolist():
-        try:
-            want.append(standing_wave(k, x))
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                standing_wave(m, x)
-            return
-    got = standing_wave(m, x)
-    assert got.dtype == complex and got.shape == m.shape
-    assert [_bits(z) for z in got.tolist()] == [_bits(z) for z in want]
+    try:
+        for x in xs:
+            want.append([standing_wave(k, x) for k in m.tolist()])
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            standing_wave(m, np.array(xs))
+        return
+    for x, row in zip(xs, want):
+        got = standing_wave(m, x)
+        assert got.dtype == complex and got.shape == m.shape
+        assert [_bits(z) for z in got.tolist()] == [_bits(z) for z in row]
+    got = standing_wave(m, np.array(xs))
+    assert got.shape == (len(xs), size)
+    assert [[_bits(z) for z in r] for r in got.tolist()] == [[_bits(z) for z in r] for r in want]
+    if size:
+        k = int(m[-1])
+        assert [_bits(z) for z in standing_wave(k, np.array(xs)).tolist()] == \
+            [_bits(r[-1]) for r in want]
+
+
+# --- batches ------------------------------------------------------------------
+
+_num = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+# generic pairs, pairs on the degenerate locus zeta = -2 - eta^2/4 and the
+# corner S_1 = S_2 = +-2, S = +-2 for one root, and pairs that grow fast
+_pair = st.one_of(
+    st.tuples(_num, _num),
+    _num.map(lambda eta: (-2.0 - eta * eta / 4.0, eta)),
+    st.sampled_from([(-6.0, 4.0), (-6.0, -4.0), (-3.0, 2.0), (2.0, 0.0), (-6.0, 4.0 + 1e-9j)]),
+    st.tuples(st.floats(-60.0, 60.0), st.floats(-9.0, 9.0)),
+)
+_draw = st.tuples(_pair, st.tuples(_num, _num, _num, _num))
+
+
+def _as_batch(draws):
+    c = Coefficients(*(np.array(v, dtype=complex) for v in zip(*(z for z, _ in draws))))
+    g = InitialValues(tuple(np.array(v, dtype=complex) for v in zip(*(g for _, g in draws))))
+    return c, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_draw, min_size=1, max_size=6), st.integers(-14, 4), st.integers(0, 14))
+def test_batch_equals_single_calls(draws, lo, width):
+    hi = lo + width
+    c, g = _as_batch(draws)
+    singles = [(Coefficients(*z), InitialValues(gv)) for z, gv in draws]
+    cd = characterize(c)
+    one = [characterize(ci) for ci, _ in singles]
+    for field in ("s1", "s2", "theta1", "theta2"):
+        assert [_bits(z) for z in getattr(cd, field).tolist()] == \
+            [_bits(getattr(d, field)) for d in one]
+    assert list(cd.root_class) == [d.root_class for d in one]
+    m = np.arange(-3, 12)
+    for l in (1, 2):
+        got = phi(l, m, cd).tolist()
+        assert [[_bits(z) for z in row] for row in got] == \
+            [[_bits(z) for z in phi(l, m, d).tolist()] for d in one]
+    got = t_minus2(cd, lo, hi).tolist()
+    assert [[_bits(z) for z in row] for row in got] == \
+        [[_bits(z) for z in t_minus2(d, lo, hi).tolist()] for d in one]
+    got = np.array(xi_closed(g, cd, lo, hi).values).T.tolist()
+    assert [[_bits(z) for z in row] for row in got] == \
+        [[_bits(z) for z in xi_closed(gi, d, lo, hi).values] for (_, gi), d in zip(singles, one)]
+    # the replay in numpy may fuse a multiply and an add where Python rounds
+    # twice: within the property tests' 1e-9 of each draw's scale
+    got = np.array(eval_range(g, c, lo, hi).values).T
+    for row, (ci, gi) in zip(got, singles):
+        want = np.array(eval_range(gi, ci, lo, hi).values)
+        assert np.abs(row - want).max() <= 1e-9 * (np.abs(want).max() or 1.0)
+
+
+def test_batch_of_one_keeps_its_axis():
+    c = Coefficients(np.array([0.3 + 0.1j]), np.array([-0.8]))
+    cd = characterize(c)
+    assert cd.s1.shape == cd.theta2.shape == cd.root_class.shape == (1,)
+    assert t_minus2(cd, -3, 3).shape == (1, 7)
+    w = xi_closed(InitialValues.unit(0), cd, -3, 3)
+    assert all(v.shape == (1,) for v in w.values)
+    single = xi_closed(InitialValues.unit(0), characterize(Coefficients(0.3 + 0.1j, -0.8)), -3, 3)
+    assert [complex(v[0]) for v in w.values] == list(single.values)
+
+
+def test_batch_rejects_non_finite_entries_and_2d_arrays():
+    with pytest.raises(ValueError):
+        Coefficients(np.array([0.3, np.inf]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        InitialValues((np.array([1.0, np.nan]), 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        Coefficients(np.zeros((2, 2)), 1.0)
+
+
+def test_batch_overflow_raises_as_the_single_call_does():
+    # zeta = 1e6 grows like 1e6^(j/2): the window [0, 120] leaves the doubles
+    c = Coefficients(np.array([0.3, 1e6]), np.array([0.5, 0.5]))
+    g = InitialValues((np.ones(2), np.ones(2), np.ones(2), np.ones(2)))
+    with pytest.raises(OverflowError):
+        xi_closed(InitialValues((1, 1, 1, 1)), characterize(Coefficients(1e6, 0.5)), 0, 120)
+    with pytest.raises(OverflowError):
+        xi_closed(g, characterize(c), 0, 120)
+    with pytest.raises(OverflowError):
+        eval_range(g, c, 0, 120)
+
+
+def test_wide_window_memory_stays_linear():
+    # tracemalloc sees numpy's buffers: a (b + 1)^2 array at b = 4002 would
+    # take 256 MB, the O(b) convolution a few hundred kB
+    cd = characterize(Coefficients(-1.5, -0.5))
+    g = InitialValues((1, 2, 3, 4))
+    tracemalloc.start()
+    try:
+        t_minus2(cd, 0, 4000)
+        xi_closed(g, cd, 0, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6

@@ -403,6 +403,21 @@ def test_current_large_bias_at_exceptional_point(monkeypatch, v, beta, want):
     assert abs(got - want) <= 1e-14 * want
 
 
+@pytest.mark.filterwarnings("error")
+def test_finite_beta_current_at_the_largest_bias(monkeypatch):
+    # beta V / 2 pi overflows at V = 1e308: the pole sum is not finite and
+    # goes quietly to the table, which gives the value the pole sum tends
+    # to as V grows (the Fermi edge at E = 0 lies inside the band, so the
+    # beta = inf current 1.95909 differs; the beta = 10 one is continuous)
+    s = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=1.0, n=3),
+                       LeadParams(1.0), LeadParams(1.0))
+    tail = current(np.array([1e6, 1e12, 1e100, 1e300]), 10.0, s)
+    assert np.abs(tail - 1.9587519317180).max() <= 1e-13
+    calls = _spy_quad(monkeypatch)
+    assert abs(current(1e308, 10.0, s) - 1.9587519317180) <= 1e-13
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("beta", [math.inf, 10.0])
 def test_current_grid_fallback_is_one_table(monkeypatch, beta):
     # every bias falls back: the whole grid is one call of the quadrature,
