@@ -9,10 +9,11 @@ The matrix commutes with the mirror j -> N + 1 - j, so `spectrum` runs
 `numpy.linalg.eigh`, the package's one eigensolver (the Kitaev sublattice
 matrix goes through it too), on the mirror-even and mirror-odd sectors of
 `mirror_sectors`, and each mode's parity is the sign of its sector.
-Wavevectors are recovered analytically per energy and the transcendental
-quantization relation f(k+) = +-f(k-), f(k) = sin(k d (N+2)) / sin(k d),
-is used as a residual diagnostic, not as a root finder; f is the standing
-wave of `closedform.standing_wave`, whose removable limits need no cut.
+Wavevectors, in units of the inverse lattice constant, are recovered
+analytically per energy and the transcendental quantization relation
+f(k+) = +-f(k-), f(k) = sin(k (N+2)) / sin k, is used as a residual
+diagnostic, not as a root finder; f is the standing wave of
+`closedform.standing_wave`, whose removable limits need no cut.
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ class ChainParams:
     t1: float
     t2: float
     n: int
-    d: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one site")
-        require_real(self.mu, self.t1, self.t2, self.d)
+        require_real(self.mu, self.t1, self.t2)
 
 
 class Arrow(enum.Enum):
@@ -56,7 +56,8 @@ class Arrow(enum.Enum):
 class EigenMode:
     """One chain eigenvalue with its wavevector and symmetry data; the fields
     of the coefficient map (all but e, lambda_i and vector) are None at
-    t2 = 0."""
+    t2 = 0.  arrow is `arrow_classify` of the mode's (zeta, eta), so a mode
+    within its tolerance of a bounding curve is BOUNDARY."""
 
     e: float
     k1: complex | None
@@ -116,26 +117,20 @@ def mirror_sectors(n: int):
 
 
 def dispersion(k: complex, p: ChainParams) -> complex:
-    kd = k * p.d
-    return -p.mu - 2.0 * p.t1 * cmath.cos(kd) - 2.0 * p.t2 * cmath.cos(2.0 * kd)
+    return -p.mu - 2.0 * p.t1 * cmath.cos(k) - 2.0 * p.t2 * cmath.cos(2.0 * k)
 
 
 def coeffs_from_energy(e, p: ChainParams) -> Coefficients:
     """(zeta, eta) = (-(E + mu) / t2, -t1 / t2) for one energy E, or for a
-    1-D array of them, giving a batch."""
+    1-D array of them, giving a batch.  ZeroT2Error is raised at t2 = 0 and
+    where zeta or eta leaves the doubles, quietly for a batch too."""
     if p.t2 == 0.0:
         raise ZeroT2Error("coefficient map needs t2 != 0")
-    zeta, eta = -(e + p.mu) / p.t2, -p.t1 / p.t2
+    with np.errstate(over="ignore"):  # a batch overflows quietly, as a float does
+        zeta, eta = -(e + p.mu) / p.t2, -p.t1 / p.t2
     if not (all_finite(zeta) and math.isfinite(eta)):
         raise ZeroT2Error(f"coefficient map overflows at t2 = {p.t2!r}")
     return Coefficients(zeta=zeta, eta=eta)
-
-
-def wavevectors_from_energy(e, p: ChainParams):
-    """Recover (k1, k2) via the characteristic roots, for one eigenvalue or
-    for a 1-D array of them."""
-    cd = characterize(coeffs_from_energy(e, p))
-    return cd.theta1 / p.d, cd.theta2 / p.d
 
 
 # residual below which a branch relation holds: the bound every
@@ -143,11 +138,11 @@ def wavevectors_from_energy(e, p: ChainParams):
 _BRANCH_TOL = 1e-6
 
 
-def _branch_residuals(k1, k2, n: int, d: float):
-    """Residuals {+1: ..., -1: ...} of f(k+) = +-f(k-), f(k) = sin(k d (N+2)) / sin(k d),
+def _branch_residuals(k1, k2, n: int):
+    """Residuals {+1: ..., -1: ...} of f(k+) = +-f(k-), f(k) = sin(k (N+2)) / sin k,
     for one pair (k1, k2) or entry by entry for arrays of them."""
-    fp = standing_wave(n + 2, (k1 + k2) / 2.0 * d)
-    fm = standing_wave(n + 2, (k1 - k2) / 2.0 * d)
+    fp = standing_wave(n + 2, (k1 + k2) / 2.0)
+    fm = standing_wave(n + 2, (k1 - k2) / 2.0)
     scale = np.maximum(np.maximum(np.abs(fp), np.abs(fm)), 1.0)
     return {+1: np.abs(fp - fm) / scale, -1: np.abs(fp + fm) / scale}
 
@@ -161,30 +156,27 @@ _WAVE_FIELDS = ("k1", "k2", "k_plus", "k_minus", "s_q", "arrow", "quant_residual
 def _wave_fields(w: np.ndarray, lam: int, p: ChainParams) -> list:
     """The coefficient-map fields of each mode of the sector of sign lam,
     one dict per eigenvalue in w."""
-    with np.errstate(over="ignore"):  # an infinite zeta raises ZeroT2Error, as a float's
-        k1, k2 = wavevectors_from_energy(w, p)
-    res = _branch_residuals(k1, k2, p.n, p.d)
+    c = coeffs_from_energy(w, p)
+    cd = characterize(c)
+    k1, k2 = cd.theta1, cd.theta2
+    res = _branch_residuals(k1, k2, p.n)
     # both signs hold at a crossing and where f(k+) = f(k-) = 0 (e.g.
     # k2 = pi at E = -mu, t1 = t2, 3 | N + 2); the parity decides, and
     # otherwise the smaller residual, +1 on a tie
     s_q = np.where(np.maximum(res[1], res[-1]) < _BRANCH_TOL, -lam,
                    np.where(res[-1] < res[1], -1, 1))
-    # absolute, in Im(k d): theta = arccos(S/2) of an argument
-    # rounded just past +-1 picks up an imaginary part, e.g.
-    # acos(1 + 2^-52) = 2.1e-8 i, which must stay inside
-    inside = (np.abs(k1.imag) < 1e-7 / p.d) & (np.abs(k2.imag) < 1e-7 / p.d)
     columns = (k1, k2, (k1 + k2) / 2.0, (k1 - k2) / 2.0, s_q,
-               np.where(inside, Arrow.INSIDE, Arrow.OUTSIDE),
-               np.where(s_q == 1, res[1], res[-1]))
-    return [dict(zip(_WAVE_FIELDS, mode)) for mode in zip(*(c.tolist() for c in columns))]
+               arrow_classify(c.zeta, c.eta), np.where(s_q == 1, res[1], res[-1]))
+    return [dict(zip(_WAVE_FIELDS, mode)) for mode in zip(*(col.tolist() for col in columns))]
 
 
 def spectrum(p: ChainParams):
     """All N modes, sorted by energy, with symmetry and arrow diagnostics;
     each mirror sector is solved on its own, and lambda_i is its sign.
     The wavevector, branch and arrow fields of a sector's modes come from
-    one batch of its eigenvalues (`characterize`, then one `standing_wave`
-    call per branch sign); at t2 = 0 they are None.
+    one batch of its eigenvalues (`coeffs_from_energy`, `characterize`, one
+    `standing_wave` call per branch sign and `arrow_classify`); at t2 = 0
+    they are None.
     OverflowError is raised where a sector matrix or an eigenvalue leaves
     the doubles (entries near 1e308)."""
     h = build_chain_matrix(p)
@@ -223,7 +215,7 @@ def t1_zero_spectrum(p: ChainParams):
     return sorted(energies)
 
 
-def crossings(n: int, d: float = 1.0):
+def crossings(n: int):
     """Enumerate every twofold-degenerate eigenvalue of the N-site chain.
 
     Records are generated at mu = 0, t2 = 1; eta fixes t1.  Both sign
@@ -237,23 +229,20 @@ def crossings(n: int, d: float = 1.0):
         for l_idx in range(1, n_idx):
             kp = n_idx * math.pi / (n + 2)
             km = l_idx * math.pi / (n + 2)
-            records.append(_crossing_record(n_idx, l_idx, kp, km, d))
+            records.append(_crossing_record(n, n_idx, l_idx, kp, km))
             # eta <= 0 family; skip when kp = pi/2 maps onto itself
             if not (n % 2 == 0 and n_idx == (n + 2) // 2):
-                records.append(_crossing_record(n_idx, l_idx, math.pi - kp, km, d))
+                records.append(_crossing_record(n, n_idx, l_idx, math.pi - kp, km))
     records.sort(key=lambda r: (r.eta, r.e))
     return records
 
 
-def _crossing_record(n_idx, l_idx, kp, km, d):
+def _crossing_record(n, n_idx, l_idx, kp, km):
     eta = 4.0 * math.cos(kp) * math.cos(km)
-    t1_over_t2 = -eta
-    k1 = kp + km
-    t1, t2 = t1_over_t2, 1.0
-    e = -2.0 * t1 * math.cos(k1) - 2.0 * t2 * math.cos(2.0 * k1)
+    e = dispersion(kp + km, ChainParams(mu=0.0, t1=-eta, t2=1.0, n=n)).real
     return CrossingRecord(
-        n_idx=n_idx, l_idx=l_idx, k_plus=kp / d, k_minus=km / d,
-        eta=eta, zeta=-e, t1_over_t2=t1_over_t2, e=e,
+        n_idx=n_idx, l_idx=l_idx, k_plus=kp, k_minus=km,
+        eta=eta, zeta=-e, t1_over_t2=-eta, e=e,
     )
 
 
@@ -282,17 +271,21 @@ def eigenvector_tetranacci(e: float, p: ChainParams) -> np.ndarray:
     return out
 
 
-def arrow_classify(zeta: float, eta: float, tol: float = 1e-9) -> Arrow:
-    """Classify a (zeta, eta) point against the real-wavevector region.
+def arrow_classify(zeta, eta, tol: float = 1e-9):
+    """Classify a (zeta, eta) point against the arrow, the region where
+    both wavevectors are real; zeta and eta may be arrays, classified
+    entry by entry into an array of Arrow.
 
     Inside requires zeta <= 2 - 2|eta| and, for |eta| <= 4, zeta >=
     -2 - eta^2/4; points within tol of either bounding curve are Boundary.
+    A curve past the doubles (|eta| near 1e308) is infinitely far away.
     """
-    upper = 2.0 - 2.0 * abs(eta)
-    lower = -2.0 - eta * eta / 4.0
-    if abs(zeta - upper) <= tol or (abs(eta) <= 4.0 + tol and abs(zeta - lower) <= tol):
-        return Arrow.BOUNDARY
-    if zeta < upper and abs(eta) <= 4.0 and zeta > lower:
-        return Arrow.INSIDE
-    return Arrow.OUTSIDE
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = 2.0 - 2.0 * np.abs(eta)
+        lower = -2.0 - eta * eta / 4.0
+        boundary = (np.abs(zeta - upper) <= tol) \
+            | ((np.abs(eta) <= 4.0 + tol) & (np.abs(zeta - lower) <= tol))
+        inside = (zeta < upper) & (np.abs(eta) <= 4.0) & (zeta > lower)
+    return np.where(boundary, Arrow.BOUNDARY,
+                    np.where(inside, Arrow.INSIDE, Arrow.OUTSIDE))[()]
 

@@ -91,7 +91,7 @@ def _emit(args, meta: dict, rows: list[dict], extra_lines=()):
                           [{k: _fmt(v) for k, v in row.items()} for row in rows])
     else:
         buf = io.StringIO()
-        fields = list(rows[0].keys()) if rows else list(meta.get("columns", []))
+        fields = list(rows[0].keys()) if rows else []
         writer = csv.DictWriter(buf, fieldnames=fields)
         writer.writeheader()
         for row in rows:
@@ -185,16 +185,20 @@ def cmd_seq(args, parser):
 
 def cmd_spectrum(args, parser):
     if args.sweep_eta is not None:
+        # Python floats: -eta * t2 past the doubles is the usage error of
+        # ChainParams, not a numpy warning
         chains = [(eta, _params(parser, ChainParams, mu=args.mu, t1=-eta * args.t2,
-                                t2=args.t2, n=args.n)) for eta in args.sweep_eta]
+                                t2=args.t2, n=args.n)) for eta in args.sweep_eta.tolist()]
         rows = []
         for eta, p in chains:
-            for mode in spectrum(p):
-                # at t2 = 0 the coefficient map, and with it zeta and the
-                # arrow, is undefined; the energies are still emitted
-                zeta = None if p.t2 == 0.0 else coeffs_from_energy(mode.e, p).zeta.real
-                rows.append({"eta": float(eta), "zeta": zeta, "e": mode.e,
-                             "arrow": None if mode.arrow is None else mode.arrow.value})
+            modes = spectrum(p)
+            # at t2 = 0 the coefficient map, and with it zeta and the
+            # arrow, is undefined; the energies are still emitted
+            zetas = ([None] * len(modes) if p.t2 == 0.0 else
+                     coeffs_from_energy(np.array([m.e for m in modes]), p).zeta.tolist())
+            rows += [{"eta": eta, "zeta": zeta, "e": m.e,
+                      "arrow": None if m.arrow is None else m.arrow.value}
+                     for m, zeta in zip(modes, zetas)]
         meta = {"command": "spectrum", "n": args.n, "mu": args.mu,
                 "t2": args.t2, "sweep_eta": args.sweep_eta_raw}
         _emit(args, meta, rows)
@@ -225,13 +229,25 @@ def cmd_crossings(args, parser):
 
 
 def cmd_arrow(args, parser):
-    rows = [{"eta": float(eta), "zeta": float(zeta),
-             "arrow": arrow_classify(float(zeta), float(eta)).value}
-            for eta in args.eta_grid for zeta in args.zeta_grid]
+    eta, zeta = (g.ravel() for g in np.meshgrid(args.eta_grid, args.zeta_grid, indexing="ij"))
+    rows = [{"eta": e, "zeta": z, "arrow": a.value}
+            for e, z, a in zip(eta.tolist(), zeta.tolist(), arrow_classify(zeta, eta).tolist())]
     meta = {"command": "arrow", "eta_grid": args.eta_grid_raw,
             "zeta_grid": args.zeta_grid_raw}
     _emit(args, meta, rows)
     return 0
+
+
+def _kitaev_map(e, p: KitaevParams):
+    """(zeta, eta) of the Kitaev map at the energy or energies e, or (None,
+    None) where it is undefined: at the sweet spot t = +-delta the spectrum
+    is fine but the map is not, and it may be past the doubles, as may at
+    N = 2 the onsite energy of its chain."""
+    try:
+        c = kitaev_effective_coeffs(e, p)
+    except (ZeroT2Error, ValueError):
+        return None, None
+    return c.zeta, c.eta
 
 
 def cmd_kitaev(args, parser):
@@ -239,16 +255,14 @@ def cmd_kitaev(args, parser):
                       delta=args.delta, n=args.n) for mu in args.mu_grid]
     rows = []
     for p in chains:
-        for e in kitaev_spectrum(p):
-            # at the sweet spot t = +-delta the spectrum is fine but the
-            # coefficient map is undefined: zeta and eta are left empty
-            try:
-                c = kitaev_effective_coeffs(e, p)
-            except ZeroT2Error:
-                c = None
-            rows.append({"mu": p.mu, "e": e,
-                         "zeta": None if c is None else c.zeta,
-                         "eta": None if c is None else c.eta})
+        energies = kitaev_spectrum(p)
+        zetas, eta = _kitaev_map(np.array(energies), p)
+        # one batch per mu; where it fails, each energy alone, so only the
+        # rows whose map is undefined are left empty
+        maps = ([_kitaev_map(e, p) for e in energies] if zetas is None
+                else [(zeta, eta) for zeta in zetas.tolist()])
+        rows += [{"mu": p.mu, "e": e, "zeta": zeta, "eta": eta}
+                 for e, (zeta, eta) in zip(energies, maps)]
     meta = {"command": "kitaev", "n": args.n, "t": args.t,
             "delta": args.delta, "mu_grid": args.mu_grid_raw}
     _emit(args, meta, rows)

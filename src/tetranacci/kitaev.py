@@ -1,13 +1,14 @@
 """Kitaev and XY chains mapped onto the four-term recursion.
 
 In the Majorana sublattice basis the Kitaev chain reduces to a real
-symmetric matrix h acting on one sublattice, with h v = E^2 v.  The
-eigenvector entries obey the recursion with effective coefficients
+symmetric matrix h acting on one sublattice, with h v = E^2 v.  Away from
+its two end sites h is the matrix of a two-range chain (`chain`) with
+effective hoppings t1_eff = 2 t mu and t2_eff = t^2 - delta^2, and onsite
+entry mu^2 + (delta - t)^2 + (delta + t)^2.  So the eigenvector entries
+obey the recursion with that chain's coefficient map at the energy E^2:
 
-    zeta = (E^2 - mu^2 - 2 t^2 - 2 delta^2) / (t^2 - delta^2)
+    zeta = (E^2 - mu^2 - (delta - t)^2 - (delta + t)^2) / (t^2 - delta^2)
     eta  = -2 t mu / (t^2 - delta^2)
-
-i.e. effective hoppings t1_eff = 2 t mu and t2_eff = t^2 - delta^2.
 
 The transverse-field XY chain (couplings Jx, Jy, field h) is, after the
 Jordan-Wigner transformation, the Kitaev chain at mu = -2 h, t = (Jx +
@@ -17,13 +18,11 @@ Jy) / 2 and delta = (Jx - Jy) / 2, so t1_eff = -2 h (Jx + Jy) and t2_eff
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import pentadiagonal
-from .errors import ZeroT2Error
+from .chain import ChainParams, coeffs_from_energy, pentadiagonal
 from .recurrence import Coefficients, require_real
 
 
@@ -47,15 +46,22 @@ def kitaev_effective_hoppings(p: KitaevParams):
     return 2.0 * p.t * p.mu, p.t * p.t - p.delta * p.delta
 
 
-def kitaev_effective_coeffs(e: float, p: KitaevParams) -> Coefficients:
-    t2_eff = p.t * p.t - p.delta * p.delta
-    if t2_eff == 0.0:
-        raise ZeroT2Error("effective map needs t^2 != delta^2")
-    zeta = (e * e - p.mu * p.mu - 2.0 * p.t * p.t - 2.0 * p.delta * p.delta) / t2_eff
-    eta = -2.0 * p.t * p.mu / t2_eff
-    if not (math.isfinite(zeta) and math.isfinite(eta)):
-        raise ZeroT2Error(f"effective map overflows at t^2 - delta^2 = {t2_eff!r}")
-    return Coefficients(zeta=zeta, eta=eta)
+def kitaev_effective_coeffs(e, p: KitaevParams) -> Coefficients:
+    """(zeta, eta) of the excitation energy E, or of a 1-D array of them:
+    `coeffs_from_energy` at E^2 of the chain whose matrix is the bulk of h,
+    with onsite energy -(mu^2 + (delta - t)^2 + (delta + t)^2), t1 = -2 t mu
+    and t2 = delta^2 - t^2.  Its ZeroT2Error marks the sweet spot t = +-delta
+    and a map past the doubles.  Where that onsite energy is itself past the
+    doubles, ChainParams raises ValueError (OverflowError where a square
+    is); at N >= 3 h is then not finite either, and `kitaev_spectrum`
+    refuses it first.
+    """
+    t1_eff, t2_eff = kitaev_effective_hoppings(p)
+    bulk = p.mu * p.mu + (p.delta - p.t) ** 2 + (p.delta + p.t) ** 2
+    chain = ChainParams(mu=-bulk, t1=-t1_eff, t2=-t2_eff, n=p.n)
+    with np.errstate(over="ignore"):  # an E^2 past the doubles makes zeta infinite
+        e2 = e * e
+    return coeffs_from_energy(e2, chain)
 
 
 def effective_h_matrix(p: KitaevParams) -> np.ndarray:

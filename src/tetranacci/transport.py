@@ -171,6 +171,16 @@ def _solve_x1(a: np.ndarray, rhs: np.ndarray, s: TransportSetup) -> complex:
         return np.linalg.lstsq(a, rhs, rcond=None)[0][0]
 
 
+def _twice(gamma: float, g: float) -> float:
+    """2 gamma g, rounded once as (2 gamma) g is where 2 gamma is finite.
+
+    The exact 2 rides on the smaller factor: 2 gamma overflows for strong
+    leads (gamma >= 2^1023) and 2 |G| for weak ones, where T <= 1 lets |G|
+    reach 1 / (2 gamma).  A nan g stays nan.
+    """
+    return (2.0 * g) * gamma if g < gamma else (2.0 * gamma) * g
+
+
 def transmission_dense(e: float, s: TransportSetup) -> float:
     """Trace formula Tr{Gamma_L G^r Gamma_R G^a} from `green_1n_dense`.
 
@@ -179,7 +189,7 @@ def transmission_dense(e: float, s: TransportSetup) -> float:
     |G^r_{1N}|^2.
     """
     g = abs(green_1n_dense(e, s))
-    return (2.0 * s.left.gamma * g) * (2.0 * s.right.gamma * g)
+    return _twice(s.left.gamma, g) * _twice(s.right.gamma, g)
 
 
 def transmission(e: float, s: TransportSetup) -> float:
@@ -208,7 +218,7 @@ def transmission(e: float, s: TransportSetup) -> float:
         return t
     # two factors, as strong leads overflow 4 gamma_L gamma_R where they
     # underflow |G|^2, and weak leads the other way round
-    return (2.0 * s.left.gamma * g) * (2.0 * s.right.gamma * g)
+    return _twice(s.left.gamma, g) * _twice(s.right.gamma, g)
 
 
 def fermi(e, beta: float):
@@ -296,11 +306,12 @@ def _poles(s: TransportSetup):
     keep = -z.imag > 64 * np.finfo(float).eps * p.n * scale
     z, r = z[keep], r[:, keep]
     rtr = np.sum(r * r, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = r[0] * r[-1] / rtr
-        # the couplings ride on c and conj(c), as in `transmission`
-        a = (2.0 * s.left.gamma * c) * (
-            (1.0 / (z[:, None] - z.conj())) @ (2.0 * s.right.gamma * c.conj()))
+    # z_k - conj(z_l) past the doubles is a pole pair infinitely far apart
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c2 = 2.0 * (r[0] * r[-1] / rtr)  # 2 c_k
+        # the couplings ride on 2 c and conj(2 c): 2 gamma overflows for
+        # strong leads, 2 c only where |r^T r| < 2^-1022, an exceptional point
+        a = (s.left.gamma * c2) * ((1.0 / (z[:, None] - z.conj())) @ (s.right.gamma * c2.conj()))
         return z, a, np.sum(np.abs(r) ** 2, axis=0) / np.abs(rtr)
 
 
@@ -358,7 +369,8 @@ def current(v_bias, beta: float, s: TransportSetup):
                         np.maximum(0.0, -vb)) if len(z) else -0.5 * vb
         energies, which = np.unique(probe, return_inverse=True)
         exact = np.array([transmission(e, s) for e in energies.tolist()])
-        fit = 2.0 * np.sum(a / (probe[:, None] - z), axis=1).real
+        with np.errstate(over="ignore"):  # a fit past the doubles misses its probe
+            fit = 2.0 * np.sum(a / (probe[:, None] - z), axis=1).real
         bad = ~(np.isfinite(got) & (np.abs(fit - exact[which]) <= _PROBE_TOL))
         out[on] = got
         if bad.any():
@@ -400,8 +412,9 @@ def _current_quad(v: np.ndarray, beta: float, s: TransportSetup, z: np.ndarray):
     lo, hi, done = edges[:-1], edges[1:], []
     while lo.size:
         mid = lo + 0.5 * (hi - lo)
-        ok = (hi - lo <= np.abs(mid[:, None] - poles).min(axis=1, initial=np.inf)) \
-            | (mid == lo) | (mid == hi)
+        with np.errstate(over="ignore"):  # a pole past the doubles is far away
+            far = np.abs(mid[:, None] - poles).min(axis=1, initial=np.inf)
+        ok = (hi - lo <= far) | (mid == lo) | (mid == hi)
         done.append((lo[ok], hi[ok]))
         lo, hi = np.append(lo[~ok], mid[~ok]), np.append(mid[~ok], hi[~ok])
     lo, hi = (np.concatenate(e) for e in zip(*done))

@@ -7,7 +7,8 @@ from tetranacci.chain import (Arrow, ChainParams, _branch_residuals,
                               arrow_classify, build_chain_matrix,
                               coeffs_from_energy, crossings, dispersion,
                               eigenvector_tetranacci, spectrum,
-                              t1_zero_spectrum, wavevectors_from_energy)
+                              t1_zero_spectrum)
+from tetranacci.closedform import characterize
 from tetranacci.errors import PreconditionError, ZeroT2Error
 
 from band_oracle import chain_eigh
@@ -85,7 +86,8 @@ def test_coeffs_from_energy_rejects_zero_t2():
 def test_wavevectors_t1_zero_relation():
     p = ChainParams(mu=0.0, t1=0.0, t2=1.0, n=8)
     for e in (-0.8, 0.3, 1.4):
-        k1, k2 = wavevectors_from_energy(e, p)
+        cd = characterize(coeffs_from_energy(e, p))
+        k1, k2 = cd.theta1, cd.theta2
         assert abs((k1 + k2).real - math.pi) < 1e-9
         # both wavevectors reproduce the energy
         assert abs(dispersion(k1, p) - e) < 1e-9
@@ -98,17 +100,17 @@ def test_quantization_zero_at_crossing_pair():
     n = 10
     k1 = (3 * math.pi / (n + 2)) + (1 * math.pi / (n + 2))
     k2 = (3 * math.pi / (n + 2)) - (1 * math.pi / (n + 2))
-    assert min(_branch_residuals(k1, k2, n, 1.0).values()) < 1e-12
+    assert min(_branch_residuals(k1, k2, n).values()) < 1e-12
 
 
 def test_quantization_generic_pair_large_residual():
-    assert min(_branch_residuals(0.913, 0.311, 10, 1.0).values()) > 1e-3
+    assert min(_branch_residuals(0.913, 0.311, 10).values()) > 1e-3
 
 
 def test_quantization_removable_singularity():
     # k_- = 0: f(k-) takes its limit N + 2 = 12, against f(k+) = sin(12)/sin(1),
     # so the residual is |sin(12)/sin(1) + 12| / 12 = 0.9469 with s_q = -1
-    res = _branch_residuals(1.0, 1.0, 10, 1.0)
+    res = _branch_residuals(1.0, 1.0, 10)
     assert min(res, key=res.get) == -1
     assert abs(res[-1] - abs(math.sin(12.0) / math.sin(1.0) + 12.0) / 12.0) < 1e-12
 
@@ -178,7 +180,7 @@ def test_spectrum_equal_energy_constraint():
     for m in spectrum(p):
         assert abs(dispersion(m.k1, p) - m.e) <= 1e-8 * max(1.0, scale)
         assert abs(dispersion(m.k2, p) - m.e) <= 1e-8 * max(1.0, scale)
-        lhs = np.cos(complex(m.k1 * p.d)) + np.cos(complex(m.k2 * p.d))
+        lhs = np.cos(complex(m.k1)) + np.cos(complex(m.k2))
         assert abs(lhs - (-p.t1 / (2.0 * p.t2))) <= 1e-8
 
 
@@ -198,7 +200,7 @@ def test_quant_residual_is_the_chosen_branch():
     # computed for s_q like every other mode's
     p = ChainParams(mu=0.0, t1=0.0, t2=1.0, n=40)
     for m in spectrum(p):
-        assert m.quant_residual == _branch_residuals(m.k1, m.k2, p.n, p.d)[m.s_q]
+        assert m.quant_residual == _branch_residuals(m.k1, m.k2, p.n)[m.s_q]
 
 
 def test_spectrum_t2_to_zero_continuity():
@@ -301,6 +303,10 @@ def test_arrow_far_eta_outside():
 
 
 def test_arrow_agrees_with_wavevector_test():
+    # a mode's arrow comes from its (zeta, eta); away from the bounding
+    # curves it is INSIDE iff both of its own wavevectors are real, to 1e-7
+    # in Im k, as theta = arccos(S/2) of an argument rounded just past +-1
+    # picks up an imaginary part, e.g. acos(1 + 2^-52) = 2.1e-8 i
     rng = np.random.default_rng(2)
     p_base = dict(mu=0.0, t2=1.0, n=16)
     for _ in range(20):
@@ -308,8 +314,22 @@ def test_arrow_agrees_with_wavevector_test():
         p = ChainParams(t1=t1, **p_base)
         for m in spectrum(p):
             c = coeffs_from_energy(m.e, p)
-            cls = arrow_classify(c.zeta.real, c.eta.real, tol=1e-6)
-            if cls is Arrow.BOUNDARY:
+            if arrow_classify(c.zeta, c.eta, tol=1e-6) is Arrow.BOUNDARY:
                 continue
-            assert (cls is Arrow.INSIDE) == (m.arrow is Arrow.INSIDE)
+            real = abs(m.k1.imag) < 1e-7 and abs(m.k2.imag) < 1e-7
+            assert (m.arrow is Arrow.INSIDE) == real
+
+
+@pytest.mark.filterwarnings("error")
+def test_arrow_classify_arrays_entry_by_entry():
+    # points on both bounding curves, inside, outside and at +-1e308, where
+    # the curves leave the doubles without a warning
+    values = [-1e308, -6.0, -4.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 4.0, 6.0, 1e308]
+    zeta, eta = (g.ravel() for g in np.meshgrid(values, values))
+    got = arrow_classify(zeta, eta)
+    assert got.shape == zeta.shape
+    assert got.tolist() == [arrow_classify(z, e) for z, e in zip(zeta.tolist(), eta.tolist())]
+    assert set(got.tolist()) == set(Arrow)
+    assert arrow_classify(0.0, 1e308) is Arrow.OUTSIDE
+    assert arrow_classify(-6.0, 4.0) is Arrow.BOUNDARY
 

@@ -18,7 +18,7 @@ import tetranacci
 from tetranacci import cli
 from tetranacci.chain import ChainParams, build_chain_matrix
 from tetranacci.cli import main
-from tetranacci.kitaev import KitaevParams, bdg_spectrum
+from tetranacci.kitaev import KitaevParams, bdg_spectrum, kitaev_effective_coeffs
 from tetranacci.transport import LeadParams, TransportSetup, fermi, transmission_dense
 
 
@@ -254,13 +254,15 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["meta"]["command"] == "seq"
 
 
-def test_numerical_failure_exit_code(capsys):
-    # leads so strong that 4 gamma_L gamma_R overflows: the boundary solve
-    # is singular, and the dense trace formula is not finite either
-    code, _, err = run(capsys, "transport", "--n", "3", "--gamma-l", "1e308",
-                       "--gamma-r", "1e308", "--e-grid", "0:0:1")
-    assert code == 4
-    assert "numerical failure" in err
+@pytest.mark.filterwarnings("error")
+def test_strongest_leads_transmit_nothing(capsys):
+    # gamma_L = gamma_R = 1e308 at E = 0 on two decoupled sublattices: the
+    # exact T = 4 gamma^2 / (gamma^2 + 1)^2 ~ 4e-616 rounds to 0, once 2
+    # gamma no longer overflows on the way
+    code, out, err = run(capsys, "transport", "--n", "3", "--gamma-l", "1e308",
+                         "--gamma-r", "1e308", "--e-grid", "0:0:1")
+    assert code == 0, err
+    assert json.loads(out)["rows"] == [{"e": "0", "transmission": "0"}]
 
 
 @pytest.mark.parametrize("grid", ["--e-grid", "--v-grid"])
@@ -413,6 +415,33 @@ def test_kitaev_overflowing_map_is_null(capsys):
                for r in rows)
 
 
+@pytest.mark.filterwarnings("error")
+def test_kitaev_two_sites_overflowing_bulk_is_null(capsys):
+    # N = 2 has no bulk site: h = diag(t^2, t^2) = 1e308 is finite, but the
+    # onsite energy 2 t^2 of the map's chain is not, so the map is left empty
+    code, out, err = run(capsys, "kitaev", "--n", "2", "--t", "1e154", "--delta", "0",
+                         "--mu-grid", "0:0:1")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [r["e"] for r in rows] == ["-1e+154", "-1e+154", "1e+154", "1e+154"]
+    assert all(r["zeta"] is None and r["eta"] is None for r in rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_kitaev_rows_past_the_doubles_alone_are_null(capsys, monkeypatch):
+    # the map is one batch per mu; an energy whose E^2 overflows empties
+    # its own rows only, and the others keep the single call's zeta and eta
+    energies = [-1e200, -1.0, 1.0, 1e200]
+    monkeypatch.setattr(cli, "kitaev_spectrum", lambda p: energies)
+    code, out, err = run(capsys, "kitaev", "--n", "4", "--t", "1", "--delta", "0.3",
+                         "--mu-grid", "0.5:0.5:1")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [r["zeta"] is None and r["eta"] is None for r in rows] == [True, False, False, True]
+    c = kitaev_effective_coeffs(1.0, KitaevParams(mu=0.5, t=1.0, delta=0.3, n=4))
+    assert all(r["zeta"] == cli._fmt(c.zeta) and r["eta"] == cli._fmt(c.eta) for r in rows[1:3])
+
+
 @pytest.mark.parametrize("grid, column", [
     (("--e-grid", "-1:1:3"), "transmission"),
     (("--v-grid", "0.5:2:2"), "current"),
@@ -452,6 +481,8 @@ def test_negative_exponent_values(capsys, argv, key, value):
     ("transport", "--n", "4", "--e-grid", "nan:nan:1"),
     ("transport", "--n", "4", "--v-grid", "0:inf:2"),
     ("spectrum", "--n", "4", "--sweep-eta", "-inf:0:3"),
+    # t1 = -eta t2 past the doubles
+    ("spectrum", "--n", "4", "--t2", "10", "--sweep-eta", "1e308:1e308:2"),
     # an --out path that cannot be written
     ("seq", "--zeta", "1", "--eta", "1", "--g", "0,0,0,1",
      "--out", "/nonexistent-dir/x.json"),

@@ -34,6 +34,20 @@ def test_effective_coeffs_quoted_point():
     assert abs(c.eta - (-4.0 / 3.0)) < 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+def test_effective_coeffs_batch_is_per_energy():
+    p = KitaevParams(mu=0.7, t=1.0, delta=0.3, n=12)
+    energies = kitaev_spectrum(p)
+    batch = kitaev_effective_coeffs(np.array(energies), p)
+    each = [kitaev_effective_coeffs(e, p) for e in energies]
+    assert [z.hex() for z in batch.zeta.tolist()] == [c.zeta.hex() for c in each]
+    assert all(c.eta.hex() == batch.eta.hex() for c in each)
+    # E^2 past the doubles: the map overflows, quietly, as for one energy
+    for e in (1e200, np.array([1.0, 1e200])):
+        with pytest.raises(ZeroT2Error):
+            kitaev_effective_coeffs(e, p)
+
+
 def test_effective_coeffs_rejects_t_eq_delta():
     with pytest.raises(ZeroT2Error):
         kitaev_effective_coeffs(0.0, KitaevParams(mu=0.5, t=1.0, delta=1.0, n=4))

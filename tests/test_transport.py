@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,13 +255,45 @@ def test_current_strong_leads_finite_temperature():
     assert current(1.0, 10.0, s) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_transmission_at_the_largest_coupling():
+    # gamma_L = 1e308: 2 gamma_L overflows, and T was inf or nan; with the
+    # exact 2 on the smaller factor, T is 4 gamma_L gamma_R |G_1N|^2 of the
+    # returned G_1N, formed exactly, to a few ulps
+    s = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=1.0, n=3),
+                       LeadParams(1e308), LeadParams(1.0))
+    for e in np.linspace(-2.0, 2.0, 5).tolist():
+        t, g = transmission(e, s), green_1n_tetranacci(e, s)
+        want = 4 * Fraction(1e308) * (Fraction(g.real) ** 2 + Fraction(g.imag) ** 2)
+        assert math.isfinite(t) and t <= 1.0
+        assert abs(Fraction(t) - want) <= 4 * math.ulp(float(want))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [math.inf, 10.0])
+@pytest.mark.parametrize("gamma", [1e308, 1.7976931348623157e308])
+def test_current_at_the_largest_couplings(beta, gamma):
+    # the poles lie about gamma below the real axis: 2 gamma, z_k -
+    # conj(z_l) and a panel's distance to a pole leave the doubles, which
+    # made the current nan; it is the current at gamma = 1e307, here 0
+    def currents(g):
+        s = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=1.0, n=3),
+                           LeadParams(g), LeadParams(g))
+        return current(np.array([0.5, 2.0]), beta, s)
+
+    assert np.array_equal(currents(gamma), currents(1e307))
+    assert np.all(currents(gamma) == 0.0)
+
+
 def test_transmission_weak_leads_at_resonance():
     # a single level at E = 0 between equal leads transmits fully for any
     # gamma; at gamma = 1e-170, 4 gamma_L gamma_R underflows to 0, which is
-    # not a decoupled lead, and |G_1N|^2 = 1e340 overflows
-    s = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=1),
-                       LeadParams(1e-170), LeadParams(1e-170))
-    assert transmission(0.0, s) == 1.0 and transmission_dense(0.0, s) == 1.0
+    # not a decoupled lead, and |G_1N|^2 = 1e340 overflows; at gamma =
+    # 2.8e-309 and 4e-309, G_1N = 1 / (2 i gamma) is finite but 2 |G_1N| is not
+    for gamma in (1e-170, 2.8e-309, 4e-309):
+        s = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=1),
+                           LeadParams(gamma), LeadParams(gamma))
+        assert transmission(0.0, s) == 1.0 and transmission_dense(0.0, s) == 1.0
 
 
 def test_transmission_resonance_near_unity():
