@@ -4,10 +4,10 @@ Subcommands: seq, spectrum, crossings, arrow, kitaev, transport, verify.
 Every command emits a row-oriented dataset as JSON ({"meta": ..., "rows":
 [...]}) or CSV (header always present), to stdout or --out.
 
-Each command's flags are declared once, in its builder in `COMMANDS`.
-`tetranacci CMD ...` builds the parser of CMD alone and parses what follows
-the name; the full parser, with every command as a subparser, is built
-only for --help, --version, no command or an unknown one.
+Each command's flags are declared once, in its entry of `COMMANDS`: one
+table from which `_parse` reads the arguments and the usage and help text
+are rendered.  A flag is `--name VALUE` or `--name=VALUE`; VALUE may start
+with "-", as a negative number does, and a unique prefix names a flag.
 
 Exit codes: 0 success, 2 usage error, 3 verification/deviation failure,
 4 numerical failure inside the library.
@@ -15,12 +15,12 @@ Exit codes: 0 success, 2 usage error, 3 verification/deviation failure,
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import math
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,6 +90,8 @@ def _emit(args, meta: dict, rows: list[dict], extra_lines=()):
         text = _json_text({**meta, "version": __version__},
                           [{k: _fmt(v) for k, v in row.items()} for row in rows])
     else:
+        import csv  # only here: a JSON run never loads it
+
         buf = io.StringIO()
         fields = list(rows[0].keys()) if rows else []
         writer = csv.DictWriter(buf, fieldnames=fields)
@@ -110,17 +112,20 @@ def _emit(args, meta: dict, rows: list[dict], extra_lines=()):
         sys.stdout.write(text)
 
 
+# the converters of flag values: each raises ValueError with the message
+# of the usage error
+
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad complex literal {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"bad complex literal {text!r}") from None
 
 
 def _parse_initials(text: str) -> InitialValues:
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError("--g needs 4 comma-separated values")
+        raise ValueError("--g needs 4 comma-separated values")
     return InitialValues(tuple(_parse_complex(p) for p in parts))
 
 
@@ -133,9 +138,16 @@ def _parse_grid(text: str) -> np.ndarray:
         if not math.isfinite(hi - lo):
             raise ValueError("non-finite grid")
         return np.linspace(lo, hi, int(steps))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"grid must be min:max:steps with finite min and max, got {text!r}") from exc
+    except ValueError:
+        raise ValueError(
+            f"grid must be min:max:steps with finite min and max, got {text!r}") from None
+
+
+def _parse_beta(text: str) -> str:
+    """--beta as given: 'inf' for T = 0, or a positive number."""
+    if text != "inf" and not float(text) > 0.0:  # also rejects nan
+        raise ValueError("must be positive or 'inf'")
+    return text
 
 
 def _params(parser, cls, *args, **kwargs):
@@ -306,174 +318,229 @@ def cmd_verify(args, parser):
     return 0 if all(row["passed"] for row in rows) else 3
 
 
-def _add_chain_flags(sub):
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--mu", type=float, default=0.0)
-    sub.add_argument("--t1", type=float, default=0.0)
-    sub.add_argument("--t2", type=float, default=1.0)
+class Flag(NamedTuple):
+    """One `--name VALUE` of a command: the value is convert(VALUE), and
+    one of `choices` where there are any."""
+
+    name: str
+    convert: Callable = str
+    default: object = None
+    required: bool = False
+    help: str = ""
+    metavar: str = ""
+    choices: tuple = ()
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+    def usage(self) -> str:
+        metavar = self.metavar or ("{%s}" % ",".join(self.choices) if self.choices
+                                   else self.dest.upper())
+        return f"{self.name} {metavar}"
 
 
-def _seq_flags(sub):
-    sub.add_argument("--zeta", type=_parse_complex, required=True)
-    sub.add_argument("--eta", type=_parse_complex, required=True)
-    sub.add_argument("--g", type=_parse_initials, required=True,
-                     help="four comma-separated initial values g(-2)..g(1)")
-    sub.add_argument("--lo", type=int, default=-10)
-    sub.add_argument("--hi", type=int, default=10)
-    sub.add_argument("--mode", choices=("recursion", "closed", "both"),
-                     default="both")
-    sub.set_defaults(func=cmd_seq)
+# a grid's value is its array; its text is kept beside it as `dest_raw`
+def _grid(name, required=False, help=""):
+    return Flag(name, _parse_grid, required=required, help=help, metavar="MIN:MAX:STEPS")
 
 
-def _spectrum_flags(sub):
-    _add_chain_flags(sub)
-    sub.add_argument("--sweep-eta", dest="sweep_eta_raw", default=None,
-                     metavar="MIN:MAX:STEPS",
-                     help="sweep the hopping ratio instead of one spectrum")
-    sub.set_defaults(func=cmd_spectrum)
+# a value is checked as it is read, except a grid's or --beta's: only the
+# one that is kept
+_CHECKED_LAST = (_parse_grid, _parse_beta)
+
+_CHAIN = (Flag("--n", int, required=True), Flag("--mu", float, 0.0),
+          Flag("--t1", float, 0.0), Flag("--t2", float, 1.0))
+_OUTPUT = (Flag("--format", default="json", choices=("json", "csv")),
+           Flag("--out", help="write to file instead of stdout"))
 
 
-def _crossings_flags(sub):
-    sub.add_argument("--n", type=int, required=True)
-    sub.set_defaults(func=cmd_crossings)
+def _usage(prog: str, parts) -> str:
+    """`usage: PROG PART ...`, wrapped at 79 columns under the first part."""
+    lines = [f"usage: {prog}"]
+    pad = " " * len(lines[0])
+    for part in parts:
+        if len(lines[-1]) + 1 + len(part) > 79 and len(lines[-1]) > len(pad):
+            lines.append(pad)
+        lines[-1] += " " + part
+    return "\n".join(lines)
 
 
-def _arrow_flags(sub):
-    sub.add_argument("--eta-grid", dest="eta_grid_raw", required=True,
-                     metavar="MIN:MAX:STEPS")
-    sub.add_argument("--zeta-grid", dest="zeta_grid_raw", required=True,
-                     metavar="MIN:MAX:STEPS")
-    sub.set_defaults(func=cmd_arrow)
+def _section(title: str, rows) -> str:
+    """A help section: one `NAME  HELP` row per entry."""
+    return "\n".join([f"{title}:"] + [f"  {left:<22}  {right}".rstrip() for left, right in rows])
 
 
-def _kitaev_flags(sub):
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--t", type=float, required=True)
-    sub.add_argument("--delta", type=float, required=True)
-    sub.add_argument("--mu-grid", dest="mu_grid_raw", required=True,
-                     metavar="MIN:MAX:STEPS")
-    sub.set_defaults(func=cmd_kitaev)
+def _exit_with(text: str):
+    """Print text on stdout, and exit 0 (--help, --version)."""
+    sys.stdout.write(text + "\n")
+    raise SystemExit(0)
 
 
-def _transport_flags(sub):
-    _add_chain_flags(sub)
-    sub.add_argument("--gamma-l", type=float, default=1.0)
-    sub.add_argument("--gamma-r", type=float, default=1.0)
-    sub.add_argument("--lambda-l", type=float, default=0.0)
-    sub.add_argument("--lambda-r", type=float, default=0.0)
-    sub.add_argument("--beta", default="inf",
-                     help="inverse temperature, or 'inf' for T = 0")
-    grid = sub.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--e-grid", dest="e_grid_raw", metavar="MIN:MAX:STEPS")
-    grid.add_argument("--v-grid", dest="v_grid_raw", metavar="MIN:MAX:STEPS")
-    sub.set_defaults(func=cmd_transport)
+def _fail(usage: str, prog: str, message: str):
+    """Print the usage and the message on stderr, and exit 2."""
+    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
 
 
-def _verify_flags(sub):
-    sub.add_argument("--suite", default="all",
-                     choices=("lemmata", "closed-form", "oracle", "transport", "all"))
-    sub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(func=cmd_verify)
+class Command(NamedTuple):
+    """One subcommand: its help line, the function that runs it, and its
+    flags; of the flags named in `one_of`, exactly one must be given."""
+
+    name: str
+    help: str
+    func: Callable
+    flags: dict
+    one_of: tuple = ()
+
+    @property
+    def prog(self) -> str:
+        return f"tetranacci {self.name}"
+
+    def usage(self) -> str:
+        parts = ["[-h]"]
+        for flag in self.flags.values():
+            if flag.name in self.one_of[1:]:
+                continue
+            if flag.name in self.one_of:
+                parts.append("(%s)" % " | ".join(self.flags[n].usage() for n in self.one_of))
+            else:
+                parts.append(flag.usage() if flag.required else f"[{flag.usage()}]")
+        return _usage(self.prog, parts)
+
+    def error(self, message: str):
+        _fail(self.usage(), self.prog, message)
+
+    def print_help(self):
+        """Print the usage and every flag on stdout, and exit 0."""
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(flag.usage(), " ".join(filter(None, (
+                      flag.help, None if flag.default is None else f"(default: {flag.default})"))))
+                 for flag in self.flags.values()]
+        _exit_with(f"{self.usage()}\n\n{self.help}\n\n{_section('options', rows)}")
 
 
-# name -> (help, builder): the one place a command's flags are declared
-COMMANDS = {
-    "seq": ("evaluate a sequence window", _seq_flags),
-    "spectrum": ("finite open-chain spectrum", _spectrum_flags),
-    "crossings": ("enumerate exact level crossings", _crossings_flags),
-    "arrow": ("classify the coefficient plane", _arrow_flags),
-    "kitaev": ("Kitaev chain excitation spectrum", _kitaev_flags),
-    "transport": ("transmission or I-V curves", _transport_flags),
-    "verify": ("run a seeded self-check suite", _verify_flags),
-}
+def _command(name, help, func, *flags, one_of=()):
+    return name, Command(name, help, func, {f.name: f for f in (*flags, *_OUTPUT)}, one_of)
 
 
-def _add_command(sub, name):
-    _, add_flags = COMMANDS[name]
-    add_flags(sub)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="write to file instead of stdout")
-    sub.set_defaults(command=name)
-    return sub
+# the one place a command's flags are declared
+COMMANDS = dict([
+    _command("seq", "evaluate a sequence window", cmd_seq,
+             Flag("--zeta", _parse_complex, required=True),
+             Flag("--eta", _parse_complex, required=True),
+             Flag("--g", _parse_initials, required=True,
+                  help="four comma-separated initial values g(-2)..g(1)"),
+             Flag("--lo", int, -10), Flag("--hi", int, 10),
+             Flag("--mode", default="both", choices=("recursion", "closed", "both"))),
+    _command("spectrum", "finite open-chain spectrum", cmd_spectrum, *_CHAIN,
+             _grid("--sweep-eta", help="sweep the hopping ratio instead of one spectrum")),
+    _command("crossings", "enumerate exact level crossings", cmd_crossings,
+             Flag("--n", int, required=True)),
+    _command("arrow", "classify the coefficient plane", cmd_arrow,
+             _grid("--eta-grid", required=True), _grid("--zeta-grid", required=True)),
+    _command("kitaev", "Kitaev chain excitation spectrum", cmd_kitaev,
+             Flag("--n", int, required=True), Flag("--t", float, required=True),
+             Flag("--delta", float, required=True), _grid("--mu-grid", required=True)),
+    _command("transport", "transmission or I-V curves", cmd_transport, *_CHAIN,
+             Flag("--gamma-l", float, 1.0), Flag("--gamma-r", float, 1.0),
+             Flag("--lambda-l", float, 0.0), Flag("--lambda-r", float, 0.0),
+             Flag("--beta", _parse_beta, "inf",
+                  help="inverse temperature, or 'inf' for T = 0"),
+             _grid("--e-grid"), _grid("--v-grid"), one_of=("--e-grid", "--v-grid")),
+    _command("verify", "run a seeded self-check suite", cmd_verify,
+             Flag("--suite", default="all",
+                  choices=("lemmata", "closed-form", "oracle", "transport", "all")),
+             Flag("--seed", int, 0)),
+])
+
+_TOP_USAGE = _usage("tetranacci", ["[-h]", "[--version]", "{%s}" % ",".join(COMMANDS), "..."])
 
 
-def _command_parser(name) -> argparse.ArgumentParser:
-    """The parser of one command alone; it parses what follows the name."""
-    return _add_command(argparse.ArgumentParser(prog=f"tetranacci {name}"), name)
+def _top_level(argv):
+    """--help, --version, no command or an unknown one; never returns."""
+    for token in argv:
+        if not token.startswith("-"):
+            break
+        if token == "-h" or len(token) > 2 and "--help".startswith(token):
+            rows = [(name, command.help) for name, command in COMMANDS.items()]
+            _exit_with(f"{_TOP_USAGE}\n\nSymmetric four-term recurrence sequences, chain "
+                       f"spectra and quantum transport.\n\n{_section('commands', rows)}\n\n"
+                       + _section("options", [("-h, --help", "show this help message and exit"),
+                                              ("--version", "show the version and exit")]))
+        if len(token) > 2 and "--version".startswith(token):
+            _exit_with(__version__)
+    _fail(_TOP_USAGE, "tetranacci",
+          f"{argv[0]!r} is not a command; choose from {', '.join(COMMANDS)}" if argv
+          else "the following arguments are required: command")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser, with every command as a subparser."""
-    parser = argparse.ArgumentParser(
-        prog="tetranacci",
-        description="Symmetric four-term recurrence sequences, chain spectra "
-                    "and quantum transport.")
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        _add_command(subs.add_parser(name, help=help_text), name)
-    return parser
-
-
-def _materialize_grids(args, parser):
-    for raw_name, name in (("sweep_eta_raw", "sweep_eta"),
-                           ("eta_grid_raw", "eta_grid"),
-                           ("zeta_grid_raw", "zeta_grid"),
-                           ("mu_grid_raw", "mu_grid"),
-                           ("e_grid_raw", "e_grid"),
-                           ("v_grid_raw", "v_grid")):
-        if hasattr(args, raw_name):
-            raw = getattr(args, raw_name)
-            try:
-                setattr(args, name, None if raw is None else _parse_grid(raw))
-            except argparse.ArgumentTypeError as exc:
-                parser.error(str(exc))
-
-
-def _is_value(token: str) -> bool:
-    """True for a number, a grid `min:max:steps` or a comma list of numbers."""
+def _convert(command: Command, flag: Flag, text: str):
     try:
-        for part in token.replace(":", ",").split(","):
-            complex(part.replace(" ", ""))
-    except ValueError:
-        return False
-    return True
+        value = flag.convert(text)
+    except ValueError as exc:
+        command.error(f"argument {flag.name}: {exc}")
+    if flag.choices and value not in flag.choices:
+        command.error(f"argument {flag.name}: invalid choice: {text!r} "
+                      f"(choose from {', '.join(flag.choices)})")
+    return value
 
 
-def _join_negative_values(argv):
-    """Fuse `--flag -2e-05` into `--flag=-2e-05` so argparse accepts it.
+def _parse(argv) -> SimpleNamespace:
+    """The arguments of `tetranacci CMD ...`, read from the flag table of CMD.
 
-    argparse takes any token that starts with "-" and does not match its
-    plain negative-number pattern (no exponent, no grid, no complex) for a
-    flag, so every `--flag VALUE` whose value is numeric is fused.
+    A flag is `--name VALUE`, whatever VALUE starts with, or `--name=VALUE`,
+    and a unique prefix of the name names it; a repeated flag keeps its
+    last value.  The namespace holds each flag's value under its `dest`,
+    a grid's text as `dest_raw`, and `func` and `command`.
     """
-    out = []
-    for tok in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_value(tok):
-            out[-1] += "=" + tok
+    if not argv or argv[0] not in COMMANDS:
+        _top_level(argv)
+    command = COMMANDS[argv[0]]
+    names = (*command.flags, "--help")
+    texts = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if name == "-h" or name in names:
+            matches = [name]
         else:
-            out.append(tok)
-    return out
+            matches = [n for n in names if name.startswith("--") and n.startswith(name)]
+        if not matches:
+            command.error(f"unrecognized arguments: {token}")
+        if len(matches) > 1:
+            command.error(f"ambiguous option: {name} could match {', '.join(matches)}")
+        flag = command.flags.get(matches[0])
+        if flag is None:
+            command.print_help()
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                command.error(f"argument {flag.name}: expected one argument")
+        texts[flag.name] = text
+        if flag.convert not in _CHECKED_LAST:
+            _convert(command, flag, text)
+    missing = [f.name for f in command.flags.values() if f.required and f.name not in texts]
+    if missing:
+        command.error(f"the following arguments are required: {', '.join(missing)}")
+    given = [name for name in command.one_of if name in texts]
+    if len(given) > 1:
+        command.error(f"argument {given[1]}: not allowed with argument {given[0]}")
+    if command.one_of and not given:
+        command.error(f"one of the arguments {' '.join(command.one_of)} is required")
+    args = SimpleNamespace(func=command.func, command=command.name)
+    for flag in command.flags.values():
+        text = texts.get(flag.name)
+        setattr(args, flag.dest, flag.default if text is None else _convert(command, flag, text))
+        if flag.convert is _parse_grid:
+            setattr(args, flag.dest + "_raw", text)
+    return args
 
 
 def main(argv=None) -> int:
-    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
-    if argv and argv[0] in COMMANDS:
-        parser = _command_parser(argv[0])
-        args = parser.parse_args(argv[1:])
-    else:
-        # --help, --version, no command or an unknown one
-        parser = build_parser()
-        args = parser.parse_args(argv)
-    _materialize_grids(args, parser)
-    if args.command == "transport" and args.beta != "inf":
-        try:
-            if not float(args.beta) > 0.0:  # also rejects nan
-                parser.error("--beta must be positive or 'inf'")
-        except ValueError:
-            parser.error(f"bad --beta value {args.beta!r}")
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args, parser)
+        return args.func(args, COMMANDS[args.command])
     except (TetranacciError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4

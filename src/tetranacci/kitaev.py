@@ -52,12 +52,13 @@ def kitaev_effective_coeffs(e, p: KitaevParams) -> Coefficients:
     with onsite energy -(mu^2 + (delta - t)^2 + (delta + t)^2), t1 = -2 t mu
     and t2 = delta^2 - t^2.  Its ZeroT2Error marks the sweet spot t = +-delta
     and a map past the doubles.  Where that onsite energy is itself past the
-    doubles, ChainParams raises ValueError (OverflowError where a square
-    is); at N >= 3 h is then not finite either, and `kitaev_spectrum`
-    refuses it first.
+    doubles, ChainParams raises ValueError; at N >= 3 h is then not finite
+    either, and `kitaev_spectrum` refuses it first.
     """
     t1_eff, t2_eff = kitaev_effective_hoppings(p)
-    bulk = p.mu * p.mu + (p.delta - p.t) ** 2 + (p.delta + p.t) ** 2
+    # float products, not **, which raises OverflowError past the doubles
+    a, b = p.delta - p.t, p.delta + p.t
+    bulk = p.mu * p.mu + a * a + b * b
     chain = ChainParams(mu=-bulk, t1=-t1_eff, t2=-t2_eff, n=p.n)
     with np.errstate(over="ignore"):  # an E^2 past the doubles makes zeta infinite
         e2 = e * e
@@ -72,9 +73,10 @@ def effective_h_matrix(p: KitaevParams) -> np.ndarray:
     2 t mu, a b = t^2 - delta^2.  The first site misses the -b^2 term of
     the diagonal and the last site the -a^2 term.
     """
+    dm, dp = p.delta - p.t, p.delta + p.t
     diag = np.full(p.n, p.mu * p.mu)
-    diag[:-1] += (p.delta - p.t) ** 2   # -a^2
-    diag[1:] += (p.delta + p.t) ** 2    # -b^2
+    diag[:-1] += dm * dm   # -a^2; a float product is inf past the doubles
+    diag[1:] += dp * dp    # -b^2
     return pentadiagonal(diag, *kitaev_effective_hoppings(p))
 
 
@@ -114,7 +116,12 @@ def kitaev_spectrum(p: KitaevParams):
     av = p.mu * v
     av[1:] += (p.t - p.delta) * v[:-1]
     av[:-1] += (p.t + p.delta) * v[1:]
-    e = np.linalg.norm(av, axis=0)
+    # the sum of squares inside the norm overflows once E passes 1.3e154;
+    # scaling each column down by a power of two is exact.  A column whose
+    # entries are all below 1 cannot overflow, and is left as it is.
+    _, k = np.frexp(np.abs(av).max(axis=0))
+    k = np.maximum(k, 0)
+    e = np.ldexp(np.linalg.norm(np.ldexp(av, -k), axis=0), k)
     return sorted(np.concatenate([-e, e]).tolist())
 
 

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import io
@@ -8,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +20,8 @@ from tetranacci.chain import ChainParams, build_chain_matrix
 from tetranacci.cli import main
 from tetranacci.kitaev import KitaevParams, bdg_spectrum, kitaev_effective_coeffs
 from tetranacci.transport import LeadParams, TransportSetup, fermi, transmission_dense
+
+import argparse_oracle
 
 
 def run(capsys, *argv):
@@ -532,12 +534,15 @@ def test_start_up_imports_no_scipy():
     # uses it; numpy.polynomial is loaded only by the quadrature fallback of
     # `current`, which healthy chains never take, and the exceptional point
     # N = 2, gamma_L = 2.5, gamma_R = 0.5 does.  numpy.random (with hashlib
-    # and secrets) is never needed: `verify` draws from stdlib random
+    # and secrets) is never needed: `verify` draws from stdlib random.
+    # argparse (whose first gettext call imports locale) is not used, and
+    # csv is loaded by --format csv alone
     script = (
         "import sys\n"
         "from tetranacci.cli import main\n"
         "def loaded(): return sorted(m for m in sys.modules\n"
         "                            if m.split('.')[0] == 'scipy'\n"
+        "                            or m in ('argparse', 'locale', 'csv')\n"
         "                            or m.startswith(('numpy.random', 'numpy.polynomial')))\n"
         "print(loaded(), file=sys.stderr)\n"
         "main(['spectrum', '--n', '10', '--t1', '1', '--t2', '0.5'])\n"
@@ -603,7 +608,7 @@ EMIT_ROWS = [
 
 
 def test_emit_json_bytes(capsys):
-    cli._emit(argparse.Namespace(format="json", out=None), {"command": "t"}, EMIT_ROWS)
+    cli._emit(SimpleNamespace(format="json", out=None), {"command": "t"}, EMIT_ROWS)
     rows = """[
     {
       "j": 3,
@@ -629,7 +634,7 @@ def test_emit_json_bytes(capsys):
 
 
 def test_emit_csv_bytes(capsys):
-    cli._emit(argparse.Namespace(format="csv", out=None), {"command": "t"}, EMIT_ROWS,
+    cli._emit(SimpleNamespace(format="csv", out=None), {"command": "t"}, EMIT_ROWS,
               extra_lines=["count: 2"])
     assert capsys.readouterr().out == (
         "j,x,z,v,ok,name,none\r\n"
@@ -659,13 +664,106 @@ def test_valid_argv_covers_every_command():
     assert set(VALID_ARGV) == set(cli.COMMANDS)
 
 
+def _outcome(parse, argv):
+    """The attributes parse(argv) gives, or the code it exits with."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _same_parse(got, want):
+    if not isinstance(want, dict):
+        return got == want
+    if not isinstance(got, dict) or set(got) != set(want):
+        return False
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            if not (isinstance(got[key], np.ndarray) and got[key].dtype == value.dtype
+                    and np.array_equal(got[key], value)):
+                return False
+        # repr: nan equals nan, and -0.0 differs from 0.0
+        elif type(got[key]) is not type(value) or repr(got[key]) != repr(value):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("argv", VALID_ARGV.values(), ids=VALID_ARGV)
 def test_command_parser_matches_full_parser(argv):
-    argv = cli._join_negative_values(argv)
-    full = cli.build_parser().parse_args(argv)
-    alone = cli._command_parser(argv[0]).parse_args(argv[1:])
-    assert alone.command == argv[0]
-    assert alone == full
+    # the flag table parses each command as the full argparse parser does
+    want = _outcome(argparse_oracle.parse, argv)
+    assert isinstance(want, dict) and want["command"] == argv[0]
+    assert _same_parse(_outcome(cli._parse, argv), want)
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+_complexes = st.one_of(st.builds(complex, st.floats(-5, 5), st.floats(-5, 5)).map(cli._fmt_complex),
+                       st.sampled_from(["1-2j", "-0.5", " -1 + 2j", "-j", "-2e-05"]))
+_ends = st.one_of(st.floats(-10, 10).map(repr), st.just("-2e-05"))
+# (good, bad) value texts by converter; good ones may start with "-" too
+VALUE_TEXTS = {
+    int: (st.integers(-3, 40).map(str),
+          st.sampled_from(["x", "1.5", "", "-", "--1", "1e3", "-1j"])),
+    float: (st.one_of(_floats, st.sampled_from(["-2e-05", "-inf", "+3", "1_0", " -7"])),
+            st.sampled_from(["x", "", "-", "--1", "1,2", "-1j"])),
+    cli._parse_complex: (st.one_of(_complexes, _floats),
+                         st.sampled_from(["1+", "x", "--1", "", "-"])),
+    cli._parse_initials: (st.lists(_complexes, min_size=4, max_size=4).map(",".join),
+                          st.sampled_from(["1,2,3", "-1,2,3,4,5", "-1,x,0,0", ""])),
+    cli._parse_grid: (st.tuples(_ends, _ends, st.integers(0, 4)).map(lambda t: "%s:%s:%d" % t),
+                      st.sampled_from(["1:2", "-1:1:2.5", "0:1:2:3", "a:b:c", "-", "",
+                                       "nan:1:2", "0:-inf:3", "-1e308:1e308:2", "0:1:-1"])),
+    cli._parse_beta: (st.one_of(st.floats(1e-300, 1e300).map(repr), st.just("inf")),
+                      st.one_of(_floats, st.sampled_from(["-1", "0", "-inf", "x", "", "Inf"]))),
+}
+
+
+def _value_texts(flag, bad):
+    if flag.choices:
+        return st.sampled_from(["bogus", "", "JSON", "-x", "-1"] if bad else flag.choices)
+    if flag.convert is str:  # --out: any text is a path
+        return st.sampled_from(["x.json", "-", "-1", "a b", "", "o=1"])
+    return VALUE_TEXTS[flag.convert][bad]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and flags drawn from its table: split or `=` forms, full
+    names or prefixes (ambiguous ones too), repeats, good and bad values,
+    required flags left out, both grids of `transport` or none, and stray
+    tokens.  A path for --out never starts with "-" and a letter, which
+    argparse alone refuses (see `argparse_oracle`)."""
+    command = draw(st.sampled_from(list(cli.COMMANDS.values())))
+    flags = list(command.flags.values())
+    chosen = [f for f in flags if f.required and draw(st.integers(0, 9)) > 0]
+    chosen += draw(st.lists(st.sampled_from(flags), max_size=6))
+    chosen += [command.flags[n] for n in command.one_of if draw(st.integers(0, 3)) > 1]
+    items = []
+    for flag in chosen:
+        cut = draw(st.integers(3, len(flag.name)))
+        name = flag.name if draw(st.booleans()) else flag.name[:cut]
+        bad = draw(st.integers(0, 9)) == 0
+        text = draw(_value_texts(flag, bad))
+        items.append([f"{name}={text}"] if draw(st.booleans()) else [name, text])
+    items += draw(st.lists(st.sampled_from([["bogus"], ["--bogus"], ["-5"], ["-x"]]),
+                           max_size=1))
+    return [command.name, *(tok for item in draw(st.permutations(items)) for tok in item)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+@example(["transport", "--n", "4", "--beta", "0", "--beta", "10", "--e-grid", "1:1:1"])
+@example(["transport", "--n", "x", "--n", "4", "--v-grid=nan:1:2", "--v-grid", "-1:1:3"])
+@example(["seq", "--ze", "-1e-3", "--eta=-j", "--g", "-1,-2,x,4", "--g", "1,2,3,4", "--h", "3"])
+@example(["transport", "--n", "4", "--e-grid", "-1:1:3", "--v-grid=0:1:2"])
+@example(["kitaev", "--n=4", "--t", "-inf", "--delta", "--1", "--mu-grid", "0:1:2"])
+def test_parse_matches_argparse_oracle(argv):
+    # the same attributes as argparse, or exit 2 from both
+    want = _outcome(argparse_oracle.parse, argv)
+    got = _outcome(cli._parse, argv)
+    assert want == 2 or isinstance(want, dict)
+    assert _same_parse(got, want), (got, want)
 
 
 def test_full_parser_help_lists_every_command(capsys):
@@ -674,8 +772,8 @@ def test_full_parser_help_lists_every_command(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: tetranacci [-h] [--version]")
-    for name, (help_text, _) in cli.COMMANDS.items():
-        assert name in out and help_text in out
+    for name, command in cli.COMMANDS.items():
+        assert name in out and command.help in out
 
 
 @pytest.mark.parametrize("argv", [(), ("bogus",), ("bogus", "--n", "3"), ("--n", "3")])
@@ -718,7 +816,7 @@ json_meta = st.dictionaries(json_text, st.one_of(row_cells, st.lists(row_cells, 
 def test_emit_json_matches_indented_dumps(meta, rows):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit(argparse.Namespace(format="json", out=None), meta, rows)
+        cli._emit(SimpleNamespace(format="json", out=None), meta, rows)
     payload = {"meta": {**meta, "version": tetranacci.__version__},
                "rows": [{k: cli._fmt(v) for k, v in row.items()} for row in rows]}
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tetranacci.chain import ChainParams
 from tetranacci.errors import ZeroT2Error
@@ -100,6 +102,50 @@ def test_spectrum_vs_bdg():
         b = np.array(bdg_spectrum(p))
         scale = max(1.0, np.abs(b).max())
         assert np.abs(np.sort(a) - np.sort(b)).max() <= 1e-8 * scale
+
+
+# signed magnitudes from 1e-150 to 3e153, where h is finite or just past it
+magnitudes = st.builds(lambda s, x: s * 10.0 ** x, st.sampled_from((-1.0, 1.0)),
+                       st.floats(-150.0, 153.5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(magnitudes, magnitudes, st.one_of(st.just(0.0), magnitudes), st.integers(2, 12))
+@example(5e153, 5e153, 0.0, 30)
+def test_spectrum_norm_is_finite_and_exact(mu, t, delta, n):
+    # E = |A v| past 1.3e154, where the norm's sum of squares overflows, is
+    # finite; wherever the unscaled norm is finite, E equals it to the bit
+    p = KitaevParams(mu=mu, t=t, delta=delta, n=n)
+    h = effective_h_matrix(p)
+    assume(np.isfinite(h).all())
+    got = np.array(kitaev_spectrum(p))
+    v = np.linalg.eigh(h)[1]
+    av = p.mu * v
+    av[1:] += (p.t - p.delta) * v[:-1]
+    av[:-1] += (p.t + p.delta) * v[1:]
+    with np.errstate(over="ignore"):
+        e = np.linalg.norm(av, axis=0)
+    want = np.array(sorted(np.concatenate([-e, e]).tolist()))
+    assert np.isfinite(got).all()
+    finite = np.isfinite(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+def test_spectrum_past_norm_overflow_matches_bdg():
+    p = KitaevParams(mu=5e153, t=5e153, delta=0.0, n=30)
+    a = np.array(kitaev_spectrum(p))
+    b = np.array(bdg_spectrum(p))
+    assert np.abs(a - b).max() <= 1e-8 * np.abs(b).max()
+
+
+def test_sublattice_overflow_is_named():
+    # (delta - t)^2 = 1e310 is inf as a float product, and the spectrum
+    # refuses the matrix by name
+    p = KitaevParams(mu=0.0, t=1e155, delta=0.0, n=3)
+    assert np.isinf(effective_h_matrix(p)).any()
+    with pytest.raises(OverflowError, match="sublattice matrix overflows"):
+        kitaev_spectrum(p)
 
 
 def test_majorana_point_zero_mode():
