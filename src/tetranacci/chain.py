@@ -140,10 +140,17 @@ _BRANCH_TOL = 1e-6
 
 def _branch_residuals(k1, k2, n: int):
     """Residuals {+1: ..., -1: ...} of f(k+) = +-f(k-), f(k) = sin(k (N+2)) / sin k,
-    for one pair (k1, k2) or entry by entry for arrays of them."""
-    fp = standing_wave(n + 2, (k1 + k2) / 2.0)
-    fm = standing_wave(n + 2, (k1 - k2) / 2.0)
-    scale = np.maximum(np.maximum(np.abs(fp), np.abs(fm)), 1.0)
+    for one pair (k1, k2) or entry by entry for arrays of them.
+
+    |f(k+) -+ f(k-)| / max(|f(k+)|, |f(k-)|, 1) uses only the ratio of the
+    two waves, and sin(k (N+2)) leaves the doubles once (N+2) |Im k| > 709
+    (N ~ 800 for a mode with |Im k| ~ 0.9).  So both waves and the 1 carry
+    e^(-c), c = (N+2) max |Im k+-|, which leaves the residual unchanged.
+    """
+    xp, xm = (k1 + k2) / 2.0, (k1 - k2) / 2.0
+    c = (n + 2) * np.maximum(np.abs(np.imag(xp)), np.abs(np.imag(xm)))
+    fp, fm = standing_wave(n + 2, xp, c), standing_wave(n + 2, xm, c)
+    scale = np.maximum(np.maximum(np.abs(fp), np.abs(fm)), np.exp(-c))
     return {+1: np.abs(fp - fm) / scale, -1: np.abs(fp + fm) / scale}
 
 
@@ -195,24 +202,6 @@ def spectrum(p: ChainParams):
             modes.append(EigenMode(e=e, lambda_i=lam, vector=vec, **f))
     modes.sort(key=lambda m: m.e)
     return modes
-
-
-def t1_zero_spectrum(p: ChainParams):
-    """Exact spectrum of the two decoupled sublattices (t1 = 0 only)."""
-    if p.t1 != 0.0:
-        raise PreconditionError("exact sublattice spectrum needs t1 = 0")
-    n = p.n
-    energies = []
-    if n % 2 == 0:
-        for m in range(1, n // 2 + 1):
-            e = -p.mu - 2.0 * p.t2 * math.cos(2.0 * m * math.pi / (n + 2))
-            energies.extend([e, e])
-    else:
-        for m in range(1, (n + 1) // 2 + 1):
-            energies.append(-p.mu - 2.0 * p.t2 * math.cos(2.0 * m * math.pi / (n + 3)))
-        for m in range(1, (n - 1) // 2 + 1):
-            energies.append(-p.mu - 2.0 * p.t2 * math.cos(2.0 * m * math.pi / (n + 1)))
-    return sorted(energies)
 
 
 def crossings(n: int):
@@ -271,20 +260,28 @@ def eigenvector_tetranacci(e: float, p: ChainParams) -> np.ndarray:
     return out
 
 
-def arrow_classify(zeta, eta, tol: float = 1e-9):
+# distance from a bounding curve of the arrow below which a point is
+# BOUNDARY: a point computed to lie on a curve lands a few ulps of zeta off
+# it, under 1e-15 near the tip (2, 0) and 1e-10 at |zeta| ~ 1e6, and 1e-9
+# takes it in; it only labels, no value is computed from it
+_ARROW_TOL = 1e-9
+
+
+def arrow_classify(zeta, eta):
     """Classify a (zeta, eta) point against the arrow, the region where
     both wavevectors are real; zeta and eta may be arrays, classified
     entry by entry into an array of Arrow.
 
     Inside requires zeta <= 2 - 2|eta| and, for |eta| <= 4, zeta >=
-    -2 - eta^2/4; points within tol of either bounding curve are Boundary.
-    A curve past the doubles (|eta| near 1e308) is infinitely far away.
+    -2 - eta^2/4; points within _ARROW_TOL of either bounding curve are
+    Boundary.  A curve past the doubles (|eta| near 1e308) is infinitely
+    far away.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         upper = 2.0 - 2.0 * np.abs(eta)
         lower = -2.0 - eta * eta / 4.0
-        boundary = (np.abs(zeta - upper) <= tol) \
-            | ((np.abs(eta) <= 4.0 + tol) & (np.abs(zeta - lower) <= tol))
+        boundary = (np.abs(zeta - upper) <= _ARROW_TOL) \
+            | ((np.abs(eta) <= 4.0 + _ARROW_TOL) & (np.abs(zeta - lower) <= _ARROW_TOL))
         inside = (zeta < upper) & (np.abs(eta) <= 4.0) & (zeta > lower)
     return np.where(boundary, Arrow.BOUNDARY,
                     np.where(inside, Arrow.INSIDE, Arrow.OUTSIDE))[()]

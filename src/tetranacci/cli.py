@@ -137,8 +137,9 @@ def _parse_grid(text: str) -> np.ndarray:
         # on the grid
         if not math.isfinite(hi - lo):
             raise ValueError("non-finite grid")
+        # more steps than memory holds: numpy's MemoryError, a usage error too
         return np.linspace(lo, hi, int(steps))
-    except ValueError:
+    except (ValueError, MemoryError):
         raise ValueError(
             f"grid must be min:max:steps with finite min and max, got {text!r}") from None
 

@@ -11,8 +11,8 @@ index -2) has the generating function -t^2 over the product, so
 The Cauchy product divides by nothing and is symmetric in S_1 and S_2, so
 it holds for every pair of roots, equal or at +-2 included; `xi_closed` adds
 one wave for a general g.  The root class (distinct; degenerate_s: S_1 ==
-S_2; degenerate_unit: S_1 == S_2 = +-2) only labels what the paper states
-per class (`plane_wave_coeffs`, `appendix_a_solutions`).
+S_2; degenerate_unit: S_1 == S_2 = +-2) only labels where the paper's extra
+solutions of Appendix A exist (`appendix_a_solutions`).
 
 `characterize`, `standing_wave`, `t_minus2` and `xi_closed` take batches:
 the fields of `Coefficients` and `InitialValues`, and the angles x of
@@ -54,7 +54,7 @@ class RootClass(enum.Enum):
 class CharacteristicData:
     """Roots S_l, angles theta_l and degeneracy label for one coefficient
     pair, or for a batch: then every field past zeta and eta is a 1-D array,
-    root_class one of RootClass objects.  `r_pair` takes one pair."""
+    root_class one of RootClass objects."""
 
     zeta: complex
     eta: complex
@@ -63,13 +63,6 @@ class CharacteristicData:
     theta1: complex
     theta2: complex
     root_class: RootClass
-
-    def theta(self, l: int) -> complex:
-        return self.theta1 if l == 1 else self.theta2
-
-    def r_pair(self, l: int):
-        """The roots r_{+-l} = exp(+-i theta_l) of 1 - S_l t + t^2."""
-        return cmath.exp(1j * self.theta(l)), cmath.exp(-1j * self.theta(l))
 
 
 def _principal_theta(s: np.ndarray) -> np.ndarray:
@@ -118,15 +111,29 @@ def characterize(c: Coefficients) -> CharacteristicData:
     return CharacteristicData(c.zeta, c.eta, *fields)
 
 
-def _waves(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q_m(x) for the ints m and the complex x, 1-D arrays; row i holds x[i]."""
+def _damped_sin(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sin(z) e^(-c) for c >= |Im z|: sin a cosh b + i cos a sinh b, z = a + ib,
+    with cosh and sinh written as e^|b| times (2 + t) / 2 and -sign(b) t / 2,
+    t = expm1(-2|b|), so no factor leaves the doubles and none cancels."""
+    b = np.abs(z.imag)
+    t = np.expm1(-2.0 * b)
+    return 0.5 * np.exp(b - c) * (np.sin(z.real) * (2.0 + t)
+                                  - 1j * (np.sign(z.imag) * np.cos(z.real) * t))
+
+
+def _waves(m: np.ndarray, x: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """Q_m(x) for the ints m and the complex x, 1-D arrays; row i holds x[i].
+    Given c, shaped like x, the rows are Q_m(x) e^(-c) instead."""
     x = np.where(x.real < 0.0, -x, x)
     fold = x.real > math.pi / 2
     x = np.where(fold, math.pi - x, x)
     zero = x == 0
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.sin(np.where(zero, 1.0, x))
-        q = np.sin(m * x[:, None])
+        if c is None:
+            q, q0 = np.sin(m * x[:, None]), m
+        else:
+            q, q0 = _damped_sin(m * x[:, None], c[:, None]), m * np.exp(-c)[:, None]
     if not (np.isfinite(s).all() and np.isfinite(q).all()):
         raise OverflowError("sin(m x) leaves the finite doubles")
     # real arithmetic, as a fused complex product would leave Q_1 an ulp off 1
@@ -135,11 +142,11 @@ def _waves(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     den = sr * sr + si * si
     qr, qi = q.real / a[:, None], q.imag / a[:, None]
     q = (qr * sr + qi * si) / den + 1j * ((qi * sr - qr * si) / den)
-    q = np.where(zero[:, None], m, q)
+    q = np.where(zero[:, None], q0, q)
     return np.where(fold[:, None] & (m % 2 == 0), -q, q)
 
 
-def standing_wave(m, x):
+def standing_wave(m, x, c=None):
     """Q_m(x) = sin(m x) / sin(x), with Q_m(0) = m, for -pi <= Re x <= pi.
 
     x is folded onto 0 <= Re x <= pi/2 by Q_m(-x) = Q_m(x) and Q_m(pi - x) =
@@ -153,38 +160,34 @@ def standing_wave(m, x):
     numbers.  x is folded and sin(x) formed once per entry, and each value is
     bit for bit the one of the call with that int m and that number x.
     OverflowError is raised where sin(m x) leaves the doubles.
+
+    Given c, a number or an array shaped like x with c >= |m Im x|, the
+    result is Q_m(x) e^(-c), which stays finite where sin(m x) does not: a
+    ratio of two waves scaled alike keeps its value.  It agrees with
+    Q_m(x) e^(-c) to rounding, as sin(m x) e^(-c) is formed from
+    exponentials (`_damped_sin`), not by numpy's sin.
     """
-    q = _waves(np.atleast_1d(m), np.atleast_1d(np.asarray(x, dtype=complex)))
+    xs = np.atleast_1d(np.asarray(x, dtype=complex))
+    if c is not None:
+        c = np.broadcast_to(np.asarray(c, dtype=float), xs.shape)
+    q = _waves(np.atleast_1d(m), xs, c)
     q = q.reshape(np.shape(x) + np.shape(m))
     return q.item() if q.ndim == 0 else q
-
-
-def phi(l: int, j, cd: CharacteristicData):
-    """Standing wave phi_l(j) = sin(j theta_l) / sin(theta_l), for an int j
-    or an int array of them, as `standing_wave` shapes it."""
-    if l not in (1, 2):
-        raise ValueError("l must be 1 or 2")
-    return standing_wave(j, cd.theta(l))
-
-
-def _t_minus2(th1: np.ndarray, th2: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """T_-2(lo..hi) for the angle arrays th1 and th2; row i holds entry i."""
-    j = np.arange(lo, hi + 1)
-    a, b = int(np.abs(j).min()), int(np.abs(j).max())
-    m, pad = np.arange(b + 1), np.zeros(b)
-    # one convolution per row keeps the work O(b (b - a)) and the memory O(b)
-    c = np.array([np.convolve(w1, np.concatenate([pad, w2])[a:], "valid")
-                  for w1, w2 in zip(_waves(m, th1), _waves(m, th2))])
-    return -np.sign(j) * c.reshape(-1, b - a + 1)[:, np.abs(j) - a]
 
 
 def t_minus2(cd: CharacteristicData, lo: int, hi: int) -> np.ndarray:
     """T_-2(lo..hi) as a complex array: minus the Cauchy product of phi_1
     and phi_2 for j >= 0, extended to j < 0 by T_-2(-j) = -T_-2(j), which
-    holds exactly.  Only |j| in a..b is formed, one 'valid' convolution:
-    O(b (b - a)) work and O(b) memory.  A batch gives one row per entry, each
-    bit for bit the single call's."""
-    t = _t_minus2(np.atleast_1d(cd.theta1), np.atleast_1d(cd.theta2), lo, hi)
+    holds exactly.  Only |j| in a..b is formed, one 'valid' convolution per
+    row: O(b (b - a)) work and O(b) memory.  A batch gives one row per entry,
+    each bit for bit the single call's."""
+    j = np.arange(lo, hi + 1)
+    a, b = int(np.abs(j).min()), int(np.abs(j).max())
+    m, pad = np.arange(b + 1), np.zeros(b)
+    waves = (_waves(m, np.atleast_1d(th)) for th in (cd.theta1, cd.theta2))
+    c = np.array([np.convolve(w1, np.concatenate([pad, w2])[a:], "valid")
+                  for w1, w2 in zip(*waves)])
+    t = -np.sign(j) * c.reshape(-1, b - a + 1)[:, np.abs(j) - a]
     return t if np.ndim(cd.theta1) else t[0]
 
 
@@ -214,7 +217,7 @@ def xi_closed(g: InitialValues, cd: CharacteristicData, lo: int, hi: int) -> Seq
     s_s, s_f = np.where(swap, s2, s1)[:, None], np.where(swap, s1, s2)[:, None]
     top, a0 = max(hi, -1 - lo), max(0, lo, -1 - hi)  # the j >= 0 both halves need
     slow = _waves(np.arange(top + 2), np.where(swap, th2, th1))
-    t = _t_minus2(th1, th2, a0 + 1, top + 2)
+    t = np.atleast_2d(t_minus2(cd, a0 + 1, top + 2))
     gs = [np.atleast_1d(np.asarray(v, dtype=complex))[:, None] for v in g.g]
 
     def half(gm2, gm1, g0, g1, a, b):  # xi_a..xi_b, a0 <= a <= b <= top
@@ -235,20 +238,6 @@ def xi_closed(g: InitialValues, cd: CharacteristicData, lo: int, hi: int) -> Seq
     if np.ndim(cd.s1) or any(np.ndim(v) for v in g.g):
         return SequenceWindow(lo, tuple(xi.T))
     return SequenceWindow(lo, tuple(xi[0].tolist()))
-
-
-def plane_wave_coeffs(g: InitialValues, cd: CharacteristicData):
-    """Weights (A, B, C, D) of r_{+1}^j, r_{-1}^j, r_{+2}^j, r_{-2}^j.
-
-    Only valid when all four characteristic roots are distinct, i.e. the
-    class is distinct and neither S_l equals +-2.
-    """
-    if cd.root_class is not RootClass.DISTINCT or any(
-            abs(s * s - 4.0) <= _EPS_CLASS for s in (cd.s1, cd.s2)):
-        raise PreconditionError("plane-wave decomposition needs four distinct roots")
-    roots = [*cd.r_pair(1), *cd.r_pair(2)]
-    a = np.array([[r ** i for r in roots] for i in (-2, -1, 0, 1)], dtype=complex)
-    return tuple(np.linalg.solve(a, np.array(g.g, dtype=complex)))
 
 
 def _power_residual(p: int, root: complex, cd: CharacteristicData, j_range) -> float:

@@ -80,22 +80,6 @@ def effective_h_matrix(p: KitaevParams) -> np.ndarray:
     return pentadiagonal(diag, *kitaev_effective_hoppings(p))
 
 
-def bdg_matrix(p: KitaevParams) -> np.ndarray:
-    """Particle-hole (2N x 2N) single-particle matrix of the Kitaev chain."""
-    n = p.n
-    h0 = np.zeros((n, n))
-    np.fill_diagonal(h0, -p.mu)
-    for j in range(n - 1):
-        h0[j, j + 1] = h0[j + 1, j] = -p.t
-    d = np.zeros((n, n))
-    for j in range(n - 1):
-        d[j + 1, j] = p.delta
-        d[j, j + 1] = -p.delta
-    top = np.hstack([h0, d])
-    bottom = np.hstack([-d, -h0])
-    return np.vstack([top, bottom])
-
-
 def kitaev_spectrum(p: KitaevParams):
     """Excitation energies as sorted +-E pairs from the sublattice matrix.
 
@@ -123,8 +107,3 @@ def kitaev_spectrum(p: KitaevParams):
     k = np.maximum(k, 0)
     e = np.ldexp(np.linalg.norm(np.ldexp(av, -k), axis=0), k)
     return sorted(np.concatenate([-e, e]).tolist())
-
-
-def bdg_spectrum(p: KitaevParams):
-    """Excitation energies from the full particle-hole matrix (oracle)."""
-    return [float(x) for x in np.linalg.eigvalsh(bdg_matrix(p))]

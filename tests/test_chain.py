@@ -6,12 +6,11 @@ import pytest
 from tetranacci.chain import (Arrow, ChainParams, _branch_residuals,
                               arrow_classify, build_chain_matrix,
                               coeffs_from_energy, crossings, dispersion,
-                              eigenvector_tetranacci, spectrum,
-                              t1_zero_spectrum)
-from tetranacci.closedform import characterize
-from tetranacci.errors import PreconditionError, ZeroT2Error
+                              eigenvector_tetranacci, spectrum)
+from tetranacci.closedform import characterize, standing_wave
+from tetranacci.errors import ZeroT2Error
 
-from band_oracle import chain_eigh
+from band_oracle import chain_eigh, t1_zero_spectrum
 
 
 def random_chain(rng, n):
@@ -121,6 +120,32 @@ def test_quantization_residual_from_dense_modes():
         assert m.quant_residual < 1e-6
 
 
+@pytest.mark.parametrize("p", [ChainParams(0.0, -5.0, 1.0, 800),
+                               ChainParams(0.0, 1.0, 0.5, 1100)])
+def test_spectrum_long_chain_fields_finite(p):
+    # modes with (N + 2) |Im k+-| > 709, where sin((N + 2) k+-) leaves the
+    # doubles: the residual scales both waves alike and stays finite
+    modes = spectrum(p)
+    assert len(modes) == p.n
+    for m in modes:
+        assert np.isfinite([m.e, m.k1, m.k2, m.k_plus, m.k_minus]).all()
+        assert np.isfinite(m.vector).all() and m.s_q * m.lambda_i == -1
+        assert m.quant_residual < 1e-6
+
+
+@pytest.mark.parametrize("p", [ChainParams(0.0, -5.0, 1.0, 40), ChainParams(0.0, -5.0, 1.0, 700),
+                               ChainParams(0.0, 1.0, 0.5, 1000), ChainParams(0.3, 0.8, -1.1, 17)])
+def test_scaled_residuals_equal_unscaled(p):
+    # the residuals with the waves themselves, wherever those are finite
+    cd = characterize(coeffs_from_energy(np.array([m.e for m in spectrum(p)]), p))
+    fp = standing_wave(p.n + 2, (cd.theta1 + cd.theta2) / 2.0)
+    fm = standing_wave(p.n + 2, (cd.theta1 - cd.theta2) / 2.0)
+    scale = np.maximum(np.maximum(np.abs(fp), np.abs(fm)), 1.0)
+    got = _branch_residuals(cd.theta1, cd.theta2, p.n)
+    assert np.abs(got[1] - np.abs(fp - fm) / scale).max() <= 1e-12
+    assert np.abs(got[-1] - np.abs(fp + fm) / scale).max() <= 1e-12
+
+
 # --- spectra ----------------------------------------------------------------
 
 def test_spectrum_t1_zero_n4():
@@ -153,11 +178,6 @@ def test_t1_zero_spectrum_matches_dense():
         p = ChainParams(mu=0.1, t1=0.0, t2=-1.3, n=n)
         w = chain_eigh(p)[0]
         assert np.allclose(t1_zero_spectrum(p), w, atol=1e-10)
-
-
-def test_t1_zero_spectrum_precondition():
-    with pytest.raises(PreconditionError):
-        t1_zero_spectrum(ChainParams(0.0, 1.0, 1.0, 4))
 
 
 def test_spectrum_n21_no_degeneracy_at_eta_zero():
@@ -314,7 +334,9 @@ def test_arrow_agrees_with_wavevector_test():
         p = ChainParams(t1=t1, **p_base)
         for m in spectrum(p):
             c = coeffs_from_energy(m.e, p)
-            if arrow_classify(c.zeta, c.eta, tol=1e-6) is Arrow.BOUNDARY:
+            upper, lower = 2.0 - 2.0 * abs(c.eta), -2.0 - c.eta * c.eta / 4.0
+            if abs(c.zeta - upper) <= 1e-6 or (
+                    abs(c.eta) <= 4.0 + 1e-6 and abs(c.zeta - lower) <= 1e-6):
                 continue
             real = abs(m.k1.imag) < 1e-7 and abs(m.k2.imag) < 1e-7
             assert (m.arrow is Arrow.INSIDE) == real

@@ -18,10 +18,11 @@ import tetranacci
 from tetranacci import cli
 from tetranacci.chain import ChainParams, build_chain_matrix
 from tetranacci.cli import main
-from tetranacci.kitaev import KitaevParams, bdg_spectrum, kitaev_effective_coeffs
+from tetranacci.kitaev import KitaevParams, kitaev_effective_coeffs
 from tetranacci.transport import LeadParams, TransportSetup, fermi, transmission_dense
 
 import argparse_oracle
+from band_oracle import bdg_spectrum
 
 
 def run(capsys, *argv):
@@ -496,6 +497,17 @@ def test_invalid_parameters_usage_error(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_grid_past_memory_is_a_usage_error(capsys):
+    # 10^15 doubles (8 PB) are more than a process can map, so numpy's
+    # allocation fails at once, whatever the overcommit, touching no memory
+    with pytest.raises(SystemExit) as exc:
+        main(["transport", "--n", "3", "--e-grid", "0:1:1000000000000000"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --e-grid: grid must be min:max:steps" in err
+    assert "Traceback" not in err
+
+
 def test_transport_weak_coupling_current(capsys):
     # 100 resonances about 1e-4 wide, on which a plain adaptive quadrature
     # of T(E) does not converge.  The reference is a quadrature of the
@@ -713,7 +725,8 @@ VALUE_TEXTS = {
                           st.sampled_from(["1,2,3", "-1,2,3,4,5", "-1,x,0,0", ""])),
     cli._parse_grid: (st.tuples(_ends, _ends, st.integers(0, 4)).map(lambda t: "%s:%s:%d" % t),
                       st.sampled_from(["1:2", "-1:1:2.5", "0:1:2:3", "a:b:c", "-", "",
-                                       "nan:1:2", "0:-inf:3", "-1e308:1e308:2", "0:1:-1"])),
+                                       "nan:1:2", "0:-inf:3", "-1e308:1e308:2", "0:1:-1",
+                                       "0:1:1000000000000000"])),
     cli._parse_beta: (st.one_of(st.floats(1e-300, 1e300).map(repr), st.just("inf")),
                       st.one_of(_floats, st.sampled_from(["-1", "0", "-inf", "x", "", "Inf"]))),
 }

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -7,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetranacci.closedform import (RootClass, _power_residual,
-                                   appendix_a_solutions, characterize, phi,
-                                   plane_wave_coeffs, standing_wave, t_minus2,
-                                   xi_closed)
+                                   appendix_a_solutions, characterize,
+                                   standing_wave, t_minus2, xi_closed)
 from tetranacci.errors import PreconditionError
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range
 
@@ -30,6 +30,19 @@ def random_class_point(rng, cls):
     return Coefficients(-6.0, eta)
 
 
+def roots(theta):
+    """The roots r_+- = exp(+-i theta) of 1 - S t + t^2, S = 2 cos(theta)."""
+    return cmath.exp(1j * theta), cmath.exp(-1j * theta)
+
+
+def plane_wave_coeffs(g, cd):
+    """Weights (A, B, C, D) of r_{+1}^j, r_{-1}^j, r_{+2}^j, r_{-2}^j for a
+    pair whose four characteristic roots are distinct."""
+    rs = [*roots(cd.theta1), *roots(cd.theta2)]
+    a = np.array([[r ** i for r in rs] for i in (-2, -1, 0, 1)], dtype=complex)
+    return tuple(np.linalg.solve(a, np.array(g.g, dtype=complex)))
+
+
 # --- characterize -----------------------------------------------------------
 
 def test_characterize_degenerate_s_point():
@@ -42,16 +55,13 @@ def test_characterize_degenerate_unit_point():
     cd = characterize(Coefficients(-6.0, 4.0))
     assert cd.root_class is RootClass.DEGENERATE_UNIT
     assert cd.s1 == cd.s2 == 2.0
-    assert cd.r_pair(1) == cd.r_pair(2) == (1.0, 1.0)
+    assert roots(cd.theta1) == roots(cd.theta2) == (1.0, 1.0)
 
 
 def test_characterize_distinct_with_unit_roots():
     cd = characterize(Coefficients(2.0, 0.0))
     assert cd.root_class is RootClass.DISTINCT
     assert sorted((cd.s1.real, cd.s2.real)) == [-2.0, 2.0]
-    # each S_l = +-2 has the double root r = +-1
-    with pytest.raises(PreconditionError):
-        plane_wave_coeffs(InitialValues((1, 0, 0, 0)), cd)
 
 
 def test_characterize_invariants():
@@ -63,30 +73,29 @@ def test_characterize_invariants():
         scale = max(1.0, abs(cd.s1), abs(cd.s2))
         assert abs(cd.s1 + cd.s2 - c.eta) <= 1e-10 * scale
         assert abs(cd.s1 * cd.s2 + (c.zeta + 2.0)) <= 1e-10 * scale ** 2
-        for l in (1, 2):
-            rp, rm = cd.r_pair(l)
+        for th, s in ((cd.theta1, cd.s1), (cd.theta2, cd.s2)):
+            rp, rm = roots(th)
             assert abs(rp * rm - 1.0) <= 1e-10 * max(1.0, abs(rp) * abs(rm))
-            assert abs(rp + rm - (cd.s1, cd.s2)[l - 1]) <= 1e-10 * scale
+            assert abs(rp + rm - s) <= 1e-10 * scale
         assert abs(2.0 * np.cos(complex(cd.theta1)) - cd.s1) <= 1e-10 * scale
         assert abs(2.0 * np.cos(complex(cd.theta2)) - cd.s2) <= 1e-10 * scale
 
 
-# --- phi --------------------------------------------------------------------
+# --- phi_l(j) = standing_wave(j, theta_l) -----------------------------------
 
 def test_phi_small_values():
     cd = characterize(Coefficients(0.4 + 0.1j, 1.2 - 0.3j))
-    for l in (1, 2):
-        s = (cd.s1, cd.s2)[l - 1]
-        assert phi(l, 0, cd) == 0
-        assert phi(l, 1, cd) == 1
-        assert abs(phi(l, 2, cd) - s) < 1e-12 * max(1, abs(s))
-        assert abs(phi(l, 3, cd) - (s * s - 1.0)) < 1e-12 * max(1, abs(s)) ** 2
-        assert abs(phi(l, -2, cd) + s) < 1e-12 * max(1, abs(s))
+    for th, s in ((cd.theta1, cd.s1), (cd.theta2, cd.s2)):
+        assert standing_wave(0, th) == 0
+        assert standing_wave(1, th) == 1
+        assert abs(standing_wave(2, th) - s) < 1e-12 * max(1, abs(s))
+        assert abs(standing_wave(3, th) - (s * s - 1.0)) < 1e-12 * max(1, abs(s)) ** 2
+        assert abs(standing_wave(-2, th) + s) < 1e-12 * max(1, abs(s))
 
 
 def test_phi_unit_root_form():
     cd = characterize(Coefficients(-6.0, 4.0))  # S = 2
-    assert abs(phi(1, 4, cd) - 4.0) < 1e-12
+    assert abs(standing_wave(4, cd.theta1) - 4.0) < 1e-12
 
 
 @pytest.mark.parametrize("m", [-3, 1, 4, 7, 22])
@@ -107,11 +116,11 @@ def test_phi_oddness():
     for _ in range(10):
         cd = characterize(Coefficients(complex(rng.normal(), rng.normal()),
                                        complex(rng.normal(), rng.normal())))
-        for l in (1, 2):
-            vals = [phi(l, j, cd) for j in range(0, 21)]
+        for th in (cd.theta1, cd.theta2):
+            vals = [standing_wave(j, th) for j in range(0, 21)]
             scale = max(abs(v) for v in vals) or 1.0
             for j in range(0, 21):
-                assert abs(phi(l, -j, cd) + vals[j]) <= 1e-10 * scale
+                assert abs(standing_wave(-j, th) + vals[j]) <= 1e-10 * scale
 
 
 def test_phi_two_term_recursion():
@@ -119,11 +128,11 @@ def test_phi_two_term_recursion():
     for _ in range(10):
         cd = characterize(Coefficients(complex(rng.normal(), rng.normal()),
                                        complex(rng.normal(), rng.normal())))
-        for l in (1, 2):
-            vals = {j: phi(l, j, cd) for j in range(-16, 17)}
+        for th, s in ((cd.theta1, cd.s1), (cd.theta2, cd.s2)):
+            vals = {j: standing_wave(j, th) for j in range(-16, 17)}
             scale = max(abs(v) for v in vals.values()) or 1.0
             for j in range(-15, 16):
-                res = vals[j + 1] - (cd.s1, cd.s2)[l - 1] * vals[j] + vals[j - 1]
+                res = vals[j + 1] - s * vals[j] + vals[j - 1]
                 assert abs(res) <= 1e-10 * scale
 
 
@@ -134,8 +143,8 @@ def test_phi_satisfies_four_term_recursion():
         c = Coefficients(complex(rng.normal(), rng.normal()),
                          complex(rng.normal(), rng.normal()))
         cd = characterize(c)
-        for l in (1, 2):
-            vals = {j: phi(l, j, cd) for j in range(-17, 18)}
+        for th in (cd.theta1, cd.theta2):
+            vals = {j: standing_wave(j, th) for j in range(-17, 18)}
             scale = max(abs(v) for v in vals.values()) or 1.0
             for j in range(-15, 16):
                 res = (vals[j + 2] - c.zeta * vals[j] + vals[j - 2]
@@ -250,9 +259,9 @@ def test_xi_closed_near_slow_solution(s1, s2):
 def test_plane_wave_binet_coefficients():
     c = Coefficients(0.3, 0.9)
     cd = characterize(c)
-    g = InitialValues(tuple(phi(1, j, cd) for j in range(-2, 2)))
+    g = InitialValues(tuple(standing_wave(j, cd.theta1) for j in range(-2, 2)))
     a, b, cc, dd = plane_wave_coeffs(g, cd)
-    rp, rm = cd.r_pair(1)
+    rp, rm = roots(cd.theta1)
     denom = rp - rm
     assert abs(a - 1.0 / denom) < 1e-9
     assert abs(b + 1.0 / denom) < 1e-9
@@ -273,16 +282,10 @@ def test_plane_wave_reconstruction():
     a, b, cc, dd = plane_wave_coeffs(g, cd)
     w = eval_range(g, c, -20, 20)
     scale = max(abs(v) for v in w.values)
-    (rp1, rm1), (rp2, rm2) = cd.r_pair(1), cd.r_pair(2)
+    (rp1, rm1), (rp2, rm2) = roots(cd.theta1), roots(cd.theta2)
     for j in range(-20, 21):
         recon = a * rp1 ** j + b * rm1 ** j + cc * rp2 ** j + dd * rm2 ** j
         assert abs(recon - w.value(j)) <= 1e-9 * scale
-
-
-def test_plane_wave_rejects_degenerate():
-    cd = characterize(Coefficients(-3.0, 2.0))
-    with pytest.raises(PreconditionError):
-        plane_wave_coeffs(InitialValues((1, 0, 0, 0)), cd)
 
 
 def test_appendix_solutions_degenerate_s():
@@ -301,7 +304,7 @@ def test_appendix_solutions_degenerate_unit():
 def test_j_squared_not_a_solution_off_unit():
     # j^2 r^j only solves the recursion when S^2 = 4
     cd = characterize(Coefficients(-3.0, 2.0))
-    assert _power_residual(2, cd.r_pair(1)[0], cd, range(-10, 11)) > 1e-6
+    assert _power_residual(2, roots(cd.theta1)[0], cd, range(-10, 11)) > 1e-6
 
 
 def test_appendix_rejects_distinct():
@@ -400,10 +403,10 @@ def test_batch_equals_single_calls(draws, lo, width):
             [_bits(getattr(d, field)) for d in one]
     assert list(cd.root_class) == [d.root_class for d in one]
     m = np.arange(-3, 12)
-    for l in (1, 2):
-        got = phi(l, m, cd).tolist()
+    for field in ("theta1", "theta2"):
+        got = standing_wave(m, getattr(cd, field)).tolist()
         assert [[_bits(z) for z in row] for row in got] == \
-            [[_bits(z) for z in phi(l, m, d).tolist()] for d in one]
+            [[_bits(z) for z in standing_wave(m, getattr(d, field)).tolist()] for d in one]
     got = t_minus2(cd, lo, hi).tolist()
     assert [[_bits(z) for z in row] for row in got] == \
         [[_bits(z) for z in t_minus2(d, lo, hi).tolist()] for d in one]

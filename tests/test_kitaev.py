@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from tetranacci.chain import ChainParams
 from tetranacci.errors import ZeroT2Error
-from tetranacci.kitaev import (KitaevParams, bdg_matrix, bdg_spectrum,
-                               effective_h_matrix, kitaev_effective_coeffs,
+from tetranacci.kitaev import (KitaevParams, effective_h_matrix,
+                               kitaev_effective_coeffs,
                                kitaev_effective_hoppings, kitaev_spectrum)
 
-from band_oracle import chain_eigh
+from band_oracle import bdg_matrix, bdg_spectrum, chain_eigh
 
 
 @pytest.mark.parametrize("make", [

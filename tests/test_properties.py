@@ -39,12 +39,12 @@ from tetranacci import transport
 from tetranacci.chain import ChainParams, build_chain_matrix, spectrum
 from tetranacci.closedform import characterize, xi_closed
 from tetranacci.errors import SingularBoundaryError
-from tetranacci.kitaev import KitaevParams, bdg_spectrum, kitaev_spectrum
+from tetranacci.kitaev import KitaevParams, kitaev_spectrum
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range
 from tetranacci.transport import (LeadParams, TransportSetup, current, fermi,
                                   transmission, transmission_dense)
 
-from band_oracle import chain_eigh
+from band_oracle import bdg_spectrum, chain_eigh
 
 coupling = st.floats(-3.0, 3.0)
 next_nearest = st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
