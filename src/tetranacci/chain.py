@@ -56,7 +56,8 @@ class Arrow(enum.Enum):
 class EigenMode:
     """One chain eigenvalue with its wavevector and symmetry data; the fields
     of the coefficient map (all but e, lambda_i and vector) are None at
-    t2 = 0.  arrow is `arrow_classify` of the mode's (zeta, eta), so a mode
+    t2 = 0, except k1, the nearest-neighbour chain's wavevector where t1 !=
+    0.  arrow is `arrow_classify` of the mode's (zeta, eta), so a mode
     within its tolerance of a bounding curve is BOUNDARY."""
 
     e: float
@@ -156,8 +157,24 @@ def _branch_residuals(k1, k2, n: int):
 
 # the EigenMode fields that come from the coefficient map; at t2 = 0 it does
 # not exist (the nearest-neighbour chain has no four-term recursion), and
-# they are None
+# they are None but for k1
 _WAVE_FIELDS = ("k1", "k2", "k_plus", "k_minus", "s_q", "arrow", "quant_residual")
+
+
+def _nearest_neighbour_fields(w: np.ndarray, p: ChainParams) -> list:
+    """The wave fields of each mode at t2 = 0: k1 is the k in [0, pi] of E
+    = -mu - 2 t1 cos k (`dispersion` at t2 = 0), its cosine clipped into
+    [-1, 1] against rounding, and the others are None.  At t1 = 0 the chain
+    is diagonal and k1 is None too."""
+    if p.t1 == 0.0:
+        k1 = [None] * len(w)
+    else:
+        # halves, as w + mu can pass the doubles; a tiny t1 can give +-inf,
+        # which the clip takes to +-1
+        with np.errstate(over="ignore"):
+            cos_k = -(0.5 * w + 0.5 * p.mu) / p.t1
+        k1 = np.arccos(np.clip(cos_k, -1.0, 1.0)).astype(complex).tolist()
+    return [dict(dict.fromkeys(_WAVE_FIELDS), k1=k) for k in k1]
 
 
 def _wave_fields(w: np.ndarray, lam: int, p: ChainParams) -> list:
@@ -183,7 +200,7 @@ def spectrum(p: ChainParams):
     The wavevector, branch and arrow fields of a sector's modes come from
     one batch of its eigenvalues (`coeffs_from_energy`, `characterize`, one
     `standing_wave` call per branch sign and `arrow_classify`); at t2 = 0
-    they are None.
+    they are None, but for the nearest-neighbour chain's k1.
     OverflowError is raised where a sector matrix or an eigenvalue leaves
     the doubles (entries near 1e308)."""
     h = build_chain_matrix(p)
@@ -196,7 +213,7 @@ def spectrum(p: ChainParams):
         w, u = np.linalg.eigh(sector)
         if not np.isfinite(w).all():
             raise OverflowError("chain eigenproblem overflows: eigenvalue not finite")
-        fields = ([dict.fromkeys(_WAVE_FIELDS)] * len(w) if p.t2 == 0.0
+        fields = (_nearest_neighbour_fields(w, p) if p.t2 == 0.0
                   else _wave_fields(w, lam, p))
         for e, vec, f in zip(w.tolist(), (q @ u).T, fields):
             modes.append(EigenMode(e=e, lambda_i=lam, vector=vec, **f))

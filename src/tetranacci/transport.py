@@ -22,7 +22,7 @@ import numpy as np
 
 from .chain import ChainParams, build_chain_matrix, coeffs_from_energy
 from .errors import SingularBoundaryError, ZeroT2Error
-from .exactnum import dyadic, gaussian_divider, tm2_replay, tm2_scale
+from .exactnum import cramer_quotient, dyadic, gmul, tm2_replay, tm2_scale
 from .recurrence import require_real
 
 
@@ -50,10 +50,6 @@ class TransportSetup:
     right: LeadParams
 
 
-def _gmul(u, v):
-    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
-
-
 def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     """Corner entry G^r_{1N} from the exact 2x2 boundary solve.
 
@@ -68,8 +64,10 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     Gaussian integers over D^(top+2), D' D^(top+3), D' D^(top+2), D'^2
     D^(top+3) and D'^2 D^(2top+5).  As T_-2(1) = 0 and row(1) = t2, G_1N =
     sigma_1 = t2 a / det, the one unknown solved for, is the quotient of
-    these ints times D' D^(top+3), rounded once.  It is exact for zeta and
-    eta as `coeffs_from_energy` rounds them.
+    these ints times D' D^(top+3), rounded once (`cramer_quotient`: from
+    their top bits where those decide the rounding, else from the
+    full-length products, with the same bits either way).  It is exact for
+    zeta and eta as `coeffs_from_energy` rounds them.
 
     SingularBoundaryError is raised where there is no such double: at det =
     0 (the eigenvalue of a mode with no weight on site 1 or N), and where
@@ -96,14 +94,12 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     b = row(n + 1)  # D' D^(top+3) b
     tn = tau(n)
     cc = w_r[0] * tn - t2 * tau(n + 2), w_r[1] * tn  # D' D^(top+2) c
-    rn, rn2 = _gmul(w_r, row(n)), row(n + 2)
+    rn, rn2 = gmul(w_r, row(n)), row(n + 2)
     d = rn[0] - t2 * rn2[0], rn[1] - t2 * rn2[1]  # D'^2 D^(top+3) d
-    bc = _gmul(b, cc)
-    det = a * d[0] - bc[0], a * d[1] - bc[1]  # D'^2 D^(2 top+5) det
-    if det == (0, 0):
-        raise SingularBoundaryError(f"boundary system singular at E = {e}")
-    try:
-        return gaussian_divider((t2 * a, 0), det, kc + k * (top + 3))
+    try:  # det = a d - b c over D'^2 D^(2 top+5)
+        return cramer_quotient(t2, a, b, cc, d, kc + k * (top + 3))
+    except ZeroDivisionError:
+        raise SingularBoundaryError(f"boundary system singular at E = {e}") from None
     except OverflowError:
         raise SingularBoundaryError(f"G_1N overflows at E = {e}") from None
 

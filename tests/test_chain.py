@@ -232,6 +232,20 @@ def test_spectrum_t2_to_zero_continuity():
     assert np.abs(np.array(got) - want).max() <= 1e-2 * abs(t1)
 
 
+@pytest.mark.parametrize("mu, t1", [(0.0, 1.0), (0.3, -0.7)])
+def test_spectrum_t2_zero_nearest_neighbour_wavevector(mu, t1):
+    # the N = 7 nearest-neighbour chain: E_q = -mu - 2 t1 cos(q pi / 8)
+    p = ChainParams(mu=mu, t1=t1, t2=0.0, n=7)
+    modes = spectrum(p)
+    k1 = sorted(m.k1.real for m in modes)
+    assert np.abs(np.array(k1) - np.arange(1, 8) * math.pi / 8).max() <= 1e-12
+    for m in modes:
+        assert m.k1.imag == 0.0 and abs(dispersion(m.k1, p) - m.e) <= 1e-12
+        assert (m.k2, m.k_plus, m.k_minus, m.s_q, m.arrow, m.quant_residual) == (None,) * 6
+    # at t1 = t2 = 0 the chain is diagonal: no wavevector
+    assert all(m.k1 is None for m in spectrum(ChainParams(mu=mu, t1=0.0, t2=0.0, n=7)))
+
+
 # --- crossings --------------------------------------------------------------
 
 def test_crossing_counts():

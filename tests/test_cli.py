@@ -106,15 +106,17 @@ def test_spectrum_sweep_row_count(capsys):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_spectrum_t2_zero(capsys, fmt):
     # the nearest-neighbour chain has no coefficient map, so the fields it
-    # would give are null (JSON) or empty (CSV), and the spectrum is emitted
+    # would give are null (JSON) or empty (CSV), but for its own wavevector
+    # k1, and the spectrum is emitted
     code, out, err = run(capsys, "spectrum", "--n", "5", "--mu", "0.2", "--t1", "1",
                          "--t2", "0", "--format", fmt)
     assert code == 0, err
     rows = json.loads(out)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
     empty = None if fmt == "json" else ""
-    for row in rows:
-        assert all(row[k] == empty for k in ("k1", "k2", "k_plus", "k_minus", "s_q",
+    for m, row in enumerate(rows, 1):
+        assert all(row[k] == empty for k in ("k2", "k_plus", "k_minus", "s_q",
                                              "arrow", "quant_residual"))
+        assert complex(row["k1"]) == pytest.approx(m * math.pi / 6, abs=1e-14)
     want = sorted(-0.2 - 2.0 * math.cos(m * math.pi / 6) for m in range(1, 6))
     assert [float(r["e"]) for r in rows] == pytest.approx(want, abs=1e-14)
     h = build_chain_matrix(ChainParams(mu=0.2, t1=1.0, t2=0.0, n=5))

@@ -6,7 +6,9 @@ own Kronecker-delta initial data.  The scaled integers must equal it
 exactly: T_-2 directly and, through the odd symmetry, at negative
 indices; T_1 and T_-1 through the reduction identities.  The boundary
 solve of `green_1n_tetranacci` must equal, to the bit, the same 2x2
-system solved over `Fraction` from these replays and rounded once.
+system solved over `Fraction` from these replays and rounded once, and
+`cramer_quotient`, which rounds it from truncated operands where it can,
+must equal its full-length products to the bit, exceptions included.
 """
 
 import math
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 
 from tetranacci.chain import ChainParams, coeffs_from_energy
 from tetranacci.errors import SingularBoundaryError, ZeroT2Error
-from tetranacci.exactnum import dyadic, gaussian_divider, tm2_replay, tm2_scale
+from tetranacci.exactnum import (cramer_quotient, dyadic, gaussian_divider, gmul, tm2_replay,
+                                 tm2_scale)
 from tetranacci.transport import LeadParams, TransportSetup, green_1n_tetranacci
 
 
@@ -151,6 +154,13 @@ _leads = st.builds(LeadParams, st.floats(0.0, 3.0), _doubles)
 # of one site is past the doubles
 @example(ChainParams(0.1, 1.0, 0.8, 4), LeadParams(1e-310), LeadParams(0.5), 0.3)
 @example(ChainParams(0.0, 1.0, 1.0, 1), LeadParams(1e-310), LeadParams(1e-310), 0.0)
+# the benchmark's chain past `cramer_quotient`'s cutoff: its truncated
+# operands decide at P = 128 (E = 1.5), and at 256 (N = 100) or 512 (N =
+# 300) where the evanescent side cancels (E = -2.5)
+@example(ChainParams(1e-4, 1.0, 0.8, 100), LeadParams(0.5), LeadParams(0.5), 1.5)
+@example(ChainParams(1e-4, 1.0, 0.8, 100), LeadParams(0.5), LeadParams(0.5), -2.5)
+@example(ChainParams(1e-4, 1.0, 0.8, 300), LeadParams(0.5), LeadParams(0.5), 1.5)
+@example(ChainParams(1e-4, 1.0, 0.8, 300), LeadParams(0.5), LeadParams(0.5), -2.5)
 def test_boundary_solve_equals_fraction_solve(chain, left, right, e):
     s = TransportSetup(chain, left, right)
     try:
@@ -179,3 +189,123 @@ def test_gaussian_divider_rounds_once():
     assert gaussian_divider((1, 0), (1, 0), 1023) == complex(2.0 ** 1023, 0.0)
     with pytest.raises(OverflowError):
         gaussian_divider((1, 0), (1, 0), 1024)
+
+
+def _exact_quotient(t2, a, b, c, d, shift):
+    """t2 a / (a d - b c) 2^shift from the full-length products, rounded once."""
+    bc = gmul(b, c)
+    det = a * d[0] - bc[0], a * d[1] - bc[1]
+    if det == (0, 0):
+        raise ZeroDivisionError("a d - b c = 0")
+    return gaussian_divider((t2 * a, 0), det, shift)
+
+
+def _outcome(f, *args):
+    """The bits of each component, or the exception's name."""
+    try:
+        g = f(*args)
+    except (ZeroDivisionError, OverflowError) as err:
+        return type(err).__name__
+    return g.real.hex(), g.imag.hex()
+
+
+def _signed(rng, bits):
+    return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+
+def _planted_cancellation(rng):
+    """Operands of 700 to 4000 bits whose a d - b c is smaller than a d by
+    about 2^cancel, cancel up to 2600 bits (P = 128 doubled four times and
+    more), and a shift that puts |G| near 2^x for x in [-1130, 1100]: past the
+    doubles, normal and subnormal.  Some draws make every operand real, or b,
+    c, d imaginary, so that a component of G is exactly 0."""
+    n = rng.randint(700, 4000)
+    a = _signed(rng, n)
+    b = _signed(rng, n + 80), _signed(rng, n + 80)
+    c = _signed(rng, n + 50), _signed(rng, n + 50)
+    shape = rng.choice(("complex", "complex", "real", "imaginary"))
+    if shape == "real":
+        b, c = (b[0], 0), (c[0], 0)
+    elif shape == "imaginary":
+        b, c = (b[0], 0), (0, c[1])
+    bc = gmul(b, c)
+    cancel = rng.randint(0, min(2600, n))
+    # d ~ bc / a, off by about 2^-cancel of its size
+    d = tuple(x // a + _signed(rng, n + 130 - cancel) for x in bc)
+    if shape == "real":
+        d = d[0], 0
+    elif shape == "imaginary":
+        d = 0, d[1]
+    t2 = _signed(rng, rng.randint(1, 53)) or 1
+    det = a * d[0] - bc[0], a * d[1] - bc[1]
+    size = max(map(abs, det)).bit_length() - (t2 * a).bit_length()
+    return t2, a, b, c, d, max(size + rng.randint(-1130, 1100), 0)
+
+
+def _worst_truncation(rng):
+    """Operands whose first truncation, to their top 128 bits, drops only
+    1 bits, with signs that make the truncation errors add up: a, d_r > 0
+    and b, c < 0, mostly with |b c| > |a d_r|, so that the error of det'
+    also shrinks |det' + delta|.  Im d is 40 bits shorter than Re d, so the
+    imaginary part of G is nonzero and decidable.  t2 ~ 2^200 and the shift
+    put the midpoint of two doubles between Re G and Re G' of the first
+    truncation: a bound 2^4 below `cramer_quotient`'s rounds G' to the
+    wrong side of it."""
+    m = rng.randint(700, 3000)
+
+    def operand(sign, lo):  # 128 top bits, then m ones
+        return sign * rng.randint(lo, (1 << 128) - 1) << m | (1 << m) - 1
+
+    a, b, c = operand(1, 1 << 127), (operand(-1, 3 << 126), 0), (operand(-1, 3 << 126), 0)
+    d = operand(1, 3 << 126), rng.getrandbits(m + 88)
+    # Re G per unit t2 2^shift, exact and from the truncated operands
+    det = a * d[0] - b[0] * c[0], a * d[1]
+    alpha = Fraction(a * det[0], det[0] ** 2 + det[1] ** 2)
+    a_, d_ = a >> m, (d[0] >> m, d[1] >> m)
+    det_ = a_ * d_[0] - (b[0] >> m) * (c[0] >> m), a_ * d_[1]
+    alpha_ = Fraction(a_ * det_[0], (det_[0] ** 2 + det_[1] ** 2) << m)
+    size = alpha.numerator.bit_length() - alpha.denominator.bit_length()
+    shift = rng.randint(max(0, -900 - size - 146), 900 - size - 146)
+    mid = Fraction((rng.getrandbits(52) | 1 << 52) * 2 + 1) * Fraction(2) ** (size + shift + 146)
+    t2 = mid / abs(alpha) / 2 ** shift
+    t2 = math.floor(t2) if abs(alpha_) > abs(alpha) else math.ceil(t2)
+    return t2, a, b, c, d, shift
+
+
+def test_cramer_quotient_equals_exact_products():
+    rng = random.Random(20260)
+    seen = set()
+    for i in range(600):
+        args = (_planted_cancellation if i % 3 else _worst_truncation)(rng)
+        want = _outcome(_exact_quotient, *args)
+        assert _outcome(cramer_quotient, *args) == want, args
+        if isinstance(want, str):
+            seen.add(want)
+        else:
+            seen.update("zero" for x in want if float.fromhex(x) == 0.0)
+            seen.update("subnormal" for x in want if 0.0 < abs(float.fromhex(x)) < 2.0 ** -1022)
+    assert seen == {"OverflowError", "zero", "subnormal"}
+
+
+def test_cramer_quotient_singular_and_zero():
+    rng = random.Random(7)
+    a, u, c = _signed(rng, 3000), (_signed(rng, 3000), 5), (_signed(rng, 3000), -3)
+    # b = a u and d = u c: a d - b c = 0 exactly
+    args = 3, a, gmul((a, 0), u), c, gmul(u, c), 40
+    assert _outcome(_exact_quotient, *args) == "ZeroDivisionError"
+    with pytest.raises(ZeroDivisionError):
+        cramer_quotient(*args)
+    # a = 0: G = 0, positive zero in both components as in the exact path
+    args = 3, 0, u, c, (1 << 3000, 1), 40
+    assert _outcome(cramer_quotient, *args) == _outcome(_exact_quotient, *args) \
+        == ((0.0).hex(), (0.0).hex())
+
+
+@pytest.mark.parametrize("n", [2, 8, 100, 300])
+def test_decoupled_sublattices_give_positive_zero(n):
+    # at t1 = 0 and even N, sites 1 and N lie on different sublattices and
+    # G_1N = 0 exactly, at every energy: +0.0 in both components
+    s = TransportSetup(ChainParams(1e-4, 0.0, 0.8, n), LeadParams(0.5), LeadParams(0.5))
+    for e in (-2.5, 0.3, 1.5):
+        g = green_1n_tetranacci(e, s)
+        assert (g.real.hex(), g.imag.hex()) == ((0.0).hex(), (0.0).hex())
