@@ -27,7 +27,7 @@ import numpy as np
 
 from .closedform import characterize, standing_wave
 from .errors import PreconditionError, ZeroT2Error
-from .exactnum import tm2_replay, tm2_scale
+from .exactnum import tm2_ints
 from .recurrence import Coefficients, all_finite, require_real
 
 
@@ -257,23 +257,24 @@ def eigenvector_tetranacci(e: float, p: ChainParams) -> np.ndarray:
 
     The combination T_-2(j) T_-2(N+2) - T_-2(N+1) T_-2(j+1) cancels down
     by |r|^(2j) for modes with complex wavevectors, so it is formed exactly
-    on the scaled-integer replay y_j = D^(j+2) T_-2(j) (`exactnum`, zeta
-    over D^2 and eta over D = 2^k), where it reads (y_j y_{N+2} - y_{N+1}
-    y_{j+1}) / (y_{N+2} D^(j+2)), and rounded once.
+    on the ints tau(i) = D^(N+4) T_-2(i) of `exactnum.tm2_ints`, as
+    (tau(j) tau(N+2) - tau(N+1) tau(j+1)) / (tau(N+2) D^(N+4)), and rounded
+    once.  PreconditionError is raised where |tau(N+2)| <= 1e-10 max_{0 <= j
+    <= N+2} |tau(j)|, compared as ints: no value has to fit a double.
     """
     c = coeffs_from_energy(e, p)
-    k, (z, h) = tm2_scale(c.zeta, c.eta)
-    y = tm2_replay(z, h, k, p.n + 2)  # y[j + 2] = D^(j+2) T_-2(j)
-    scale = max(abs(y[j + 2] / (1 << k * (j + 2))) for j in range(0, p.n + 3)) or 1.0
-    yn2, yn1 = y[p.n + 4], y[p.n + 3]
-    if abs(yn2 / (1 << k * (p.n + 4))) <= 1e-10 * scale:
-        raise PreconditionError(
-            "boundary value vanishes; eigenvalue is (numerically) degenerate")
-    if yn2 < 0:  # a positive divisor rounds an exact zero to +0.0
-        yn2, yn1 = -yn2, -yn1
+    top = p.n + 2
+    k, _, tau = tm2_ints(c.zeta, c.eta, top)
+    taus = [tau(j) for j in range(top + 1)]
+    tn2, tn1 = taus[top], taus[top - 1]
+    if abs(tn2) * 10 ** 10 <= max(map(abs, taus)):
+        raise PreconditionError("boundary value vanishes; eigenvalue is (numerically) degenerate")
+    if tn2 < 0:  # a positive divisor rounds an exact zero to +0.0
+        tn2, tn1 = -tn2, -tn1
     out = np.empty(p.n)
-    for j in range(1, p.n + 1):
-        out[j - 1] = (y[j + 2] * yn2 - yn1 * y[j + 3]) / (yn2 << k * (j + 2))
+    for j in range(1, p.n + 1):  # over 2^(k (top-j-1)), a factor of both terms
+        s = k * (top - j - 1)
+        out[j - 1] = ((taus[j] >> s) * tn2 - tn1 * (taus[j + 1] >> s)) / (tn2 << k * (j + 3))
     return out
 
 

@@ -26,9 +26,10 @@ the batch of one entry, returned as Python numbers.  What holds exactly:
 - against `eval_range` the closed form agrees to rounding only, within
   1e-9 of the window's largest value on the property tests' draws.
 
-numpy's arccos and its complex products (fused multiply-adds) round
-otherwise than Python's cmath, so angles and windows differ from a cmath
-evaluation in the last digits.
+Every sine, scaled by e^(-c) or not, comes from one formula of
+exponentials, finite up to the edge of the doubles.  numpy's arccos and its
+complex products (fused multiply-adds) round otherwise than Python's cmath,
+so angles and windows differ from a cmath evaluation in the last digits.
 """
 
 from __future__ import annotations
@@ -111,49 +112,27 @@ def characterize(c: Coefficients) -> CharacteristicData:
     return CharacteristicData(c.zeta, c.eta, *fields)
 
 
-def _damped_sin(z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sin(z) e^(-c) for c >= |Im z|: sin a cosh b + i cos a sinh b, z = a + ib,
-    with cosh and sinh written as e^|b| times (2 + t) / 2 and -sign(b) t / 2,
-    t = expm1(-2|b|), so no factor leaves the doubles and none cancels."""
+def _damped_sin(z: np.ndarray, c=0.0) -> np.ndarray:
+    """sin(z) e^(-c) = e^|b| (sin a (2 + t) / 2 - i sign(b) cos a t / 2), z = a +
+    ib, t = expm1(-2|b|): nothing cancels, and e^(|b| - c) as two factors
+    e^((|b| - c) / 2) is finite up to |b| - c = 710.47, as sin is, and as
+    accurate as one exp.  At real z and c = 0 it is numpy's sin."""
     b = np.abs(z.imag)
     t = np.expm1(-2.0 * b)
-    return 0.5 * np.exp(b - c) * (np.sin(z.real) * (2.0 + t)
-                                  - 1j * (np.sign(z.imag) * np.cos(z.real) * t))
+    h = np.exp(0.5 * (b - c))
+    return h * (h * (0.5 * np.sin(z.real) * (2.0 + t)
+                     - 0.5j * (np.sign(z.imag) * np.cos(z.real) * t)))
 
 
-def _waves(m: np.ndarray, x: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """Q_m(x) for the ints m and the complex x, 1-D arrays; row i holds x[i].
-    Given c, shaped like x, the rows are Q_m(x) e^(-c) instead."""
-    x = np.where(x.real < 0.0, -x, x)
-    fold = x.real > math.pi / 2
-    x = np.where(fold, math.pi - x, x)
-    zero = x == 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.sin(np.where(zero, 1.0, x))
-        if c is None:
-            q, q0 = np.sin(m * x[:, None]), m
-        else:
-            q, q0 = _damped_sin(m * x[:, None], c[:, None]), m * np.exp(-c)[:, None]
-    if not (np.isfinite(s).all() and np.isfinite(q).all()):
-        raise OverflowError("sin(m x) leaves the finite doubles")
-    # real arithmetic, as a fused complex product would leave Q_1 an ulp off 1
-    a = np.abs(s)
-    sr, si = (s.real / a)[:, None], (s.imag / a)[:, None]
-    den = sr * sr + si * si
-    qr, qi = q.real / a[:, None], q.imag / a[:, None]
-    q = (qr * sr + qi * si) / den + 1j * ((qi * sr - qr * si) / den)
-    q = np.where(zero[:, None], q0, q)
-    return np.where(fold[:, None] & (m % 2 == 0), -q, q)
-
-
-def standing_wave(m, x, c=None):
+def standing_wave(m, x, c=0.0):
     """Q_m(x) = sin(m x) / sin(x), with Q_m(0) = m, for -pi <= Re x <= pi.
 
     x is folded onto 0 <= Re x <= pi/2 by Q_m(-x) = Q_m(x) and Q_m(pi - x) =
     (-1)^(m+1) Q_m(x): near pi, m x rounds to m ulp(pi) while sin(x)
     vanishes, but near 0 both sines carry the relative error of x, which
-    cancels.  Both sines are divided by |sin x|, so |sin x|^2 cannot
-    underflow, and multiplying by conj(sin x) / |sin x|^2 makes Q_1 exactly 1.
+    cancels.  Both sines come from one formula (`_damped_sin`) and are
+    divided by |sin x|, so |sin x|^2 cannot underflow, and multiplying by
+    conj(sin x) / |sin x|^2 makes Q_1 exactly 1.
 
     m is an int or a 1-D int array, and x a number or a 1-D array of them;
     the result has the shape of x followed by that of m, a complex for two
@@ -162,15 +141,28 @@ def standing_wave(m, x, c=None):
     OverflowError is raised where sin(m x) leaves the doubles.
 
     Given c, a number or an array shaped like x with c >= |m Im x|, the
-    result is Q_m(x) e^(-c), which stays finite where sin(m x) does not: a
-    ratio of two waves scaled alike keeps its value.  It agrees with
-    Q_m(x) e^(-c) to rounding, as sin(m x) e^(-c) is formed from
-    exponentials (`_damped_sin`), not by numpy's sin.
-    """
+    result is Q_m(x) e^(-c), finite where sin(m x) is not: a ratio of two
+    waves scaled alike keeps its value."""
+    ms = np.atleast_1d(m)
     xs = np.atleast_1d(np.asarray(x, dtype=complex))
-    if c is not None:
-        c = np.broadcast_to(np.asarray(c, dtype=float), xs.shape)
-    q = _waves(np.atleast_1d(m), xs, c)
+    c = np.broadcast_to(np.asarray(c, dtype=float), xs.shape)[:, None]
+    xs = np.where(xs.real < 0.0, -xs, xs)
+    fold = xs.real > math.pi / 2
+    xs = np.where(fold, math.pi - xs, xs)
+    zero = xs == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _damped_sin(np.where(zero, 1.0, xs))
+        q = _damped_sin(ms * xs[:, None], c)
+    if not (np.isfinite(s).all() and np.isfinite(q).all()):
+        raise OverflowError("sin(m x) leaves the finite doubles")
+    # real arithmetic, as a fused complex product would leave Q_1 an ulp off 1
+    a = np.abs(s)
+    sr, si = (s.real / a)[:, None], (s.imag / a)[:, None]
+    den = sr * sr + si * si
+    qr, qi = q.real / a[:, None], q.imag / a[:, None]
+    q = (qr * sr + qi * si) / den + 1j * ((qi * sr - qr * si) / den)
+    q = np.where(zero[:, None], ms * np.exp(-c), q)
+    q = np.where(fold[:, None] & (ms % 2 == 0), -q, q)
     q = q.reshape(np.shape(x) + np.shape(m))
     return q.item() if q.ndim == 0 else q
 
@@ -184,7 +176,7 @@ def t_minus2(cd: CharacteristicData, lo: int, hi: int) -> np.ndarray:
     j = np.arange(lo, hi + 1)
     a, b = int(np.abs(j).min()), int(np.abs(j).max())
     m, pad = np.arange(b + 1), np.zeros(b)
-    waves = (_waves(m, np.atleast_1d(th)) for th in (cd.theta1, cd.theta2))
+    waves = (standing_wave(m, np.atleast_1d(th)) for th in (cd.theta1, cd.theta2))
     c = np.array([np.convolve(w1, np.concatenate([pad, w2])[a:], "valid")
                   for w1, w2 in zip(*waves)])
     t = -np.sign(j) * c.reshape(-1, b - a + 1)[:, np.abs(j) - a]
@@ -216,7 +208,7 @@ def xi_closed(g: InitialValues, cd: CharacteristicData, lo: int, hi: int) -> Seq
     swap = np.abs(th2.imag) < np.abs(th1.imag)  # root 1 is the slow one on a tie
     s_s, s_f = np.where(swap, s2, s1)[:, None], np.where(swap, s1, s2)[:, None]
     top, a0 = max(hi, -1 - lo), max(0, lo, -1 - hi)  # the j >= 0 both halves need
-    slow = _waves(np.arange(top + 2), np.where(swap, th2, th1))
+    slow = standing_wave(np.arange(top + 2), np.where(swap, th2, th1))
     t = np.atleast_2d(t_minus2(cd, a0 + 1, top + 2))
     gs = [np.atleast_1d(np.asarray(v, dtype=complex))[:, None] for v in g.g]
 

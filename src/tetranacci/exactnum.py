@@ -24,7 +24,8 @@ weights about halve k, and with it the length of every int.
 The paper's reduction identities T_1(j) = -T_-2(j+1), T_-1(j) = T_-2(j-1)
 - eta T_-2(j) and the odd symmetry T_-2(-j) = -T_-2(j) (all proven
 exactly by `verify --suite lemmata`) give the other basic polynomials at
-every index, so T_-2 is the only sequence ever replayed.  A quotient of
+every index, so T_-2 is the only sequence ever replayed, and the boundary
+solve and the closed-form eigenvector take it from `tm2_ints`.  A quotient of
 Gaussian integers is rounded with int / int true division, which is
 correctly rounded, so each component is the double nearest the exact
 value.  The corner entry G_1N = t2 a / (a d - b c) of the boundary solve
@@ -59,6 +60,15 @@ def tm2_replay(z: int, h: int, k: int, hi: int) -> list:
         ym2, ym1, y0, y1 = y[-4:]
         y.append(z * y0 - (ym2 << 4 * k) + h * (y1 + (ym1 << 2 * k)))
     return y
+
+
+def tm2_ints(zeta: float, eta: float, top: int):
+    """k and h of `tm2_scale` (eta == h / 2^k), and tau with tau(i) the int
+    2^(k (top+2)) T_-2(i), -2 <= i <= top: one denominator for the window,
+    each value shifted from the one replay when asked for."""
+    k, (z, h) = tm2_scale(zeta, eta)
+    y = tm2_replay(z, h, k, top)
+    return k, h, lambda i: y[i + 2] << k * (top - i)
 
 
 def gmul(u, v):

@@ -69,15 +69,6 @@ class InitialValues:
             raise ValueError("expected exactly four initial values")
         require_finite(*self.g)
 
-    @classmethod
-    def unit(cls, i: int) -> "InitialValues":
-        """Kronecker-delta initial data with the 1 at index i in -2..1."""
-        if i not in (-2, -1, 0, 1):
-            raise ValueError(f"unit index {i} outside -2..1")
-        g = [0, 0, 0, 0]
-        g[i + 2] = 1
-        return cls(tuple(g))
-
 
 @dataclass(frozen=True)
 class SequenceWindow:

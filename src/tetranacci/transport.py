@@ -22,7 +22,7 @@ import numpy as np
 
 from .chain import ChainParams, build_chain_matrix, coeffs_from_energy
 from .errors import SingularBoundaryError, ZeroT2Error
-from .exactnum import cramer_quotient, dyadic, gmul, tm2_replay, tm2_scale
+from .exactnum import cramer_quotient, dyadic, gmul, tm2_ints
 from .recurrence import require_real
 
 
@@ -57,9 +57,9 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     condition is sigma_j = g T_-2(j) + h row(j), row(j) = t2 T_1(j) + w_L
     T_-1(j), w_L = i gamma_L - Lambda_L, with g_1 = t2 h.  The reduction
     identities give row(j) = -t2 T_-2(j+1) + w_L (T_-2(j-1) - eta T_-2(j)),
-    so one scaled-integer replay of T_-2 (`exactnum`) carries the solve:
-    zeta and eta are written over D^2 and D, D = 2^k, and t2, Lambda and
-    gamma over their own D' = 2^k'.  Each T_-2(i) with 0 <= i <= top is
+    so one scaled-integer window of T_-2 (`exactnum.tm2_ints`) carries the
+    solve: zeta and eta are written over D^2 and D, D = 2^k, and t2, Lambda
+    and gamma over their own D' = 2^k'.  Each T_-2(i) with 0 <= i <= top is
     tau(i) / D^(top+2) for an int tau(i), and a, b, c, d and det are
     Gaussian integers over D^(top+2), D' D^(top+3), D' D^(top+2), D'^2
     D^(top+3) and D'^2 D^(2top+5).  As T_-2(1) = 0 and row(1) = t2, G_1N =
@@ -76,15 +76,10 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     """
     p = s.chain
     c = coeffs_from_energy(e, p)
-    n = p.n
-    k, (z, eta) = tm2_scale(c.zeta, c.eta)
+    n, top = p.n, p.n + 3
+    k, eta, tau = tm2_ints(c.zeta, c.eta, top)  # tau(i) = D^(top+2) T_-2(i)
     kc, (t2, *w) = dyadic(p.t2, -s.left.lam, s.left.gamma, -s.right.lam, s.right.gamma)
     w_l, w_r = tuple(w[:2]), tuple(w[2:])
-    top = n + 3
-    y = tm2_replay(z, eta, k, top)
-
-    def tau(i):  # D^(top+2) T_-2(i)
-        return y[i + 2] << k * (top - i)
 
     def row(j):  # D' D^(top+3) row(j)
         u = (tau(j - 1) << k) - eta * tau(j)

@@ -3,9 +3,9 @@
 Each suite returns (name, passed, detail) triples, passed a Python bool,
 covering the module invariants: the paper's interconnection lemmata, closed
 form against recursion replay, the residuals of the dense eigensolve behind
-every spectrum on random chain matrices, and transport equivalence (the
-boundary solve against one stacked dense solve per chain).  `run_suite`
-adds each suite's elapsed time.
+every spectrum on random chain matrices and the closed-form eigenvectors
+against it, and transport equivalence (the boundary solve against one
+stacked dense solve per chain).  `run_suite` adds each suite's elapsed time.
 
 The lemmata are proven exactly on an integer grid by one batched replay of
 the recursion: the four unit sequences at all 120 grid points run together
@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .chain import ChainParams, build_chain_matrix
+from .chain import ChainParams, build_chain_matrix, eigenvector_tetranacci
 from .closedform import appendix_a_solutions, characterize, xi_closed
 from .errors import SingularBoundaryError
 from .recurrence import Coefficients, InitialValues, eval_range, replay
@@ -151,17 +151,27 @@ def suite_closed_form(seed: int = 0):
 
 def suite_oracle(seed: int = 0):
     rng = random.Random(seed)
-    checks = []
     worst_res, worst_orth = 0.0, 0.0
+    solved = []
     for n in (5, 20, 60):
-        mu, t1, t2 = (_normal(rng) for _ in range(3))
-        m = build_chain_matrix(ChainParams(mu, t1, t2, n))
+        p = ChainParams(*(_normal(rng) for _ in range(3)), n)
+        m = build_chain_matrix(p)
         w, v = np.linalg.eigh(m)
         worst_res = max(worst_res, float(np.abs(m @ v - v * w).max() / np.abs(m).max()))
         worst_orth = max(worst_orth, float(np.abs(v.T @ v - np.eye(n)).max()))
-    checks.append(("eigen residual", worst_res < 1e-10, f"{worst_res:.3e}"))
-    checks.append(("eigenvector orthonormality", worst_orth < 1e-10, f"{worst_orth:.3e}"))
-    return checks
+        solved.append((p, w, v))
+    # a mode drawn, after the chains, of each but N = 60 (1 ms per vector there)
+    worst_vec = 0.0
+    for p, w, v in solved[:2]:
+        i = rng.randrange(p.n)
+        vec = eigenvector_tetranacci(w[i].item(), p)
+        vec /= np.linalg.norm(vec)
+        dev = min(np.abs(vec - v[:, i]).max(), np.abs(vec + v[:, i]).max())
+        worst_vec = max(worst_vec, float(dev))
+    return [("eigen residual", worst_res < 1e-10, f"{worst_res:.3e}"),
+            ("eigenvector orthonormality", worst_orth < 1e-10, f"{worst_orth:.3e}"),
+            ("closed-form eigenvector vs eigensolve", worst_vec < 1e-7,
+             f"max abs dev {worst_vec:.3e}")]
 
 
 def suite_transport(seed: int = 0):

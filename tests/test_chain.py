@@ -8,7 +8,7 @@ from tetranacci.chain import (Arrow, ChainParams, _branch_residuals,
                               coeffs_from_energy, crossings, dispersion,
                               eigenvector_tetranacci, spectrum)
 from tetranacci.closedform import characterize, standing_wave
-from tetranacci.errors import ZeroT2Error
+from tetranacci.errors import PreconditionError, ZeroT2Error
 
 from band_oracle import chain_eigh, t1_zero_spectrum
 
@@ -294,6 +294,27 @@ def test_eigenvector_parity():
         same = np.abs(flipped - vec).max()
         opp = np.abs(flipped + vec).max()
         assert min(same, opp) <= 1e-7 * np.abs(vec).max()
+
+
+@pytest.mark.parametrize("p, modes", [(ChainParams(0.0, -5.0, 1.0, 800), (0, 400, 799)),
+                                      (ChainParams(0.0, 1.0, 0.5, 1000), (0, 1))])
+def test_eigenvector_long_chain(p, modes):
+    # modes with a complex wavevector, whose T_-2 values pass 1e308: the
+    # closed form compares and combines them as ints, and only xi_j is rounded
+    spec = spectrum(p)
+    for i in modes:
+        vec = eigenvector_tetranacci(spec[i].e, p)
+        assert np.isfinite(vec).all()
+        vec = vec / np.linalg.norm(vec)
+        dense = spec[i].vector
+        assert min(np.abs(vec - dense).max(), np.abs(vec + dense).max()) < 1e-7
+
+
+def test_eigenvector_refuses_crossings():
+    # at a twofold eigenvalue T_-2(N+2) vanishes against the window's largest value
+    for rec in crossings(6):
+        with pytest.raises(PreconditionError, match="degenerate"):
+            eigenvector_tetranacci(rec.e, ChainParams(mu=0.0, t1=rec.t1_over_t2, t2=1.0, n=6))
 
 
 def test_eigenvector_boundary_extension():

@@ -239,7 +239,7 @@ def test_verify_rows_carry_elapsed_seconds(capsys, fmt):
     code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "0", "--format", fmt)
     assert code == 0
     rows = json.loads(out)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
-    assert [list(row) for row in rows] == [["check", "passed", "detail", "elapsed_s"]] * 8
+    assert [list(row) for row in rows] == [["check", "passed", "detail", "elapsed_s"]] * 9
     elapsed = {}
     for row in rows:
         assert row["passed"] in (True, "True")

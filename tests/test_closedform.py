@@ -13,6 +13,8 @@ from tetranacci.closedform import (RootClass, _power_residual,
 from tetranacci.errors import PreconditionError
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range
 
+from unit_initials import unit
+
 
 def random_class_point(rng, cls):
     """Draw (zeta, eta) in the requested degeneracy class."""
@@ -98,6 +100,17 @@ def test_phi_unit_root_form():
     assert abs(standing_wave(4, cd.theta1) - 4.0) < 1e-12
 
 
+def test_standing_wave_finite_to_the_doubles_edge():
+    # sin(m x) stays finite up to m Im x = 710.47, where cosh passes the
+    # doubles; a factor 0.5 e^(m Im x) formed apart would overflow from 709.78
+    x = 0.5 + 1j
+    for m in (710, -710):
+        want = cmath.sin(m * x) / cmath.sin(x)
+        assert abs(standing_wave(m, x) - want) <= 1e-14 * abs(want)
+    with pytest.raises(OverflowError):
+        standing_wave(711, x)
+
+
 @pytest.mark.parametrize("m", [-3, 1, 4, 7, 22])
 def test_standing_wave_removable_limits(m):
     # Q_m(pi - x) = (-1)^(m+1) Q_m(x) and Q_m(x) = m (1 - (m^2 - 1) x^2 / 6 + ...)
@@ -170,7 +183,7 @@ def test_t_minus2_known_value():
 def test_t_minus2_degenerate_vs_recursion():
     c = Coefficients(-3.0, 2.0)
     cd = characterize(c)
-    want = eval_range(InitialValues.unit(-2), c, 5, 5).value(5)
+    want = eval_range(unit(-2), c, 5, 5).value(5)
     assert abs(t_minus2(cd, 5, 5)[0] - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -181,23 +194,23 @@ def test_basic_closed_matches_recursion_all_classes(cls):
         c = random_class_point(rng, cls)
         cd = characterize(c)
         for i in range(-2, 2):
-            ref = eval_range(InitialValues.unit(i), c, -25, 25).values
-            got = xi_closed(InitialValues.unit(i), cd, -25, 25).values
+            ref = eval_range(unit(i), c, -25, 25).values
+            got = xi_closed(unit(i), cd, -25, 25).values
             scale = max(abs(v) for v in ref) or 1.0
             assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9 * scale
 
 
 def test_basic_closed_point_values():
     cd = characterize(Coefficients(0.4, 1.1))
-    assert abs(xi_closed(InitialValues.unit(1), cd, -3, -3).value(-3) + 1.0) < 1e-12
-    assert abs(xi_closed(InitialValues.unit(-1), cd, -1, -1).value(-1) - 1.0) < 1e-12
+    assert abs(xi_closed(unit(1), cd, -3, -3).value(-3) + 1.0) < 1e-12
+    assert abs(xi_closed(unit(-1), cd, -1, -1).value(-1) - 1.0) < 1e-12
 
 
 def test_basic_closed_degenerate_unit_value():
     c = Coefficients(-6.0, 4.0)
     cd = characterize(c)
-    want = eval_range(InitialValues.unit(1), c, 2, 2).value(2)
-    got = xi_closed(InitialValues.unit(1), cd, 2, 2).value(2)
+    want = eval_range(unit(1), c, 2, 2).value(2)
+    got = xi_closed(unit(1), cd, 2, 2).value(2)
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -206,7 +219,7 @@ def test_lemma_relations_numeric():
     for cls in RootClass:
         c = random_class_point(rng, cls)
         cd = characterize(c)
-        t = {i: xi_closed(InitialValues.unit(i), cd, -18, 18) for i in (-2, -1, 0, 1)}
+        t = {i: xi_closed(unit(i), cd, -18, 18) for i in (-2, -1, 0, 1)}
         scale = max(abs(v) for v in t[-2].values) or 1.0
         for j in range(-15, 16):
             assert abs(t[1].value(j) - t[-2].value(-1 - j)) <= 1e-9 * scale
@@ -218,7 +231,7 @@ def test_lemma_relations_numeric():
 
 def test_xi_closed_reduces_to_t_minus2():
     cd = characterize(Coefficients(0.5, -1.2))
-    got = xi_closed(InitialValues.unit(-2), cd, -10, 10).values
+    got = xi_closed(unit(-2), cd, -10, 10).values
     assert np.abs(np.array(got) - t_minus2(cd, -10, 10)).max() < 1e-10
 
 
@@ -426,9 +439,9 @@ def test_batch_of_one_keeps_its_axis():
     cd = characterize(c)
     assert cd.s1.shape == cd.theta2.shape == cd.root_class.shape == (1,)
     assert t_minus2(cd, -3, 3).shape == (1, 7)
-    w = xi_closed(InitialValues.unit(0), cd, -3, 3)
+    w = xi_closed(unit(0), cd, -3, 3)
     assert all(v.shape == (1,) for v in w.values)
-    single = xi_closed(InitialValues.unit(0), characterize(Coefficients(0.3 + 0.1j, -0.8)), -3, 3)
+    single = xi_closed(unit(0), characterize(Coefficients(0.3 + 0.1j, -0.8)), -3, 3)
     assert [complex(v[0]) for v in w.values] == list(single.values)
 
 

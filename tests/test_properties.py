@@ -45,6 +45,7 @@ from tetranacci.transport import (LeadParams, TransportSetup, current, fermi,
                                   transmission, transmission_dense)
 
 from band_oracle import bdg_spectrum, chain_eigh
+from unit_initials import unit
 
 coupling = st.floats(-3.0, 3.0)
 next_nearest = st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
@@ -81,7 +82,7 @@ def _closed_form_error(c, g):
     """
     window = eval_range(g, c, -20, 20).values
     closed = xi_closed(g, characterize(c), -20, 20).values
-    basic = [eval_range(InitialValues.unit(i), c, -20, 20).values for i in range(-2, 2)]
+    basic = [eval_range(unit(i), c, -20, 20).values for i in range(-2, 2)]
     terms = max(sum(abs(gi * t[k]) for gi, t in zip(g.g, basic)) for k in range(41))
     scale = max(max(abs(v) for v in window), 1e-4 * terms) or 1.0
     return max(abs(a - b) for a, b in zip(closed, window)) / scale

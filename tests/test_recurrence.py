@@ -6,6 +6,8 @@ from tetranacci.exactnum import tm2_replay
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range, replay
 from tetranacci.verification import _INVERSION, _REDUCTION, _lemma_replay
 
+from unit_initials import unit
+
 
 def random_setup(rng):
     c = Coefficients(complex(rng.normal(), rng.normal()),
@@ -56,7 +58,7 @@ def test_forward_backward_roundtrip():
 def test_eval_range_unit_g1_window():
     zeta, eta = 0.7 + 0.3j, -1.4 + 0.2j
     c = Coefficients(zeta, eta)
-    w = eval_range(InitialValues.unit(1), c, -2, 4)
+    w = eval_range(unit(1), c, -2, 4)
     expected = [0, 0, 0, 1, eta, eta * eta + zeta,
                 eta ** 3 + 2 * zeta * eta + eta]
     for j, want in zip(range(-2, 5), expected):
@@ -66,7 +68,7 @@ def test_eval_range_unit_g1_window():
 def test_eval_range_unit_gm2_window():
     zeta, eta = -0.4, 0.9
     c = Coefficients(zeta, eta)
-    w = eval_range(InitialValues.unit(-2), c, 2, 4)
+    w = eval_range(unit(-2), c, 2, 4)
     expected = [-1, -eta, -(eta * eta + zeta)]
     for j, want in zip(range(2, 5), expected):
         assert abs(w.value(j) - want) < 1e-12
@@ -80,7 +82,7 @@ def test_eval_range_zero():
 
 def test_eval_range_rejects_bad_range():
     with pytest.raises(PreconditionError):
-        eval_range(InitialValues.unit(0), Coefficients(1, 1), 3, 1)
+        eval_range(unit(0), Coefficients(1, 1), 3, 1)
 
 
 def test_eval_range_residual():
@@ -99,7 +101,7 @@ def test_eval_range_residual():
 def test_basic_ref_selective_property():
     c = Coefficients(0.2 - 0.5j, 1.3 + 0.1j)
     for i in range(-2, 2):
-        w = eval_range(InitialValues.unit(i), c, -2, 1)
+        w = eval_range(unit(i), c, -2, 1)
         for j in range(-2, 2):
             want = 1.0 if i == j else 0.0
             assert w.value(j) == want
@@ -108,8 +110,8 @@ def test_basic_ref_selective_property():
 def test_basic_ref_known_values():
     zeta, eta = 0.6, -1.1
     c = Coefficients(zeta, eta)
-    assert abs(eval_range(InitialValues.unit(-2), c, 3, 3).value(3) - (-eta)) < 1e-14
-    assert abs(eval_range(InitialValues.unit(0), c, 2, 2).value(2) - zeta) < 1e-14
+    assert abs(eval_range(unit(-2), c, 3, 3).value(3) - (-eta)) < 1e-14
+    assert abs(eval_range(unit(0), c, 2, 2).value(2) - zeta) < 1e-14
 
 
 def test_linearity():
@@ -132,7 +134,7 @@ def test_superposition():
     for _ in range(5):
         c, g = random_setup(rng)
         w = eval_range(g, c, -20, 20)
-        basic = {i: eval_range(InitialValues.unit(i), c, -20, 20) for i in range(-2, 2)}
+        basic = {i: eval_range(unit(i), c, -20, 20) for i in range(-2, 2)}
         scale = max(abs(v) for v in w.values) or 1.0
         for j in range(-20, 21):
             total = sum(g.g[i + 2] * basic[i].value(j) for i in range(-2, 2))
@@ -209,16 +211,16 @@ def test_distinct_polynomials_differ():
     t, _, _ = _lemma_replay()
     assert np.any(t[0][5] != t[1][5])
     c = Coefficients(1, 1)
-    assert (eval_range(InitialValues.unit(0), c, 5, 5).values
-            != eval_range(InitialValues.unit(1), c, 5, 5).values)
+    assert (eval_range(unit(0), c, 5, 5).values
+            != eval_range(unit(1), c, 5, 5).values)
 
 
 def test_numeric_agreement_with_recursion():
     # the exact int replay and the complex double replay at the same points
     for zeta, eta in ((2, -3), (-1, 4), (5, 1)):
         for i in range(-2, 2):
-            exact = eval_range(InitialValues.unit(i), Coefficients(zeta, eta), -10, 10)
-            ref = eval_range(InitialValues.unit(i), Coefficients(complex(zeta), complex(eta)),
+            exact = eval_range(unit(i), Coefficients(zeta, eta), -10, 10)
+            ref = eval_range(unit(i), Coefficients(complex(zeta), complex(eta)),
                              -10, 10)
             for a, b in zip(exact.values, ref.values):
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
@@ -228,6 +230,6 @@ def test_superposition_with_integer_weights():
     weights = (3, -2, 5, 7)
     c = Coefficients(2, -1)
     w = eval_range(InitialValues(weights), c, -10, 10)
-    units = [eval_range(InitialValues.unit(i), c, -10, 10) for i in (-2, -1, 0, 1)]
+    units = [eval_range(unit(i), c, -10, 10) for i in (-2, -1, 0, 1)]
     for j in range(-10, 11):
         assert sum(g_i * u.value(j) for g_i, u in zip(weights, units)) == w.value(j)

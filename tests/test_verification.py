@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from tetranacci import verification
-from tetranacci.recurrence import Coefficients, InitialValues, eval_range
+from tetranacci.recurrence import Coefficients, eval_range
 from tetranacci.verification import _lemma_replay, run_suite, suite_lemmata
+
+from unit_initials import unit
 
 
 def test_batched_lemma_replay_equals_eval_range():
@@ -14,7 +16,7 @@ def test_batched_lemma_replay_equals_eval_range():
     for p, (z, e) in enumerate(points):
         assert type(z) is int and type(e) is int
         for i in (-2, -1, 0, 1):
-            want = eval_range(InitialValues.unit(i), Coefficients(z, e), -14, 14)
+            want = eval_range(unit(i), Coefficients(z, e), -14, 14)
             got = t[i][rows, p].tolist()
             assert tuple(got) == want.values
             assert all(type(v) is int for v in got)
@@ -31,7 +33,7 @@ def test_batched_suite_fails_on_flipped_sign(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_run_suite_rows_are_python_bools_with_elapsed(seed):
     rows = run_suite("all", seed)
-    assert len(rows) == 8
+    assert len(rows) == 9
     for check, ok, detail, elapsed in rows:
         assert type(ok) is bool and ok, (check, detail)
         assert type(elapsed) is float and elapsed > 0.0
