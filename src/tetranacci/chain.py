@@ -6,14 +6,15 @@ obey the four-term recursion with zeta = -(E + mu)/t2, eta = -t1/t2 and
 the open-boundary extension xi_0 = xi_{-1} = xi_{N+1} = xi_{N+2} = 0.
 
 The matrix commutes with the mirror j -> N + 1 - j, so `spectrum` runs
-`numpy.linalg.eigh`, the package's one eigensolver (the Kitaev sublattice
-matrix goes through it too), on the mirror-even and mirror-odd sectors of
-`mirror_sectors`, and each mode's parity is the sign of its sector.
-Wavevectors, in units of the inverse lattice constant, are recovered
-analytically per energy and the transcendental quantization relation
-f(k+) = +-f(k-), f(k) = sin(k (N+2)) / sin k, is used as a residual
-diagnostic, not as a root finder; f is the standing wave of
-`closedform.standing_wave`, whose removable limits need no cut.
+`numpy.linalg.eigh`, the chain's eigensolver, on the mirror-even and
+mirror-odd sectors of `mirror_sectors`, and each mode's parity is the sign
+of its sector.  The Kitaev chain does not go through it: its energies are
+singular values (`kitaev.kitaev_spectrum`).  Wavevectors, in units of the
+inverse lattice constant, are recovered analytically per energy and the
+transcendental quantization relation f(k+) = +-f(k-), f(k) = sin(k (N+2))
+/ sin k, is used as a residual diagnostic, not as a root finder; f is the
+standing wave of `closedform.standing_wave`, whose removable limits need
+no cut.
 """
 
 from __future__ import annotations
@@ -255,27 +256,26 @@ def _crossing_record(n, n_idx, l_idx, kp, km):
 def eigenvector_tetranacci(e: float, p: ChainParams) -> np.ndarray:
     """Closed-form eigenvector amplitudes xi_1..xi_N for a non-degenerate E.
 
-    The combination T_-2(j) T_-2(N+2) - T_-2(N+1) T_-2(j+1) cancels down
-    by |r|^(2j) for modes with complex wavevectors, so it is formed exactly
-    on the ints tau(i) = D^(N+4) T_-2(i) of `exactnum.tm2_ints`, as
-    (tau(j) tau(N+2) - tau(N+1) tau(j+1)) / (tau(N+2) D^(N+4)), and rounded
-    once.  PreconditionError is raised where |tau(N+2)| <= 1e-10 max_{0 <= j
-    <= N+2} |tau(j)|, compared as ints: no value has to fit a double.
+    xi_j = X_j / T_-2(N+2) with X_j = T_-2(N+2) T_-2(j) - T_-2(N+1) T_-2(j+1),
+    which cancels down by |r|^(2j) for modes with complex wavevectors.  X
+    solves the recursion itself, from X_-2..X_1 = (T_-2(N+2), 0, 0,
+    T_-2(N+1)) as T_-2(2) = -1, so it is replayed exactly (`exactnum.tm2_ints`)
+    from the ints tau(i) = D^(N+4) T_-2(i) in place of T_-2(i), and each
+    quotient is rounded once.  PreconditionError is raised where |tau(N+2)|
+    <= 1e-10 max_{0 <= j <= N+2} |tau(j)|, compared as ints: no value has to
+    fit a double.
     """
     c = coeffs_from_energy(e, p)
     top = p.n + 2
-    k, _, tau = tm2_ints(c.zeta, c.eta, top)
+    k, _, tau, replay = tm2_ints(c.zeta, c.eta, top)
     taus = [tau(j) for j in range(top + 1)]
     tn2, tn1 = taus[top], taus[top - 1]
     if abs(tn2) * 10 ** 10 <= max(map(abs, taus)):
         raise PreconditionError("boundary value vanishes; eigenvalue is (numerically) degenerate")
     if tn2 < 0:  # a positive divisor rounds an exact zero to +0.0
         tn2, tn1 = -tn2, -tn1
-    out = np.empty(p.n)
-    for j in range(1, p.n + 1):  # over 2^(k (top-j-1)), a factor of both terms
-        s = k * (top - j - 1)
-        out[j - 1] = ((taus[j] >> s) * tn2 - tn1 * (taus[j + 1] >> s)) / (tn2 << k * (j + 3))
-    return out
+    x = replay(p.n, (tn2, 0, 0, tn1 << 3 * k))  # x[j + 2] = D^(j+2) X_j
+    return np.array([x[j + 2] / (tn2 << k * (j + 2)) for j in range(1, p.n + 1)])
 
 
 # distance from a bounding curve of the arrow below which a point is

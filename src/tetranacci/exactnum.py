@@ -25,10 +25,12 @@ The paper's reduction identities T_1(j) = -T_-2(j+1), T_-1(j) = T_-2(j-1)
 - eta T_-2(j) and the odd symmetry T_-2(-j) = -T_-2(j) (all proven
 exactly by `verify --suite lemmata`) give the other basic polynomials at
 every index, so T_-2 is the only sequence ever replayed, and the boundary
-solve and the closed-form eigenvector take it from `tm2_ints`.  A quotient of
-Gaussian integers is rounded with int / int true division, which is
-correctly rounded, so each component is the double nearest the exact
-value.  The corner entry G_1N = t2 a / (a d - b c) of the boundary solve
+solve and the closed-form eigenvector take it from `tm2_ints`.  The
+eigenvector's numerator, a combination of T_-2(j) and T_-2(j+1), solves
+the same recursion, so `tm2_ints` replays it too, from other seeds.  A
+quotient of Gaussian integers is rounded with int / int true division,
+which is correctly rounded, so each component is the double nearest the
+exact value.  The corner entry G_1N = t2 a / (a d - b c) of the boundary solve
 (`cramer_quotient`) has operands of thousands of bits on long chains, yet
 needs 53 bits: it is rounded from the top bits of its operands and a
 rigorous bound on what the dropped bits can change, and the full-length
@@ -36,6 +38,8 @@ products are formed only where that bound cannot decide the rounding.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 
 def dyadic(*values: float):
@@ -53,9 +57,10 @@ def tm2_scale(zeta: float, eta: float):
     return k, (z << 2 * k - kz, h << k - kh)
 
 
-def tm2_replay(z: int, h: int, k: int, hi: int) -> list:
-    """Scaled T_-2 for zeta = z/4^k, eta = h/2^k: entry j + 2 is 2^(k(j+2)) T_-2(j), j = -2..hi."""
-    y = [1, 0, 0, 0]
+def tm2_replay(z: int, h: int, k: int, hi: int, seeds=(1, 0, 0, 0)) -> list:
+    """Scaled T_-2 for zeta = z/4^k, eta = h/2^k: entry j + 2 is 2^(k(j+2)) T_-2(j), j = -2..hi.
+    Other seeds, the scaled values of S(-2..1), replay any solution S of the recursion."""
+    y = list(seeds)
     for _ in range(hi - 1):
         ym2, ym1, y0, y1 = y[-4:]
         y.append(z * y0 - (ym2 << 4 * k) + h * (y1 + (ym1 << 2 * k)))
@@ -63,12 +68,13 @@ def tm2_replay(z: int, h: int, k: int, hi: int) -> list:
 
 
 def tm2_ints(zeta: float, eta: float, top: int):
-    """k and h of `tm2_scale` (eta == h / 2^k), and tau with tau(i) the int
+    """k and h of `tm2_scale` (eta == h / 2^k); tau with tau(i) the int
     2^(k (top+2)) T_-2(i), -2 <= i <= top: one denominator for the window,
-    each value shifted from the one replay when asked for."""
+    each value shifted from the one replay when asked for; and replay(hi,
+    seeds), `tm2_replay` of the same z, h and k from other scaled seeds."""
     k, (z, h) = tm2_scale(zeta, eta)
     y = tm2_replay(z, h, k, top)
-    return k, h, lambda i: y[i + 2] << k * (top - i)
+    return k, h, lambda i: y[i + 2] << k * (top - i), partial(tm2_replay, z, h, k)
 
 
 def gmul(u, v):

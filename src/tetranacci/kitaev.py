@@ -1,7 +1,11 @@
 """Kitaev and XY chains mapped onto the four-term recursion.
 
-In the Majorana sublattice basis the Kitaev chain reduces to a real
-symmetric matrix h acting on one sublattice, with h v = E^2 v.  Away from
+In the Majorana basis the Kitaev chain's particle-hole matrix couples the
+two sublattices through one real matrix A, tridiagonal with mu on the
+diagonal, t - delta below it and t + delta above it, so the excitation
+energies E are the singular values of A (`kitaev_spectrum`).  The map onto
+the four-term recursion comes from h = A^T A, acting on one sublattice with
+h v = E^2 v; it is the derivation only, and no code forms it.  Away from
 its two end sites h is the matrix of a two-range chain (`chain`) with
 effective hoppings t1_eff = 2 t mu and t2_eff = t^2 - delta^2, and onsite
 entry mu^2 + (delta - t)^2 + (delta + t)^2.  So the eigenvector entries
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainParams, coeffs_from_energy, pentadiagonal
+from .chain import ChainParams, coeffs_from_energy
 from .recurrence import Coefficients, require_real
 
 
@@ -52,8 +56,8 @@ def kitaev_effective_coeffs(e, p: KitaevParams) -> Coefficients:
     with onsite energy -(mu^2 + (delta - t)^2 + (delta + t)^2), t1 = -2 t mu
     and t2 = delta^2 - t^2.  Its ZeroT2Error marks the sweet spot t = +-delta
     and a map past the doubles.  Where that onsite energy is itself past the
-    doubles, ChainParams raises ValueError; at N >= 3 h is then not finite
-    either, and `kitaev_spectrum` refuses it first.
+    doubles, ChainParams raises ValueError, though A and E may still be
+    doubles (mu = 1e160, say).
     """
     t1_eff, t2_eff = kitaev_effective_hoppings(p)
     # float products, not **, which raises OverflowError past the doubles
@@ -65,45 +69,24 @@ def kitaev_effective_coeffs(e, p: KitaevParams) -> Coefficients:
     return coeffs_from_energy(e2, chain)
 
 
-def effective_h_matrix(p: KitaevParams) -> np.ndarray:
-    """Sublattice matrix h with h v = E^2 v, real symmetric pentadiagonal.
-
-    With a = i(delta - t) and b = i(delta + t) all products entering h are
-    real: -a^2 = (delta - t)^2, -b^2 = (delta + t)^2, i mu (a - b) =
-    2 t mu, a b = t^2 - delta^2.  The first site misses the -b^2 term of
-    the diagonal and the last site the -a^2 term.
-    """
-    dm, dp = p.delta - p.t, p.delta + p.t
-    diag = np.full(p.n, p.mu * p.mu)
-    diag[:-1] += dm * dm   # -a^2; a float product is inf past the doubles
-    diag[1:] += dp * dp    # -b^2
-    return pentadiagonal(diag, *kitaev_effective_hoppings(p))
-
-
 def kitaev_spectrum(p: KitaevParams):
-    """Excitation energies as sorted +-E pairs from the sublattice matrix.
+    """Excitation energies as sorted +-E pairs: E are the singular values
+    of the Majorana matrix A, tridiagonal with mu on the diagonal, t - delta
+    below it and t + delta above it.
 
-    h = A^T A with A tridiagonal (mu on the diagonal, t - delta below it,
-    t + delta above it), so E = |A v| for each eigenvector v of h.  That
-    keeps a near-zero E (a Majorana mode) within roundoff of A, where the
-    square root of the eigenvalue would carry the square root of the
-    roundoff of h, enough to miss the particle-hole spectrum by more than
-    1e-8 on long topological chains.
+    h = A^T A is never formed: its eigenvalues E^2 square the roundoff of
+    a near-zero E (a Majorana mode), and its entries leave the doubles
+    where A and E do not (G. Golub and W. Kahan, SIAM J. Numer. Anal. B 2
+    (1965) 205).  OverflowError is raised where A or an E is past the
+    doubles.
     """
-    h = effective_h_matrix(p)
-    if not np.isfinite(h).all():
-        raise OverflowError("sublattice matrix overflows")
-    w, v = np.linalg.eigh(h)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] < -1e-10 * scale:
-        raise ValueError(f"sublattice matrix not PSD: eigenvalue {w[0]}")
-    av = p.mu * v
-    av[1:] += (p.t - p.delta) * v[:-1]
-    av[:-1] += (p.t + p.delta) * v[1:]
-    # the sum of squares inside the norm overflows once E passes 1.3e154;
-    # scaling each column down by a power of two is exact.  A column whose
-    # entries are all below 1 cannot overflow, and is left as it is.
-    _, k = np.frexp(np.abs(av).max(axis=0))
-    k = np.maximum(k, 0)
-    e = np.ldexp(np.linalg.norm(np.ldexp(av, -k), axis=0), k)
+    a = np.diag(np.full(p.n, float(p.mu)))
+    i = np.arange(p.n - 1)
+    a[i + 1, i] = p.t - p.delta
+    a[i, i + 1] = p.t + p.delta
+    if not np.isfinite(a).all():
+        raise OverflowError("Majorana matrix A overflows")
+    e = np.linalg.svd(a, compute_uv=False)
+    if not np.isfinite(e).all():
+        raise OverflowError("excitation energy E overflows")
     return sorted(np.concatenate([-e, e]).tolist())

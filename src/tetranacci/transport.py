@@ -77,7 +77,7 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     p = s.chain
     c = coeffs_from_energy(e, p)
     n, top = p.n, p.n + 3
-    k, eta, tau = tm2_ints(c.zeta, c.eta, top)  # tau(i) = D^(top+2) T_-2(i)
+    k, eta, tau, _ = tm2_ints(c.zeta, c.eta, top)  # tau(i) = D^(top+2) T_-2(i)
     kc, (t2, *w) = dyadic(p.t2, -s.left.lam, s.left.gamma, -s.right.lam, s.right.gamma)
     w_l, w_r = tuple(w[:2]), tuple(w[2:])
 
@@ -172,44 +172,34 @@ def _twice(gamma: float, g: float) -> float:
     return (2.0 * g) * gamma if g < gamma else (2.0 * gamma) * g
 
 
-def transmission_dense(e: float, s: TransportSetup) -> float:
-    """Trace formula Tr{Gamma_L G^r Gamma_R G^a} from `green_1n_dense`.
-
-    With Gamma_L = 2 gamma_L e_1 e_1^T and Gamma_R = w w^T, w = sqrt(2
-    gamma_R) e_N, the trace is 2 gamma_L |(G^r w)_1|^2 = 4 gamma_L gamma_R
-    |G^r_{1N}|^2.
-    """
-    g = abs(green_1n_dense(e, s))
-    return _twice(s.left.gamma, g) * _twice(s.right.gamma, g)
-
-
 def transmission(e: float, s: TransportSetup) -> float:
     """The exact T(E) = 4 gamma_L gamma_R |G^r_{1N}|^2.
 
-    G_1N comes from the boundary solve, or from the dense solve where that
-    has no answer: at t2 = 0 it lacks the coefficient map, at the
-    eigenvalue of a mode with no weight on site 1 or N (the even sublattice
-    at t1 = 0, odd N) its 2x2 system is singular, though T is not, and with
-    a lead coupling near 1e-310 G_1N overflows a double.  A dense T that is
-    not finite leaves the boundary solve's error standing, and an E - H_eff
-    that overflows raises OverflowError.  With a lead
-    decoupled (gamma = 0) T vanishes identically and no solve is made: at
-    an eigenvalue of the chain it would be singular.  With both leads
+    G_1N comes from the boundary solve, or from the dense solve
+    (`green_1n_dense`) where that has no answer: at t2 = 0 it lacks the
+    coefficient map, at the eigenvalue of a mode with no weight on site 1
+    or N (the even sublattice at t1 = 0, odd N) its 2x2 system is singular,
+    though T is not, and with a lead coupling near 1e-310 G_1N overflows a
+    double.  A dense T that is not finite leaves the boundary solve's error
+    standing, and an E - H_eff that overflows raises OverflowError.  With a
+    lead decoupled (gamma = 0) T vanishes identically and no solve is made:
+    at an eigenvalue of the chain it would be singular.  With both leads
     coupled, T <= 1 bounds |G_1N| by 1 / (2 sqrt(gamma_L gamma_R)), so the
     exact G_1N is taken as it is, with no test of its size.
     """
     if s.left.gamma == 0.0 or s.right.gamma == 0.0:
         return 0.0
+    failed = None
     try:
         g = abs(green_1n_tetranacci(e, s))
-    except (ZeroT2Error, SingularBoundaryError):
-        t = transmission_dense(e, s)
-        if not math.isfinite(t):
-            raise
-        return t
+    except (ZeroT2Error, SingularBoundaryError) as exc:
+        failed, g = exc, abs(green_1n_dense(e, s))
     # two factors, as strong leads overflow 4 gamma_L gamma_R where they
     # underflow |G|^2, and weak leads the other way round
-    return _twice(s.left.gamma, g) * _twice(s.right.gamma, g)
+    t = _twice(s.left.gamma, g) * _twice(s.right.gamma, g)
+    if failed is not None and not math.isfinite(t):
+        raise failed
+    return t
 
 
 def fermi(e, beta: float):

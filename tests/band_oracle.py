@@ -8,13 +8,19 @@
   at t1 = 0, each a nearest-neighbour chain with hopping t2, in closed form.
 - `bdg_matrix` and `bdg_spectrum`: the Kitaev chain's 2N x 2N
   particle-hole matrix and its eigenvalues, against the package's
-  N x N sublattice matrix of `kitaev`.
+  singular values of the N x N Majorana matrix of `kitaev`.
+- `effective_h_matrix`: the sublattice matrix h = A^T A from which `kitaev`
+  derives its map onto the four-term recursion, built from the map's own
+  hoppings, for the tests of that derivation.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import eig_banded
+
+from tetranacci.chain import pentadiagonal
+from tetranacci.kitaev import kitaev_effective_hoppings
 
 
 def chain_eigh(p):
@@ -63,3 +69,18 @@ def bdg_matrix(p):
 def bdg_spectrum(p):
     """The 2N excitation energies, ascending, of the particle-hole matrix."""
     return [float(x) for x in np.linalg.eigvalsh(bdg_matrix(p))]
+
+
+def effective_h_matrix(p):
+    """Sublattice matrix h with h v = E^2 v, real symmetric pentadiagonal.
+
+    With a = i(delta - t) and b = i(delta + t) all products entering h are
+    real: -a^2 = (delta - t)^2, -b^2 = (delta + t)^2, i mu (a - b) =
+    2 t mu, a b = t^2 - delta^2.  The first site misses the -b^2 term of
+    the diagonal and the last site the -a^2 term.
+    """
+    dm, dp = p.delta - p.t, p.delta + p.t
+    diag = np.full(p.n, p.mu * p.mu)
+    diag[:-1] += dm * dm   # -a^2; a float product is inf past the doubles
+    diag[1:] += dp * dp    # -b^2
+    return pentadiagonal(diag, *kitaev_effective_hoppings(p))

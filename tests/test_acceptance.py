@@ -17,14 +17,14 @@ from tetranacci.chain import (Arrow, ChainParams, arrow_classify,
                               eigenvector_tetranacci, spectrum)
 from tetranacci.closedform import RootClass, characterize, xi_closed
 from tetranacci.errors import PreconditionError, SingularBoundaryError
-from tetranacci.kitaev import KitaevParams, effective_h_matrix, kitaev_spectrum
+from tetranacci.kitaev import KitaevParams, kitaev_spectrum
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range
 from tetranacci.transport import (LeadParams, TransportSetup, current,
                                   green_1n_dense, green_1n_tetranacci,
                                   transmission)
 from tetranacci.verification import _lemma_replay
 
-from band_oracle import bdg_spectrum, chain_eigh, t1_zero_spectrum
+from band_oracle import bdg_spectrum, chain_eigh, effective_h_matrix, t1_zero_spectrum
 
 
 def report(name, passed, detail=""):

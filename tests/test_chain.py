@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from tetranacci.chain import (Arrow, ChainParams, _branch_residuals,
                               eigenvector_tetranacci, spectrum)
 from tetranacci.closedform import characterize, standing_wave
 from tetranacci.errors import PreconditionError, ZeroT2Error
+from tetranacci.exactnum import tm2_ints
 
 from band_oracle import chain_eigh, t1_zero_spectrum
 
@@ -308,6 +310,49 @@ def test_eigenvector_long_chain(p, modes):
         vec = vec / np.linalg.norm(vec)
         dense = spec[i].vector
         assert min(np.abs(vec - dense).max(), np.abs(vec + dense).max()) < 1e-7
+
+
+def eigenvector_products(e, p):
+    """The closed-form eigenvector as two products of replayed ints per entry:
+    (tau(j) tau(N+2) - tau(N+1) tau(j+1)) / (tau(N+2) D^(N+4)), tau(i) =
+    D^(N+4) T_-2(i), rounded once, with the package's degeneracy test."""
+    c = coeffs_from_energy(e, p)
+    top = p.n + 2
+    k, _, tau, _ = tm2_ints(c.zeta, c.eta, top)
+    taus = [tau(j) for j in range(top + 1)]
+    tn2, tn1 = taus[top], taus[top - 1]
+    if abs(tn2) * 10 ** 10 <= max(map(abs, taus)):
+        raise PreconditionError("degenerate")
+    if tn2 < 0:
+        tn2, tn1 = -tn2, -tn1
+    out = np.empty(p.n)
+    for j in range(1, p.n + 1):  # over 2^(k (top-j-1)), a factor of both terms
+        s = k * (top - j - 1)
+        out[j - 1] = ((taus[j] >> s) * tn2 - tn1 * (taus[j + 1] >> s)) / (tn2 << k * (j + 3))
+    return out
+
+
+def test_eigenvector_replay_equals_products():
+    # every mode of one seeded chain per N = 3..60, every eighth with t1 = 0,
+    # whose two sublattices give degenerate pairs: the replayed numerator has
+    # the bits of the products, and both refuse the same modes
+    rng = np.random.default_rng(5)
+    modes = refused = 0
+    for n in range(3, 61):
+        p = random_chain(rng, n)
+        if n % 8 == 0:
+            p = dataclasses.replace(p, t1=0.0)
+        for e in np.linalg.eigvalsh(build_chain_matrix(p)).tolist():
+            modes += 1
+            try:
+                want = eigenvector_products(e, p)
+            except PreconditionError:
+                refused += 1
+                with pytest.raises(PreconditionError):
+                    eigenvector_tetranacci(e, p)
+                continue
+            assert eigenvector_tetranacci(e, p).tobytes() == want.tobytes()
+    assert modes - refused >= 1385 and refused > 0
 
 
 def test_eigenvector_refuses_crossings():

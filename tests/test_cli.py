@@ -19,10 +19,11 @@ from tetranacci import cli
 from tetranacci.chain import ChainParams, build_chain_matrix
 from tetranacci.cli import main
 from tetranacci.kitaev import KitaevParams, kitaev_effective_coeffs
-from tetranacci.transport import LeadParams, TransportSetup, fermi, transmission_dense
+from tetranacci.transport import LeadParams, TransportSetup, fermi
 
 import argparse_oracle
 from band_oracle import bdg_spectrum
+from dense_oracle import transmission_dense
 
 
 def run(capsys, *argv):
@@ -348,10 +349,11 @@ def test_transport_transmission_without_coefficient_map(capsys, t2):
     # the closed-form window leaves the finite doubles
     ("seq", "--zeta", "3", "--eta", "3", "--g", "1e300,1e300,0,0",
      "--lo", "-30", "--hi", "30", "--mode", "closed"),
-    # mu^2 = 1e320 overflows the Kitaev sublattice matrix, away from and at
-    # the sweet spot t = delta
-    ("kitaev", "--n", "3", "--t", "1", "--delta", "0.5", "--mu-grid", "1e160:1e160:1"),
-    ("kitaev", "--n", "3", "--t", "1", "--delta", "1", "--mu-grid", "1e160:1e160:1"),
+    # t + delta = inf puts the Kitaev chain's Majorana matrix A past the
+    # doubles; at t = mu = 1.7e308 A is finite, but its largest singular value
+    # E is not
+    ("kitaev", "--n", "3", "--t", "1e308", "--delta", "1e308", "--mu-grid", "0:0:1"),
+    ("kitaev", "--n", "3", "--t", "1.7e308", "--delta", "0", "--mu-grid", "1.7e308:1.7e308:1"),
     # G_11 = 1 / (2e-310 i) of one site between two leads is past the largest
     # double in the boundary and in the dense solve
     ("transport", "--n", "1", "--t1", "1", "--gamma-l", "1e-310", "--gamma-r", "1e-310",
@@ -398,14 +400,25 @@ def test_transport_at_barely_coupled_sublattices(capsys):
     assert abs(got - 0.5) <= math.ulp(0.5)
 
 
-def test_nonconvergent_eigensolve_is_numerical_failure(capsys):
-    # mu = 1e308 puts infinite entries, and no nan, into the chain matrix,
-    # on which LAPACK would report no convergence; the matrix is refused
-    # as overflowing before the eigensolve
-    code, _, err = run(capsys, "kitaev", "--n", "3", "--t", "1", "--delta", "0.5",
-                       "--mu-grid", "0:1e308:2")
-    assert code == 4
-    assert "numerical failure" in err
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta, grid", [("0.5", "1e160:1e160:1"), ("1", "1e160:1e160:1"),
+                                         ("0.5", "0:1e308:2")],
+                         ids=["mu1e160", "sweet-spot-mu1e160", "mu1e308"])
+def test_kitaev_huge_mu_gets_rows(capsys, delta, grid):
+    # mu^2 = 1e320 is past the doubles, and with it the sublattice matrix h
+    # and the map's onsite energy, but A and its singular values E are not:
+    # finite energies E = |mu| + O(1), away from and at the sweet spot t =
+    # delta, and at mu = 1e308; the map is null only at the huge mu
+    code, out, err = run(capsys, "kitaev", "--n", "3", "--t", "1", "--delta", delta,
+                         "--mu-grid", grid)
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 6 * len(set(r["mu"] for r in rows))
+    for r in rows:
+        mu = float(r["mu"])
+        assert abs(abs(float(r["e"])) - mu) <= 2.0 + 1e-15 * mu
+        assert (r["zeta"] is None) == (mu > 1e150 or delta == "1")
+        assert (r["eta"] is None) == (r["zeta"] is None)
 
 
 def test_kitaev_overflowing_map_is_null(capsys):

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetranacci.chain import ChainParams
 from tetranacci.errors import ZeroT2Error
-from tetranacci.kitaev import (KitaevParams, effective_h_matrix,
-                               kitaev_effective_coeffs,
+from tetranacci.kitaev import (KitaevParams, kitaev_effective_coeffs,
                                kitaev_effective_hoppings, kitaev_spectrum)
 
-from band_oracle import bdg_matrix, bdg_spectrum, chain_eigh
+from band_oracle import bdg_matrix, bdg_spectrum, chain_eigh, effective_h_matrix
 
 
 @pytest.mark.parametrize("make", [
@@ -79,6 +78,9 @@ def test_h_matrix_structure():
     # boundary deficits: first site misses the (delta+t)^2 term, last the other
     assert abs(h[0, 0] - (p.mu ** 2 + (p.delta - p.t) ** 2)) < 1e-14
     assert abs(h[-1, -1] - (p.mu ** 2 + (p.delta + p.t) ** 2)) < 1e-14
+    # h v = E^2 v for the spectrum's energies E >= 0
+    e = np.array(kitaev_spectrum(p))[p.n:]
+    assert np.abs(np.linalg.eigvalsh(h) - e * e).max() < 1e-14
 
 
 def test_h_matrix_t_eq_delta_drops_second_neighbor():
@@ -104,7 +106,7 @@ def test_spectrum_vs_bdg():
         assert np.abs(np.sort(a) - np.sort(b)).max() <= 1e-8 * scale
 
 
-# signed magnitudes from 1e-150 to 3e153, where h is finite or just past it
+# signed magnitudes from 1e-150 to 3e153
 magnitudes = st.builds(lambda s, x: s * 10.0 ** x, st.sampled_from((-1.0, 1.0)),
                        st.floats(-150.0, 153.5))
 
@@ -113,23 +115,15 @@ magnitudes = st.builds(lambda s, x: s * 10.0 ** x, st.sampled_from((-1.0, 1.0)),
 @settings(max_examples=200, deadline=None)
 @given(magnitudes, magnitudes, st.one_of(st.just(0.0), magnitudes), st.integers(2, 12))
 @example(5e153, 5e153, 0.0, 30)
-def test_spectrum_norm_is_finite_and_exact(mu, t, delta, n):
-    # E = |A v| past 1.3e154, where the norm's sum of squares overflows, is
-    # finite; wherever the unscaled norm is finite, E equals it to the bit
+@example(1e160, 1e155, 0.0, 12)  # mu^2 and t^2 are past the doubles, A and E are not
+def test_spectrum_is_finite_and_matches_bdg(mu, t, delta, n):
+    # the singular values of A are finite wherever A is, and match the
+    # particle-hole spectrum
     p = KitaevParams(mu=mu, t=t, delta=delta, n=n)
-    h = effective_h_matrix(p)
-    assume(np.isfinite(h).all())
     got = np.array(kitaev_spectrum(p))
-    v = np.linalg.eigh(h)[1]
-    av = p.mu * v
-    av[1:] += (p.t - p.delta) * v[:-1]
-    av[:-1] += (p.t + p.delta) * v[1:]
-    with np.errstate(over="ignore"):
-        e = np.linalg.norm(av, axis=0)
-    want = np.array(sorted(np.concatenate([-e, e]).tolist()))
+    want = np.array(bdg_spectrum(p))
     assert np.isfinite(got).all()
-    finite = np.isfinite(want)
-    assert got[finite].tobytes() == want[finite].tobytes()
+    assert np.abs(got - want).max() <= 1e-8 * max(1.0, np.abs(got).max())
 
 
 def test_spectrum_past_norm_overflow_matches_bdg():
@@ -139,13 +133,26 @@ def test_spectrum_past_norm_overflow_matches_bdg():
     assert np.abs(a - b).max() <= 1e-8 * np.abs(b).max()
 
 
-def test_sublattice_overflow_is_named():
-    # (delta - t)^2 = 1e310 is inf as a float product, and the spectrum
-    # refuses the matrix by name
+@pytest.mark.filterwarnings("error")
+def test_spectrum_where_h_overflows():
+    # (delta - t)^2 = 1e310 puts inf into h, but A and E are doubles:
+    # E = +-sqrt(2) t twice and +-0
     p = KitaevParams(mu=0.0, t=1e155, delta=0.0, n=3)
     assert np.isinf(effective_h_matrix(p)).any()
-    with pytest.raises(OverflowError, match="sublattice matrix overflows"):
-        kitaev_spectrum(p)
+    got = np.array(kitaev_spectrum(p))
+    x = np.sqrt(2.0) * 1e155
+    want = np.array([-x, -x, 0.0, 0.0, x, x])
+    assert np.abs(got - want).max() <= 1e-15 * x
+
+
+@pytest.mark.filterwarnings("error")
+def test_sublattice_overflow_is_named():
+    # t + delta = inf leaves A past the doubles; at mu = t = 1.7e308 A is
+    # finite, but its largest singular value is not
+    for mu, t, delta, name in ((0.0, 1e308, 1e308, "Majorana matrix A"),
+                               (1.7e308, 1.7e308, 0.0, "excitation energy E")):
+        with pytest.raises(OverflowError, match=name):
+            kitaev_spectrum(KitaevParams(mu=mu, t=t, delta=delta, n=3))
 
 
 def test_majorana_point_zero_mode():

@@ -41,10 +41,10 @@ from tetranacci.closedform import characterize, xi_closed
 from tetranacci.errors import SingularBoundaryError
 from tetranacci.kitaev import KitaevParams, kitaev_spectrum
 from tetranacci.recurrence import Coefficients, InitialValues, eval_range
-from tetranacci.transport import (LeadParams, TransportSetup, current, fermi,
-                                  transmission, transmission_dense)
+from tetranacci.transport import LeadParams, TransportSetup, current, fermi, transmission
 
 from band_oracle import bdg_spectrum, chain_eigh
+from dense_oracle import transmission_dense
 from unit_initials import unit
 
 coupling = st.floats(-3.0, 3.0)
