@@ -120,7 +120,8 @@ def _damped_sin(z: np.ndarray, c=0.0) -> np.ndarray:
     b = np.abs(z.imag)
     t = np.expm1(-2.0 * b)
     h = np.exp(0.5 * (b - c))
-    return h * (h * (0.5 * np.sin(z.real) * (2.0 + t)
+    # the 1/2 rides on 2 + t: 0.5 sin(a) underflows to 0 at a = 5e-324
+    return h * (h * (np.sin(z.real) * (0.5 * (2.0 + t))
                      - 0.5j * (np.sign(z.imag) * np.cos(z.real) * t)))
 
 

@@ -15,8 +15,3 @@ class PreconditionError(TetranacciError):
     """Operation precondition violated: an index outside its range or
     guard, a root class the operation does not apply to, or a degenerate
     eigenvalue, for which the single-vector closed form is inapplicable."""
-
-
-class SingularBoundaryError(TetranacciError):
-    """Boundary 2x2 system is singular at this energy."""
-

@@ -3,14 +3,17 @@
 Leads attach only to the first and last site, adding corner self-energies
 Lambda_alpha - i gamma_alpha to the chain matrix.  `transmission`, the one
 exact T(E), takes the corner entry G^r_{1N} from a 2x2 boundary solve over
-the basic polynomial T_-2, or where that has no answer from the dense
-solve of (E - H - Sigma) x = e_N.  `current` makes one eigendecomposition
-of H_eff = H + Sigma for a whole bias grid.  Its poles and residues give
-the current in closed form; each bias is checked against `transmission`
-at the real part of the worst-conditioned pole in its window.  The biases
-that fail the check take their currents from one table of the exact T(E),
-a fixed Gauss-Legendre rule on panels sized to the same poles.  numpy is
-the only dependency.
+the basic polynomial T_-2, which answers at every real E where both leads
+are coupled, at the eigenvalue of a mode with no weight on site 1 or N
+too.  Only where the boundary solve has no coefficient map (t2 = 0, or
+zeta or eta past the doubles) does it take G_1N from the dense solve of
+(E - H - Sigma) x = e_N.  `current` makes one eigendecomposition of H_eff
+= H + Sigma for a whole bias grid.  Its poles and residues give the
+current in closed form; each bias is checked against `transmission` at
+the real part of the worst-conditioned pole in its window.  Each bias that
+fails the check takes its current from a table of the exact T(E), a fixed
+Gauss-Legendre rule on panels of its own window, sized to the same poles.
+numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainParams, build_chain_matrix, coeffs_from_energy
-from .errors import SingularBoundaryError, ZeroT2Error
-from .exactnum import cramer_quotient, dyadic, gmul, tm2_ints
+from .errors import ZeroT2Error
+from .exactnum import cramer_quotient, dyadic, gaussian_divider, gmul, tm2_ints
 from .recurrence import require_real
 
 
@@ -69,10 +72,20 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     full-length products, with the same bits either way).  It is exact for
     zeta and eta as `coeffs_from_energy` rounds them.
 
-    SingularBoundaryError is raised where there is no such double: at det =
-    0 (the eigenvalue of a mode with no weight on site 1 or N), and where
-    G_1N overflows (a lead coupling near 1e-310, or decoupled leads next to
-    an eigenvalue).
+    With both leads coupled, det vanishes at a real E only with a = 0 and b
+    = c = 0, and then G_1N = t2 / d over the same power of two.  A null
+    vector of the system is a solution u of (E - H_eff) u = 0, an
+    eigenvector of H_eff with real E, so Im E = -gamma_L |u_1|^2 - gamma_R
+    |u_N|^2 = 0 forces u_1 = t2 h = 0 and hence a = c = 0.  As H_eff is
+    complex symmetric and e_N^T u = u_N = 0, the right-hand side e_N, here
+    (0, 1), is consistent, so b = 0, d != 0, and every solution has h = 1 /
+    d: the eigenvalue of a mode with no weight on site 1 or N (the even
+    sublattice at t1 = 0 and odd N) is no pole of G_1N.
+
+    ZeroDivisionError is raised at any other det = 0, which only a decoupled
+    lead (gamma = 0) can reach, and OverflowError where G_1N is past the
+    doubles (a lead coupling near 1e-310, or decoupled leads next to an
+    eigenvalue).
     """
     p = s.chain
     c = coeffs_from_energy(e, p)
@@ -91,12 +104,15 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     cc = w_r[0] * tn - t2 * tau(n + 2), w_r[1] * tn  # D' D^(top+2) c
     rn, rn2 = gmul(w_r, row(n)), row(n + 2)
     d = rn[0] - t2 * rn2[0], rn[1] - t2 * rn2[1]  # D'^2 D^(top+3) d
+    shift = kc + k * (top + 3)
     try:  # det = a d - b c over D'^2 D^(2 top+5)
-        return cramer_quotient(t2, a, b, cc, d, kc + k * (top + 3))
+        if a == 0 and b == cc == (0, 0):  # a weightless eigenvalue: h = 1 / d
+            return gaussian_divider((t2, 0), d, shift)
+        return cramer_quotient(t2, a, b, cc, d, shift)
     except ZeroDivisionError:
-        raise SingularBoundaryError(f"boundary system singular at E = {e}") from None
+        raise ZeroDivisionError(f"boundary system singular at E = {e}") from None
     except OverflowError:
-        raise SingularBoundaryError(f"G_1N overflows at E = {e}") from None
+        raise OverflowError(f"G_1N overflows at E = {e}") from None
 
 
 def _h_eff(s: TransportSetup) -> np.ndarray:
@@ -123,7 +139,11 @@ def green_1n_dense(e, s: TransportSetup):
     pivot overflow, and inf * 0 turn the solution into nan.  The scaled
     system is solved for 2^-k_N x, so only x_1 is scaled back.
     OverflowError is raised where E - H_eff itself overflows (E + mu near
-    2e308).
+    2e308), and numpy's LinAlgError where it is singular: at an eigenvalue
+    of the chain with a lead decoupled, and at the eigenvalue of a mode with
+    no weight on site 1 or N, where `green_1n_tetranacci` answers.
+    `transmission` calls it only where the boundary solve has no
+    coefficient map.
     """
     n = s.chain.n
     energies = np.atleast_1d(np.asarray(e, dtype=float))
@@ -139,27 +159,10 @@ def green_1n_dense(e, s: TransportSetup):
     # numpy before 2.0 reads b as a stack of vectors, and would not broadcast
     rhs = np.zeros((1, n, 1), dtype=complex)
     rhs[0, -1, 0] = 1.0
-    try:
-        x1 = np.linalg.solve(a, rhs)[:, 0, 0]
-    except np.linalg.LinAlgError:
-        x1 = np.array([_solve_x1(m, rhs[0, :, 0], s) for m in a])
+    x1 = np.linalg.solve(a, rhs)[:, 0, 0]
     g = [complex(math.ldexp(x.real, kn), math.ldexp(x.imag, kn))
          for x, kn in zip(x1.tolist(), k[:, -1].tolist())]
     return g[0] if np.ndim(e) == 0 else np.array(g, dtype=complex)
-
-
-def _solve_x1(a: np.ndarray, rhs: np.ndarray, s: TransportSetup) -> complex:
-    """x_1 of one scaled system a x = rhs of `green_1n_dense`, singular or not."""
-    try:
-        return np.linalg.solve(a, rhs)[0]
-    except np.linalg.LinAlgError:
-        if s.left.gamma == 0.0 or s.right.gamma == 0.0:
-            raise
-        # With both leads coupled, a real E is an eigenvalue of H + Sigma only
-        # for a mode u with u_1 = u_N = 0 (Im E = -gamma_L |u_1|^2 - gamma_R
-        # |u_N|^2).  Then the system is consistent and all its solutions
-        # share x_1, so the least-squares solution carries G_1N.
-        return np.linalg.lstsq(a, rhs, rcond=None)[0][0]
 
 
 def _twice(gamma: float, g: float) -> float:
@@ -175,31 +178,27 @@ def _twice(gamma: float, g: float) -> float:
 def transmission(e: float, s: TransportSetup) -> float:
     """The exact T(E) = 4 gamma_L gamma_R |G^r_{1N}|^2.
 
-    G_1N comes from the boundary solve, or from the dense solve
-    (`green_1n_dense`) where that has no answer: at t2 = 0 it lacks the
-    coefficient map, at the eigenvalue of a mode with no weight on site 1
-    or N (the even sublattice at t1 = 0, odd N) its 2x2 system is singular,
-    though T is not, and with a lead coupling near 1e-310 G_1N overflows a
-    double.  A dense T that is not finite leaves the boundary solve's error
-    standing, and an E - H_eff that overflows raises OverflowError.  With a
-    lead decoupled (gamma = 0) T vanishes identically and no solve is made:
-    at an eigenvalue of the chain it would be singular.  With both leads
-    coupled, T <= 1 bounds |G_1N| by 1 / (2 sqrt(gamma_L gamma_R)), so the
-    exact G_1N is taken as it is, with no test of its size.
+    G_1N comes from the boundary solve, at the eigenvalue of a mode with no
+    weight on site 1 or N too, or from the dense solve (`green_1n_dense`)
+    where the boundary solve has no coefficient map: at t2 = 0, and where
+    zeta or eta leave the doubles.  With a lead decoupled (gamma = 0), or
+    with no path from site 1 to site N (N >= 2 and t1 = t2 = 0), T vanishes
+    identically and no solve is made: at an eigenvalue of the chain the
+    solve would be singular.  With both leads coupled, T <= 1 bounds |G_1N|
+    by 1 / (2 sqrt(gamma_L gamma_R)), so the exact G_1N is taken as it is,
+    with no test of its size, and a G_1N past the doubles (a lead coupling
+    near 1e-310) raises OverflowError.
     """
-    if s.left.gamma == 0.0 or s.right.gamma == 0.0:
+    p = s.chain
+    if s.left.gamma == 0.0 or s.right.gamma == 0.0 or (p.n >= 2 and p.t1 == p.t2 == 0.0):
         return 0.0
-    failed = None
     try:
         g = abs(green_1n_tetranacci(e, s))
-    except (ZeroT2Error, SingularBoundaryError) as exc:
-        failed, g = exc, abs(green_1n_dense(e, s))
+    except ZeroT2Error:
+        g = abs(green_1n_dense(e, s))
     # two factors, as strong leads overflow 4 gamma_L gamma_R where they
     # underflow |G|^2, and weak leads the other way round
-    t = _twice(s.left.gamma, g) * _twice(s.right.gamma, g)
-    if failed is not None and not math.isfinite(t):
-        raise failed
-    return t
+    return _twice(s.left.gamma, g) * _twice(s.right.gamma, g)
 
 
 def fermi(e, beta: float):
@@ -297,8 +296,9 @@ def _poles(s: TransportSetup):
 
 
 # largest miss of the pole sum against the exact T at a probe that is
-# accepted, absolute as 0 <= T <= 1; healthy chains up to N = 300 miss by
-# 3e-12 at the real part of their worst-conditioned pole
+# accepted, absolute as 0 <= T <= 1; healthy chains up to N = 1500 (mu = 0,
+# t1 = 1, t2 = 0.8, gamma = 0.5) miss by at most 3.1e-12 at the real part of
+# their worst-conditioned pole
 _PROBE_TOL = 1e-10
 
 
@@ -320,11 +320,12 @@ def current(v_bias, beta: float, s: TransportSetup):
     not in the tails, and the residues go wrong where eigenvectors of H_eff
     are nearly parallel (near an exceptional point), so the probe is Re z_k
     of the pole with the largest condition number kappa_k, clipped into the
-    window; the exact T is taken once per distinct probe energy.  The
-    biases whose sum misses by more than 1e-10, or is not finite, take
-    their currents together from one table of the exact T(E)
-    (`_current_quad`), on the poles this one eigendecomposition found.  A
-    zero bias carries no current and is not probed.
+    window; the exact T is taken once per distinct probe energy.  Each bias
+    whose sum misses by more than 1e-10, or is not finite, takes its
+    current from a table of the exact T(E) on its own window
+    (`_current_quad`), on the poles this one eigendecomposition found, so a
+    bias of a grid gets the bits of its single-bias call.  A zero bias
+    carries no current and is not probed.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive (math.inf for T = 0)")
@@ -355,21 +356,20 @@ def current(v_bias, beta: float, s: TransportSetup):
         bad = ~(np.isfinite(got) & (np.abs(fit - exact[which]) <= _PROBE_TOL))
         out[on] = got
         if bad.any():
-            out[on[bad]] = _current_quad(vb[bad], beta, s, z)
+            out[on[bad]] = [_current_quad(x, beta, s, z) for x in vb[bad].tolist()]
     return float(out[0]) if np.ndim(v_bias) == 0 else out
 
 
-def _current_quad(v: np.ndarray, beta: float, s: TransportSetup, z: np.ndarray):
-    """Currents at the biases v as Gauss-Legendre sums over one table of T(E).
+def _current_quad(v: float, beta: float, s: TransportSetup, z: np.ndarray) -> float:
+    """The current at the bias v as a Gauss-Legendre sum over a table of T(E).
 
-    v is a 1-D array of biases and z the weighted eigenvalues of H_eff from
-    `_poles`.  The exact `transmission` is tabulated once, at 12 nodes on
-    each panel of one partition of the union of the windows [-V, 0], each
-    padded by 40 / beta (0 at beta = math.inf), beyond which the Fermi
-    difference is below e^-40; 0 and every -V are panel edges.  Each
-    current is then one weighted sum of that table times f(E) - f(E + V),
-    which at beta = math.inf is exactly +1 or -1 inside its window and 0
-    outside.
+    z holds the weighted eigenvalues of H_eff from `_poles`.  The exact
+    `transmission` is tabulated at 12 nodes on each panel of a partition of
+    the window [-V, 0], padded by 40 / beta (0 at beta = math.inf), beyond
+    which the Fermi difference is below e^-40; 0 and -V are panel edges.
+    The current is then one weighted sum of that table times f(E) - f(E +
+    V), which at beta = math.inf is exactly +1 or -1 inside the window and
+    0 outside.
 
     The integrand's poles are the z_k and conj(z_k), and at finite beta
     those of the Fermi functions nearest the axis, 0 and -V +- i pi / beta.
@@ -403,4 +403,4 @@ def _current_quad(v: np.ndarray, beta: float, s: TransportSetup, z: np.ndarray):
     half = 0.5 * (hi - lo)
     nodes = ((lo + half)[:, None] + half[:, None] * x).ravel()
     t = np.array([transmission(e, s) for e in nodes.tolist()]) * (half[:, None] * w).ravel()
-    return (fermi(nodes, beta) - fermi(nodes + v[:, None], beta)) @ t
+    return float((fermi(nodes, beta) - fermi(nodes + v, beta)) @ t)

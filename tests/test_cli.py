@@ -286,8 +286,8 @@ def test_transport_strong_leads(capsys, grid):
 def _sublattice_setup():
     # at t1 = 0 and odd N the odd sites 1, 3, 5 form a nearest-neighbour
     # chain with hopping t2, which carries G_1N; the even sublattice touches
-    # neither lead, and at its eigenvalue E = -t2 the boundary system and
-    # the full dense system are both exactly singular
+    # neither lead, and at its eigenvalue E = -t2 the full dense system is
+    # exactly singular, and the boundary system has det = 0 with G_1N = t2 / d
     full = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=5),
                           LeadParams(0.5), LeadParams(0.5))
     odd = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=0.0, n=3),
@@ -355,7 +355,7 @@ def test_transport_transmission_without_coefficient_map(capsys, t2):
     ("kitaev", "--n", "3", "--t", "1e308", "--delta", "1e308", "--mu-grid", "0:0:1"),
     ("kitaev", "--n", "3", "--t", "1.7e308", "--delta", "0", "--mu-grid", "1.7e308:1.7e308:1"),
     # G_11 = 1 / (2e-310 i) of one site between two leads is past the largest
-    # double in the boundary and in the dense solve
+    # double
     ("transport", "--n", "1", "--t1", "1", "--gamma-l", "1e-310", "--gamma-r", "1e-310",
      "--e-grid", "0:0:1"),
     # the mirror-sector matrices of entries of 1e308 overflow before the

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetranacci.closedform import (RootClass, _power_residual,
@@ -357,6 +357,9 @@ _im = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-300]),
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(_re, _im), min_size=1, max_size=4),
        st.integers(-5, 0), st.integers(0, 60), st.booleans())
+# sin(x) of the smallest subnormal x: halved first, it underflowed to 0, and
+# Q_m divided 0 by 0
+@example(xs=[(5e-324, 0.0)], lo=0, size=0, real_x=False)
 def test_standing_wave_array_equals_int_calls(xs, lo, size, real_x):
     # an int m and a number x against an int array m, and against arrays of
     # both: a batch raises OverflowError where one of its single calls does

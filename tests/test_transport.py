@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,12 +7,12 @@ import pytest
 
 from tetranacci import transport
 from tetranacci.chain import ChainParams, build_chain_matrix
-from tetranacci.errors import SingularBoundaryError, ZeroT2Error
+from tetranacci.errors import ZeroT2Error
 from tetranacci.transport import (LeadParams, TransportSetup, current, digamma,
                                   fermi, green_1n_dense, green_1n_tetranacci,
                                   transmission)
 
-from dense_oracle import transmission_dense
+from dense_oracle import green_1n_fraction, transmission_dense
 
 
 def default_setup(n=5, gamma=0.5):
@@ -80,23 +81,29 @@ def test_green_singular_at_decoupled_eigenvalue():
     chain = ChainParams(mu=0.0, t1=0.0, t2=1.0, n=4)
     s = TransportSetup(chain, LeadParams(0.0), LeadParams(0.0))
     # E = -1 = -t2 is an eigenvalue of both sublattices (t1 = 0), at which
-    # the boundary system is exactly singular
-    with pytest.raises(SingularBoundaryError):
+    # the boundary system is exactly singular: a true pole of G_1N, as no
+    # lead is coupled
+    with pytest.raises(ZeroDivisionError, match="E = -1.0"):
         green_1n_tetranacci(-1.0, s)
 
 
 def test_dense_green_at_weightless_eigenvalue():
     # at t1 = 0 and N = 5 the even sites 2, 4 touch neither lead, and E = -1
-    # is an eigenvalue of theirs: E - H - Sigma is exactly singular, yet the
-    # odd sites 1, 3, 5, a nearest-neighbour chain with hopping t2, fix G_1N
+    # is an eigenvalue of theirs: E - H - Sigma is exactly singular, and the
+    # dense solve refuses it, stacked or not; the odd sites 1, 3, 5, a
+    # nearest-neighbour chain with hopping t2, fix G_1N, which the boundary
+    # solve gives
     full = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=5),
                           LeadParams(0.5), LeadParams(0.5))
     odd = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=0.0, n=3),
                          LeadParams(0.5), LeadParams(0.5))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(-np.eye(5) - build_chain_matrix(full.chain), np.eye(5)[-1])
+    for e in (-1.0, np.array([0.3, -1.0])):
+        with pytest.raises(np.linalg.LinAlgError):
+            green_1n_dense(e, full)
     want = green_1n_dense(-1.0, odd)
-    assert abs(green_1n_dense(-1.0, full) - want) <= 1e-15 * abs(want)
+    assert abs(green_1n_tetranacci(-1.0, full) - want) <= 1e-15 * abs(want)
     # with a lead decoupled the singular system is a true pole
     with pytest.raises(np.linalg.LinAlgError):
         green_1n_dense(-1.0, TransportSetup(full.chain, LeadParams(0.0), LeadParams(0.5)))
@@ -109,11 +116,7 @@ def _dense_one(e, s):
     k = -np.frexp(np.abs(a).max(axis=1))[1]
     a.real = np.ldexp(a.real, k[:, None])
     a.imag = np.ldexp(a.imag, k[:, None])
-    rhs = np.eye(n, dtype=complex)[-1]
-    try:
-        x1 = np.linalg.solve(a, rhs)[0]
-    except np.linalg.LinAlgError:
-        x1 = np.linalg.lstsq(a, rhs, rcond=None)[0][0]
+    x1 = np.linalg.solve(a, np.eye(n, dtype=complex)[-1])[0]
     return complex(math.ldexp(x1.real, int(k[-1])), math.ldexp(x1.imag, int(k[-1])))
 
 
@@ -128,9 +131,11 @@ def _same_bits(got, want):
     # a row holding only the subnormal E, scaled by 2^1030 (see above)
     (TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=3),
                     LeadParams(0.5), LeadParams(0.5)), [2.2e-313, 0.5, -2.2e-313]),
-    # the weightless eigenvalue E = -1 makes the stack singular: least squares
+    # within 2^-40 of the weightless eigenvalue E = -1, where the system is
+    # singular, the stack is nearly so
     (TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=5),
-                    LeadParams(0.5), LeadParams(0.5)), [0.3, -1.0, 2.0, -1.0]),
+                    LeadParams(0.5), LeadParams(0.5)),
+     [0.3, -1.0 + 2.0 ** -40, 2.0, -1.0 - 2.0 ** -40]),
 ])
 def test_dense_green_array_equals_per_energy_calls(setup, energies):
     got = transport.green_1n_dense(np.array(energies), setup)
@@ -156,13 +161,17 @@ def test_green_at_barely_coupled_sublattices():
     assert abs(transmission(0.0, s) - 0.5) <= math.ulp(0.5)
 
 
-def test_weak_leads_stay_exact(monkeypatch):
-    # N = 1 with both leads on its one site: G = 1 / (2 i gamma), |G| =
-    # 5e169, and T = (2 gamma |G|)^2 = 1 from the boundary solve alone
+def _refuse_dense(monkeypatch):
     def refuse(e, s):
         raise AssertionError("dense solve called")
 
     monkeypatch.setattr(transport, "green_1n_dense", refuse)
+
+
+def test_weak_leads_stay_exact(monkeypatch):
+    # N = 1 with both leads on its one site: G = 1 / (2 i gamma), |G| =
+    # 5e169, and T = (2 gamma |G|)^2 = 1 from the boundary solve alone
+    _refuse_dense(monkeypatch)
     s = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=1.0, n=1),
                        LeadParams(1e-170), LeadParams(1e-170))
     assert transmission(0.0, s) == 1.0
@@ -219,15 +228,47 @@ def test_transmission_without_coefficient_map_is_dense():
     assert transmission(0.4, s) == transmission_dense(0.4, s)
 
 
-def test_transmission_at_weightless_eigenvalue_is_dense():
+def test_transmission_at_weightless_eigenvalue_is_exact(monkeypatch):
     # E = -1 is an eigenvalue of the even sublattice, which touches neither
-    # lead: the 2x2 boundary system is singular, T is not
+    # lead: the 2x2 boundary system is singular, T is not, and the boundary
+    # solve gives the T of the odd sublattice with no dense solve
     s = TransportSetup(ChainParams(mu=0.0, t1=0.0, t2=1.0, n=5),
                        LeadParams(0.5), LeadParams(0.5))
-    with pytest.raises(SingularBoundaryError):
-        green_1n_tetranacci(-1.0, s)
+    odd = TransportSetup(ChainParams(mu=0.0, t1=1.0, t2=0.0, n=3),
+                         LeadParams(0.5), LeadParams(0.5))
+    want = transmission_dense(-1.0, odd)
+    _refuse_dense(monkeypatch)
     t = transmission(-1.0, s)
-    assert t == transmission_dense(-1.0, s) and 0.0 < t <= 1.0
+    assert abs(t - want) <= 1e-15 and 0.0 < t <= 1.0
+
+
+def _odd_sublattice(s):
+    """The odd sites 1, 3, ..., N of a chain with t1 = 0 and odd N: a
+    nearest-neighbour chain with hopping t2 between the same leads."""
+    p = s.chain
+    return TransportSetup(ChainParams(mu=p.mu, t1=p.t2, t2=0.0, n=(p.n + 1) // 2),
+                          s.left, s.right)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_boundary_solve_on_decoupled_sublattices(monkeypatch, n):
+    # at t1 = 0 and odd N the even sites touch neither lead, and E = -mu
+    # (N = 3, 7, 11) and E = -mu +- t2 (N = 5, 11) are eigenvalues of theirs,
+    # where det = 0; dyadic mu and t2 keep zeta = -(E + mu) / t2 exact, so
+    # G_1N is the exact value of the odd sublattice, to the bit, at every
+    # point, and T comes from the boundary solve alone
+    _refuse_dense(monkeypatch)
+    lead_pairs = [(LeadParams(0.5), LeadParams(0.5)),
+                  (LeadParams(1.0, 0.25), LeadParams(0.3)),
+                  (LeadParams(2.0, -0.7), LeadParams(0.05, 0.4))]
+    for mu, t2, (left, right), sign in itertools.product(
+            (0.0, 0.375, -1.25), (1.0, 0.5, -0.75, 2.5), lead_pairs, (0, 1, -1)):
+        s = TransportSetup(ChainParams(mu=mu, t1=0.0, t2=t2, n=n), left, right)
+        e = -mu + sign * t2
+        got = green_1n_tetranacci(e, s)
+        re, im = green_1n_fraction(e, _odd_sublattice(s))
+        assert (got.real.hex(), got.imag.hex()) == (float(re).hex(), float(im).hex())
+        assert 0.0 < transmission(e, s) <= 1.0
 
 
 def test_transmission_strong_leads():
@@ -400,7 +441,7 @@ def test_current_quad_resolves_narrow_resonance(monkeypatch):
     v, beta = 0.2558811373430868, 78.94830302877999
     want = current(v, beta, s)
     assert not calls  # the probe-checked pole sum
-    got = transport._current_quad(np.array([v]), beta, s, transport._poles(s)[0])[0]
+    got = transport._current_quad(v, beta, s, transport._poles(s)[0])
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -434,7 +475,7 @@ def test_current_large_bias_at_exceptional_point(monkeypatch, v, beta, want):
     s = _exceptional_point()
     got = current(v, beta, s)
     assert len(calls) == 1
-    assert got == transport._current_quad(np.array([v]), beta, s, transport._poles(s)[0])[0]
+    assert got == transport._current_quad(v, beta, s, transport._poles(s)[0])
     assert abs(got - want) <= 1e-14 * want
 
 
@@ -454,21 +495,25 @@ def test_finite_beta_current_at_the_largest_bias(monkeypatch):
 
 
 @pytest.mark.parametrize("beta", [math.inf, 10.0])
-def test_current_grid_fallback_is_one_table(monkeypatch, beta):
-    # every bias falls back: the whole grid is one call of the quadrature,
-    # on the poles of the one eigendecomposition, and matches the pole sum
+def test_current_grid_fallback_per_bias(monkeypatch, beta):
+    # every nonzero bias falls back: one eigendecomposition serves the grid,
+    # each bias is one call of the quadrature on its poles, with the bits of
+    # its single-bias call, and matches the pole sum
     s = default_setup()
     biases = np.arange(-10, 11) * 0.3
     want = current(biases, beta, s)
+    monkeypatch.setattr(transport, "_PROBE_TOL", -1.0)
+    singles = [current(v, beta, s) for v in biases.tolist()]
     eigs = []
     for name in ("eig", "eigvals"):
         f = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *args, f=f: eigs.append(args) or f(*args))
     calls = _spy_quad(monkeypatch)
-    monkeypatch.setattr(transport, "_PROBE_TOL", -1.0)
     got = current(biases, beta, s)
-    assert len(calls) == 1 and len(eigs) == 1
+    assert len(eigs) == 1
+    assert [c[0] for c in calls] == [v for v in biases.tolist() if v != 0.0]
+    assert got.tolist() == singles
     assert got[10] == 0.0 and want[10] == 0.0
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
