@@ -56,9 +56,10 @@ class Arrow(enum.Enum):
 @dataclass(frozen=True)
 class EigenMode:
     """One chain eigenvalue with its wavevector and symmetry data; the fields
-    of the coefficient map (all but e, lambda_i and vector) are None at
-    t2 = 0, except k1, the nearest-neighbour chain's wavevector where t1 !=
-    0.  arrow is `arrow_classify` of the mode's (zeta, eta), so a mode
+    of the coefficient map (all but e, lambda_i and vector) are None where
+    the chain has no coefficient map (t2 = 0, or zeta or eta past the
+    doubles), except k1, the nearest-neighbour chain's wavevector where t1
+    != 0.  arrow is `arrow_classify` of the mode's (zeta, eta), so a mode
     within its tolerance of a bounding curve is BOUNDARY."""
 
     e: float
@@ -156,15 +157,16 @@ def _branch_residuals(k1, k2, n: int):
     return {+1: np.abs(fp - fm) / scale, -1: np.abs(fp + fm) / scale}
 
 
-# the EigenMode fields that come from the coefficient map; at t2 = 0 it does
-# not exist (the nearest-neighbour chain has no four-term recursion), and
-# they are None but for k1
+# the EigenMode fields that come from the coefficient map; where the chain
+# has no coefficient map (t2 = 0, or zeta or eta past the doubles) there is
+# no four-term recursion, and they are None but for k1
 _WAVE_FIELDS = ("k1", "k2", "k_plus", "k_minus", "s_q", "arrow", "quant_residual")
 
 
 def _nearest_neighbour_fields(w: np.ndarray, p: ChainParams) -> list:
-    """The wave fields of each mode at t2 = 0: k1 is the k in [0, pi] of E
-    = -mu - 2 t1 cos k (`dispersion` at t2 = 0), its cosine clipped into
+    """The wave fields of each mode of a chain with no coefficient map: k1
+    is the k in [0, pi] of E = -mu - 2 t1 cos k (`dispersion` at t2 = 0),
+    the nearest-neighbour chain's, its cosine clipped into
     [-1, 1] against rounding, and the others are None.  At t1 = 0 the chain
     is diagonal and k1 is None too."""
     if p.t1 == 0.0:
@@ -200,8 +202,11 @@ def spectrum(p: ChainParams):
     each mirror sector is solved on its own, and lambda_i is its sign.
     The wavevector, branch and arrow fields of a sector's modes come from
     one batch of its eigenvalues (`coeffs_from_energy`, `characterize`, one
-    `standing_wave` call per branch sign and `arrow_classify`); at t2 = 0
-    they are None, but for the nearest-neighbour chain's k1.
+    `standing_wave` call per branch sign and `arrow_classify`).  Where the
+    chain has no coefficient map (t2 = 0, or zeta or eta past the doubles:
+    `coeffs_from_energy` raises ZeroT2Error) they are None, but for the
+    nearest-neighbour chain's k1; the batch is the sector's, so one
+    eigenvalue whose zeta overflows gives its whole sector these fields.
     OverflowError is raised where a sector matrix or an eigenvalue leaves
     the doubles (entries near 1e308)."""
     h = build_chain_matrix(p)
@@ -214,8 +219,10 @@ def spectrum(p: ChainParams):
         w, u = np.linalg.eigh(sector)
         if not np.isfinite(w).all():
             raise OverflowError("chain eigenproblem overflows: eigenvalue not finite")
-        fields = (_nearest_neighbour_fields(w, p) if p.t2 == 0.0
-                  else _wave_fields(w, lam, p))
+        try:
+            fields = _wave_fields(w, lam, p)
+        except ZeroT2Error:
+            fields = _nearest_neighbour_fields(w, p)
         for e, vec, f in zip(w.tolist(), (q @ u).T, fields):
             modes.append(EigenMode(e=e, lambda_i=lam, vector=vec, **f))
     modes.sort(key=lambda m: m.e)

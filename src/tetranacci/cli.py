@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .chain import (ChainParams, arrow_classify, coeffs_from_energy,
+from .chain import (Arrow, ChainParams, arrow_classify, coeffs_from_energy,
                     crossings, spectrum)
 from .closedform import characterize, xi_closed
 from .errors import TetranacciError, ZeroT2Error
@@ -46,16 +46,17 @@ def _fmt_list(values) -> str:
     return ";".join([_fmt(v) for v in values])
 
 
-_FORMATTERS = {float: "%.17g".__mod__, complex: _fmt_complex,
-               list: _fmt_list, tuple: _fmt_list}
+_FORMATTERS = {float: "%.17g".__mod__, complex: _fmt_complex, list: _fmt_list, tuple: _fmt_list,
+               Arrow: lambda a: a.value, np.ndarray: lambda v: _fmt_list(v.tolist())}
 
 
 def _fmt(value):
     """Render a cell for CSV / JSON with full float precision (17 digits).
 
-    Dispatch is on the exact type first; numpy scalars, which subclass
-    float and complex, take the isinstance pass.  Every other value (int,
-    str, bool, None) is returned as it is.
+    An Arrow renders as its value and an array as its list.  Dispatch is
+    on the exact type first; numpy scalars, which subclass float and
+    complex, take the isinstance pass.  Every other value (int, str, bool,
+    None) is returned as it is.
     """
     render = _FORMATTERS.get(type(value))
     if render is not None:
@@ -196,6 +197,19 @@ def cmd_seq(args, parser):
     return 0
 
 
+def _map(coeffs, e, p):
+    """(zeta, eta) of coeffs(e, p), `coeffs_from_energy` or
+    `kitaev_effective_coeffs`, at the energy or energies e, or (None, None)
+    where it raises ZeroT2Error: the chain has no coefficient map (t2 = 0,
+    the Kitaev sweet spot t = +-delta, or a map or a chain entry past the
+    doubles), though its spectrum is fine."""
+    try:
+        c = coeffs(e, p)
+    except ZeroT2Error:
+        return None, None
+    return c.zeta, c.eta
+
+
 def cmd_spectrum(args, parser):
     if args.sweep_eta is not None:
         # Python floats: -eta * t2 past the doubles is the usage error of
@@ -205,23 +219,17 @@ def cmd_spectrum(args, parser):
         rows = []
         for eta, p in chains:
             modes = spectrum(p)
-            # at t2 = 0 the coefficient map, and with it zeta and the
-            # arrow, is undefined; the energies are still emitted
-            zetas = ([None] * len(modes) if p.t2 == 0.0 else
-                     coeffs_from_energy(np.array([m.e for m in modes]), p).zeta.tolist())
-            rows += [{"eta": eta, "zeta": zeta, "e": m.e,
-                      "arrow": None if m.arrow is None else m.arrow.value}
+            # one batch of the whole chain: where it has no coefficient map,
+            # zeta is null; the energies are still emitted
+            zetas, _ = _map(coeffs_from_energy, np.array([m.e for m in modes]), p)
+            zetas = [None] * len(modes) if zetas is None else zetas.tolist()
+            rows += [{"eta": eta, "zeta": zeta, "e": m.e, "arrow": m.arrow}
                      for m, zeta in zip(modes, zetas)]
         meta = {"command": "spectrum", "n": args.n, "mu": args.mu,
                 "t2": args.t2, "sweep_eta": args.sweep_eta_raw}
         _emit(args, meta, rows)
         return 0
-    p = _chain_from_args(args, parser)
-    rows = [{"e": m.e, "k1": m.k1, "k2": m.k2, "k_plus": m.k_plus,
-             "k_minus": m.k_minus, "s_q": m.s_q, "lambda_i": m.lambda_i,
-             "arrow": None if m.arrow is None else m.arrow.value,
-             "quant_residual": m.quant_residual,
-             "vector": m.vector.tolist()} for m in spectrum(p)]
+    rows = [vars(m) for m in spectrum(_chain_from_args(args, parser))]
     meta = {"command": "spectrum", "n": args.n, "mu": args.mu,
             "t1": args.t1, "t2": args.t2}
     _emit(args, meta, rows)
@@ -231,36 +239,21 @@ def cmd_spectrum(args, parser):
 def cmd_crossings(args, parser):
     if args.n < 2:
         parser.error("crossing enumeration needs --n >= 2")
-    records = crossings(args.n)
-    rows = [{"n_idx": r.n_idx, "l_idx": r.l_idx, "k_plus": r.k_plus,
-             "k_minus": r.k_minus, "eta": r.eta, "zeta": r.zeta,
-             "t1_over_t2": r.t1_over_t2, "e": r.e} for r in records]
-    meta = {"command": "crossings", "n": args.n, "count": len(records)}
-    _emit(args, meta, rows, extra_lines=[f"count: {len(records)}"]
+    rows = [vars(r) for r in crossings(args.n)]
+    meta = {"command": "crossings", "n": args.n, "count": len(rows)}
+    _emit(args, meta, rows, extra_lines=[f"count: {len(rows)}"]
           if args.format == "csv" else ())
     return 0
 
 
 def cmd_arrow(args, parser):
     eta, zeta = (g.ravel() for g in np.meshgrid(args.eta_grid, args.zeta_grid, indexing="ij"))
-    rows = [{"eta": e, "zeta": z, "arrow": a.value}
+    rows = [{"eta": e, "zeta": z, "arrow": a}
             for e, z, a in zip(eta.tolist(), zeta.tolist(), arrow_classify(zeta, eta).tolist())]
     meta = {"command": "arrow", "eta_grid": args.eta_grid_raw,
             "zeta_grid": args.zeta_grid_raw}
     _emit(args, meta, rows)
     return 0
-
-
-def _kitaev_map(e, p: KitaevParams):
-    """(zeta, eta) of the Kitaev map at the energy or energies e, or (None,
-    None) where it is undefined: at the sweet spot t = +-delta the spectrum
-    is fine but the map is not, and it may be past the doubles, as may at
-    N = 2 the onsite energy of its chain."""
-    try:
-        c = kitaev_effective_coeffs(e, p)
-    except (ZeroT2Error, ValueError):
-        return None, None
-    return c.zeta, c.eta
 
 
 def cmd_kitaev(args, parser):
@@ -269,10 +262,10 @@ def cmd_kitaev(args, parser):
     rows = []
     for p in chains:
         energies = kitaev_spectrum(p)
-        zetas, eta = _kitaev_map(np.array(energies), p)
+        zetas, eta = _map(kitaev_effective_coeffs, np.array(energies), p)
         # one batch per mu; where it fails, each energy alone, so only the
         # rows whose map is undefined are left empty
-        maps = ([_kitaev_map(e, p) for e in energies] if zetas is None
+        maps = ([_map(kitaev_effective_coeffs, e, p) for e in energies] if zetas is None
                 else [(zeta, eta) for zeta in zetas.tolist()])
         rows += [{"mu": p.mu, "e": e, "zeta": zeta, "eta": eta}
                  for e, (zeta, eta) in zip(energies, maps)]
@@ -346,8 +339,8 @@ def _grid(name, required=False, help=""):
     return Flag(name, _parse_grid, required=required, help=help, metavar="MIN:MAX:STEPS")
 
 
-# a value is checked as it is read, except a grid's or --beta's: only the
-# one that is kept
+# a value is converted once, as it is read, except a grid's or --beta's:
+# only the one that is kept, after the last flag
 _CHECKED_LAST = (_parse_grid, _parse_beta)
 
 _CHAIN = (Flag("--n", int, required=True), Flag("--mu", float, 0.0),
@@ -499,7 +492,8 @@ def _parse(argv) -> SimpleNamespace:
         _top_level(argv)
     command = COMMANDS[argv[0]]
     names = (*command.flags, "--help")
-    texts = {}
+    # each given flag's value; a grid's or --beta's text, converted last
+    values = {}
     tokens = iter(argv[1:])
     for token in tokens:
         name, eq, text = token.partition("=")
@@ -518,23 +512,23 @@ def _parse(argv) -> SimpleNamespace:
             text = next(tokens, None)
             if text is None:
                 command.error(f"argument {flag.name}: expected one argument")
-        texts[flag.name] = text
-        if flag.convert not in _CHECKED_LAST:
-            _convert(command, flag, text)
-    missing = [f.name for f in command.flags.values() if f.required and f.name not in texts]
+        values[flag.name] = (text if flag.convert in _CHECKED_LAST
+                             else _convert(command, flag, text))
+    missing = [f.name for f in command.flags.values() if f.required and f.name not in values]
     if missing:
         command.error(f"the following arguments are required: {', '.join(missing)}")
-    given = [name for name in command.one_of if name in texts]
+    given = [name for name in command.one_of if name in values]
     if len(given) > 1:
         command.error(f"argument {given[1]}: not allowed with argument {given[0]}")
     if command.one_of and not given:
         command.error(f"one of the arguments {' '.join(command.one_of)} is required")
     args = SimpleNamespace(func=command.func, command=command.name)
     for flag in command.flags.values():
-        text = texts.get(flag.name)
-        setattr(args, flag.dest, flag.default if text is None else _convert(command, flag, text))
+        value = values.get(flag.name, flag.default)
+        last = flag.name in values and flag.convert in _CHECKED_LAST
+        setattr(args, flag.dest, _convert(command, flag, value) if last else value)
         if flag.convert is _parse_grid:
-            setattr(args, flag.dest + "_raw", text)
+            setattr(args, flag.dest + "_raw", values.get(flag.name))
     return args
 
 
@@ -545,6 +539,8 @@ def main(argv=None) -> int:
     except (TetranacciError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # inputs past memory, as a grid's are (exit 2)
+        COMMANDS[args.command].error(f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

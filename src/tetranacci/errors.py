@@ -7,8 +7,9 @@ class TetranacciError(Exception):
 
 class ZeroT2Error(TetranacciError):
     """Next-nearest-neighbor coupling is zero (t2, or t^2 - delta^2 for the
-    Kitaev chain), or so small that dividing by it overflows; coefficient
-    map undefined."""
+    Kitaev chain), or so small that dividing by it overflows, or the Kitaev
+    chain's effective chain has an entry past the doubles; coefficient map
+    undefined."""
 
 
 class PreconditionError(TetranacciError):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainParams, coeffs_from_energy
+from .errors import ZeroT2Error
 from .recurrence import Coefficients, require_real
 
 
@@ -54,16 +55,19 @@ def kitaev_effective_coeffs(e, p: KitaevParams) -> Coefficients:
     """(zeta, eta) of the excitation energy E, or of a 1-D array of them:
     `coeffs_from_energy` at E^2 of the chain whose matrix is the bulk of h,
     with onsite energy -(mu^2 + (delta - t)^2 + (delta + t)^2), t1 = -2 t mu
-    and t2 = delta^2 - t^2.  Its ZeroT2Error marks the sweet spot t = +-delta
-    and a map past the doubles.  Where that onsite energy is itself past the
-    doubles, ChainParams raises ValueError, though A and E may still be
-    doubles (mu = 1e160, say).
+    and t2 = delta^2 - t^2.  ZeroT2Error is raised where that chain has no
+    coefficient map (t2 = 0, at the sweet spot t = +-delta, or zeta or eta
+    past the doubles), and where its entries are past the doubles, though A
+    and E may still be doubles (mu = 1e160, say).
     """
     t1_eff, t2_eff = kitaev_effective_hoppings(p)
     # float products, not **, which raises OverflowError past the doubles
     a, b = p.delta - p.t, p.delta + p.t
     bulk = p.mu * p.mu + a * a + b * b
-    chain = ChainParams(mu=-bulk, t1=-t1_eff, t2=-t2_eff, n=p.n)
+    try:
+        chain = ChainParams(mu=-bulk, t1=-t1_eff, t2=-t2_eff, n=p.n)
+    except ValueError:  # an entry past the doubles: no map, as at t2 = 0
+        raise ZeroT2Error("effective chain's entries leave the doubles") from None
     with np.errstate(over="ignore"):  # an E^2 past the doubles makes zeta infinite
         e2 = e * e
     return coeffs_from_energy(e2, chain)

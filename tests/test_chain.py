@@ -251,6 +251,8 @@ def test_spectrum_t2_zero_nearest_neighbour_wavevector(mu, t1):
 # --- crossings --------------------------------------------------------------
 
 def test_crossing_counts():
+    with pytest.raises(PreconditionError):
+        crossings(1)
     assert len(crossings(2)) == 1
     assert len(crossings(3)) == 2
     for n in range(2, 22):

@@ -104,13 +104,15 @@ def test_spectrum_sweep_row_count(capsys):
     assert {"eta", "zeta", "e", "arrow"} <= set(rows[0])
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_spectrum_t2_zero(capsys, fmt):
-    # the nearest-neighbour chain has no coefficient map, so the fields it
-    # would give are null (JSON) or empty (CSV), but for its own wavevector
-    # k1, and the spectrum is emitted
+@pytest.mark.parametrize("fmt, t2", [("json", "0"), ("csv", "0"),
+                                     ("json", "1e-320"), ("csv", "1e-320")],
+                         ids=["json", "csv", "json-t2-1e-320", "csv-t2-1e-320"])
+def test_spectrum_t2_zero(capsys, fmt, t2):
+    # the nearest-neighbour chain has no coefficient map, nor has one whose
+    # eta = -t1/t2 overflows, so the fields it would give are null (JSON) or
+    # empty (CSV), but for its own wavevector k1, and the spectrum is emitted
     code, out, err = run(capsys, "spectrum", "--n", "5", "--mu", "0.2", "--t1", "1",
-                         "--t2", "0", "--format", fmt)
+                         "--t2", t2, "--format", fmt)
     assert code == 0, err
     rows = json.loads(out)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
     empty = None if fmt == "json" else ""
@@ -338,11 +340,13 @@ def test_transport_transmission_without_coefficient_map(capsys, t2):
 
 
 @pytest.mark.parametrize("argv", [
-    # eta = -t1/t2 overflows a double
-    ("spectrum", "--n", "3", "--t1", "1", "--t2", "1e-320"),
+    # initial values of 1e300 carry the replayed window past the finite
+    # doubles at zeta = eta = 3
+    ("seq", "--zeta", "3", "--eta", "3", "--g", "1e300,1e300,0,0",
+     "--lo", "-30", "--hi", "30", "--mode", "recursion"),
     # the characteristic roots overflow
     ("seq", "--zeta", "1e308", "--eta", "1e308", "--g", "1,1,1,1",
-     "--lo", "-5", "--hi", "50"),
+     "--lo", "-5", "--hi", "50", "--mode", "closed"),
     # the replayed window leaves the finite doubles
     ("seq", "--zeta", "1e308", "--eta", "1e308", "--g", "1,1,1,1",
      "--lo", "-5", "--hi", "50", "--mode", "recursion"),
@@ -374,6 +378,16 @@ def test_overflow_is_numerical_failure(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 4
     assert "numerical failure" in err
+
+
+def test_seq_deviation_past_bound_exits_3(capsys):
+    # at zeta = 1e8 the window grows like 1e4^j, and the closed form and the
+    # replay differ by 5.1e-7 relative, past the 1e-8 bound
+    code, out, err = run(capsys, "seq", "--zeta=1e8", "--eta", "1", "--g", "1,0,0,1",
+                         "--lo", "-30", "--hi", "30")
+    assert code == 3
+    assert len(json.loads(out)["rows"]) == 61
+    assert err.startswith("deviation ") and err.endswith(" exceeds 1e-08\n")
 
 
 def test_transport_at_largest_chain_entries(capsys):
@@ -504,6 +518,8 @@ def test_negative_exponent_values(capsys, argv, key, value):
     # an --out path that cannot be written
     ("seq", "--zeta", "1", "--eta", "1", "--g", "0,0,0,1",
      "--out", "/nonexistent-dir/x.json"),
+    # three initial values, not four
+    ("seq", "--zeta", "1", "--eta", "1", "--g", "0,0,1"),
 ])
 def test_invalid_parameters_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -520,6 +536,24 @@ def test_grid_past_memory_is_a_usage_error(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument --e-grid: grid must be min:max:steps" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n", "1000000000000000"),
+    ("kitaev", "--n", "1000000000000000", "--t", "1", "--delta", "0", "--mu-grid", "0:0:1"),
+    ("transport", "--n", "1000000000000000", "--v-grid", "1:1:1"),
+], ids=["spectrum", "kitaev", "transport"])
+def test_chain_past_memory_is_a_usage_error(capsys, argv):
+    # a chain of 10^15 sites: its first array (8 PB) is more than a process
+    # can map, so the allocation fails at once, as for a grid, touching no
+    # memory.  Not `transport --e-grid` or `crossings`: their exact replay
+    # and enumeration allocate step by step, and run for hours
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"tetranacci {argv[0]}: error: out of memory" in err
     assert "Traceback" not in err
 
 
@@ -802,6 +836,19 @@ def test_full_parser_help_lists_every_command(capsys):
     assert out.startswith("usage: tetranacci [-h] [--version]")
     for name, command in cli.COMMANDS.items():
         assert name in out and command.help in out
+    # each command's own help lists each of its flags, and --version prints
+    # the version, both at exit 0
+    for name, command in cli.COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: tetranacci {name} [-h]")
+        assert all(flag in out for flag in command.flags)
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == tetranacci.__version__ + "\n"
 
 
 @pytest.mark.parametrize("argv", [(), ("bogus",), ("bogus", "--n", "3"), ("--n", "3")])

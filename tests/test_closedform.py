@@ -448,6 +448,11 @@ def test_batch_of_one_keeps_its_axis():
     assert [complex(v[0]) for v in w.values] == list(single.values)
 
 
+def test_xi_closed_rejects_empty_range():
+    with pytest.raises(PreconditionError):
+        xi_closed(unit(0), characterize(Coefficients(0.3, 0.9)), 3, 1)
+
+
 def test_batch_rejects_non_finite_entries_and_2d_arrays():
     with pytest.raises(ValueError):
         Coefficients(np.array([0.3, np.inf]), np.array([1.0, 1.0]))

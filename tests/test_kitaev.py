@@ -54,6 +54,14 @@ def test_effective_coeffs_rejects_t_eq_delta():
         kitaev_effective_coeffs(0.0, KitaevParams(mu=0.5, t=1.0, delta=1.0, n=4))
 
 
+@pytest.mark.parametrize("mu, t", [(1e160, 1.0), (0.0, 1e155)])
+def test_effective_coeffs_past_the_doubles_is_no_map(mu, t):
+    # the effective chain's onsite energy mu^2 + 2 t^2 (and at t = 1e155 its
+    # t2 = -t^2) is past the doubles: no chain, so no map, as at t = delta
+    with pytest.raises(ZeroT2Error, match="entries"):
+        kitaev_effective_coeffs(1.0, KitaevParams(mu=mu, t=t, delta=0.0, n=4))
+
+
 def _xy_hoppings(jx, jy, hfield):
     # the XY chain is the Kitaev chain at mu = -2h, t = (Jx+Jy)/2, delta = (Jx-Jy)/2
     return kitaev_effective_hoppings(KitaevParams(mu=-2.0 * hfield, t=(jx + jy) / 2,

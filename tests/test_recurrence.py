@@ -80,9 +80,19 @@ def test_eval_range_zero():
     assert all(v == 0 for v in w.values)
 
 
+def test_initial_values_need_four():
+    with pytest.raises(ValueError, match="four"):
+        InitialValues((1, 2, 3))
+
+
 def test_eval_range_rejects_bad_range():
     with pytest.raises(PreconditionError):
         eval_range(unit(0), Coefficients(1, 1), 3, 1)
+    # an index outside the window it replayed
+    w = eval_range(unit(0), Coefficients(1, 1), 1, 3)
+    for j in (0, 4):
+        with pytest.raises(PreconditionError):
+            w.value(j)
 
 
 def test_eval_range_residual():

@@ -30,6 +30,11 @@ def test_lead_rejects_negative_gamma():
         LeadParams(gamma=-1.0)
 
 
+def test_current_rejects_zero_beta():
+    with pytest.raises(ValueError, match="beta must be positive"):
+        current(1.0, 0.0, default_setup())
+
+
 @pytest.mark.parametrize("make", [
     lambda: ChainParams(mu=0.3j, t1=1.0, t2=0.8, n=5),
     lambda: ChainParams(mu=0.3, t1=1.0, t2=complex(0.8), n=5),
