@@ -28,7 +28,7 @@ import numpy as np
 
 from .closedform import characterize, standing_wave
 from .errors import PreconditionError, ZeroT2Error
-from .exactnum import tm2_ints
+from .exactnum import tm2_replay, tm2_scale
 from .recurrence import Coefficients, all_finite, require_real
 
 
@@ -182,9 +182,14 @@ def _nearest_neighbour_fields(w: np.ndarray, p: ChainParams) -> list:
 
 def _wave_fields(w: np.ndarray, lam: int, p: ChainParams) -> list:
     """The coefficient-map fields of each mode of the sector of sign lam,
-    one dict per eigenvalue in w."""
+    one dict per eigenvalue in w; the nearest-neighbour fields where
+    `characterize` overflows (a root or |eta|^2 past the doubles: |eta| >
+    1.34e154, so |t2| < 7.5e-155 |t1|), though zeta and eta are finite."""
     c = coeffs_from_energy(w, p)
-    cd = characterize(c)
+    try:
+        cd = characterize(c)
+    except OverflowError:
+        return _nearest_neighbour_fields(w, p)
     k1, k2 = cd.theta1, cd.theta2
     res = _branch_residuals(k1, k2, p.n)
     # both signs hold at a crossing and where f(k+) = f(k-) = 0 (e.g.
@@ -204,11 +209,12 @@ def spectrum(p: ChainParams):
     one batch of its eigenvalues (`coeffs_from_energy`, `characterize`, one
     `standing_wave` call per branch sign and `arrow_classify`).  Where the
     chain has no coefficient map (t2 = 0, or zeta or eta past the doubles:
-    `coeffs_from_energy` raises ZeroT2Error) they are None, but for the
-    nearest-neighbour chain's k1; the batch is the sector's, so one
-    eigenvalue whose zeta overflows gives its whole sector these fields.
-    OverflowError is raised where a sector matrix or an eigenvalue leaves
-    the doubles (entries near 1e308)."""
+    `coeffs_from_energy` raises ZeroT2Error), and where a characteristic
+    root or |eta|^2 does (`characterize` raises OverflowError), they are
+    None, but for the nearest-neighbour chain's k1; the batch is the
+    sector's, so one eigenvalue whose zeta or root overflows gives its
+    whole sector these fields.  OverflowError is raised where a sector
+    matrix or an eigenvalue leaves the doubles (entries near 1e308)."""
     h = build_chain_matrix(p)
     modes = []
     for lam, q in zip((1, -1), mirror_sectors(p.n)):
@@ -266,7 +272,7 @@ def eigenvector_tetranacci(e: float, p: ChainParams) -> np.ndarray:
     xi_j = X_j / T_-2(N+2) with X_j = T_-2(N+2) T_-2(j) - T_-2(N+1) T_-2(j+1),
     which cancels down by |r|^(2j) for modes with complex wavevectors.  X
     solves the recursion itself, from X_-2..X_1 = (T_-2(N+2), 0, 0,
-    T_-2(N+1)) as T_-2(2) = -1, so it is replayed exactly (`exactnum.tm2_ints`)
+    T_-2(N+1)) as T_-2(2) = -1, so it is replayed exactly (`exactnum.tm2_replay`)
     from the ints tau(i) = D^(N+4) T_-2(i) in place of T_-2(i), and each
     quotient is rounded once.  PreconditionError is raised where |tau(N+2)|
     <= 1e-10 max_{0 <= j <= N+2} |tau(j)|, compared as ints: no value has to
@@ -274,14 +280,15 @@ def eigenvector_tetranacci(e: float, p: ChainParams) -> np.ndarray:
     """
     c = coeffs_from_energy(e, p)
     top = p.n + 2
-    k, _, tau, replay = tm2_ints(c.zeta, c.eta, top)
-    taus = [tau(j) for j in range(top + 1)]
+    k, (z, h) = tm2_scale(c.zeta, c.eta)
+    y = tm2_replay(z, h, k, top)  # y[j + 2] = D^(j+2) T_-2(j)
+    taus = [y[j + 2] << k * (top - j) for j in range(top + 1)]
     tn2, tn1 = taus[top], taus[top - 1]
     if abs(tn2) * 10 ** 10 <= max(map(abs, taus)):
         raise PreconditionError("boundary value vanishes; eigenvalue is (numerically) degenerate")
     if tn2 < 0:  # a positive divisor rounds an exact zero to +0.0
         tn2, tn1 = -tn2, -tn1
-    x = replay(p.n, (tn2, 0, 0, tn1 << 3 * k))  # x[j + 2] = D^(j+2) X_j
+    x = tm2_replay(z, h, k, p.n, (tn2, 0, 0, tn1 << 3 * k))  # x[j + 2] = D^(j+2) X_j
     return np.array([x[j + 2] / (tn2 << k * (j + 2)) for j in range(1, p.n + 1)])
 
 

@@ -1,4 +1,5 @@
-"""Exact replay of the basic polynomial T_-2 in scaled integers.
+"""The basic polynomial T_-2 exactly, in scaled integers: replayed, or near
+j = N from the paper's Fibonacci decomposition.
 
 The basic polynomials grow like |r|^j, while the boundary determinants
 and eigenvector combinations built from them cancel down by factors up to
@@ -24,11 +25,39 @@ weights about halve k, and with it the length of every int.
 The paper's reduction identities T_1(j) = -T_-2(j+1), T_-1(j) = T_-2(j-1)
 - eta T_-2(j) and the odd symmetry T_-2(-j) = -T_-2(j) (all proven
 exactly by `verify --suite lemmata`) give the other basic polynomials at
-every index, so T_-2 is the only sequence ever replayed, and the boundary
-solve and the closed-form eigenvector take it from `tm2_ints`.  The
-eigenvector's numerator, a combination of T_-2(j) and T_-2(j+1), solves
-the same recursion, so `tm2_ints` replays it too, from other seeds.  A
-quotient of Gaussian integers is rounded with int / int true division,
+every index, so T_-2 is the only sequence ever computed.
+
+The boundary solve needs only T_-2(N-1..N+3), and takes it from the
+paper's decomposition into generalized Fibonacci polynomials in O(log N)
+ring products (`tm2_window`).  The recursion's generating function has
+the denominator Q(x) = 1 - eta x - zeta x^2 - eta x^3 + x^4 = (1 - S1 x
++ x^2)(1 - S2 x + x^2), with S = r + 1/r the roots of S^2 - eta S -
+(zeta + 2) = 0, and 1/Q(x) splits into the two Fibonacci sequences V_0 =
+1, V_1 = S, V_{m+1} = S V_m - V_{m-1} (Chebyshev's U_m(S/2)):
+
+    T_-2(j) = -(V_{j-1}(S1) - V_{j-1}(S2)) / (S1 - S2),
+
+which is a polynomial in S1 and S2, so it holds at S1 = S2 too.  With S'
+= 2^k S, a root of S'^2 - h S' - (z + 2 4^k) = 0, W_m = 2^(km) V_m(S)
+lies in the ring Z[S'] / (S'^2 - h S' - (z + 2 4^k)) as A_m + B_m S'
+with integer A_m, B_m, and as S1 and S2 are the two conjugate values of
+S, the difference quotient above is B_m: y_j = D^(j+2) T_-2(j) = -D^4
+B_{j-1}.  Chebyshev's product formulas give, from (W_m, W_{m-1}),
+
+    W_{2m} = (W_m + D W_{m-1}) (W_m - D W_{m-1}),
+    W_{2m-1} = W_{m-1} (2 W_m - S' W_{m-1}),
+
+and one step is W_{m+1} = S' W_m - D^2 W_{m-1}; from (W_0, W_-1) = (1,
+0), which doubling leaves as they are, a binary ladder over the bits of
+m reaches (W_m, W_{m-1}) in about 2 log2(m) ring products whose operands
+double in length each time, and a few more steps give the window.  The
+ints held are those of a few W, O(N) bits, where the replay above holds
+all N of them, O(N^2) bits.  The closed-form eigenvector needs every
+T_-2(j), and takes them from the replay (`tm2_replay`).  Its numerator,
+a combination of T_-2(j) and T_-2(j+1), solves the same recursion, so it
+is replayed too, from other seeds.
+
+A quotient of Gaussian integers is rounded with int / int true division,
 which is correctly rounded, so each component is the double nearest the
 exact value.  The corner entry G_1N = t2 a / (a d - b c) of the boundary solve
 (`cramer_quotient`) has operands of thousands of bits on long chains, yet
@@ -38,8 +67,6 @@ products are formed only where that bound cannot decide the rounding.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 
 def dyadic(*values: float):
@@ -58,8 +85,9 @@ def tm2_scale(zeta: float, eta: float):
 
 
 def tm2_replay(z: int, h: int, k: int, hi: int, seeds=(1, 0, 0, 0)) -> list:
-    """Scaled T_-2 for zeta = z/4^k, eta = h/2^k: entry j + 2 is 2^(k(j+2)) T_-2(j), j = -2..hi.
-    Other seeds, the scaled values of S(-2..1), replay any solution S of the recursion."""
+    """Scaled T_-2 for zeta = z/4^k, eta = h/2^k: entry j + 2 is 2^(k(j+2)) T_-2(j), j = -2..hi
+    (-2..1 for hi < 1), each from the four before it.  Other seeds, the
+    scaled values of S(-2..1), replay any solution S of the recursion."""
     y = list(seeds)
     for _ in range(hi - 1):
         ym2, ym1, y0, y1 = y[-4:]
@@ -67,14 +95,29 @@ def tm2_replay(z: int, h: int, k: int, hi: int, seeds=(1, 0, 0, 0)) -> list:
     return y
 
 
-def tm2_ints(zeta: float, eta: float, top: int):
-    """k and h of `tm2_scale` (eta == h / 2^k); tau with tau(i) the int
-    2^(k (top+2)) T_-2(i), -2 <= i <= top: one denominator for the window,
-    each value shifted from the one replay when asked for; and replay(hi,
-    seeds), `tm2_replay` of the same z, h and k from other scaled seeds."""
-    k, (z, h) = tm2_scale(zeta, eta)
-    y = tm2_replay(z, h, k, top)
-    return k, h, lambda i: y[i + 2] << k * (top - i), partial(tm2_replay, z, h, k)
+def tm2_window(z: int, h: int, k: int, lo: int, hi: int) -> list:
+    """Scaled T_-2 for zeta = z/4^k, eta = h/2^k: entry j - lo is 2^(k(j+2))
+    T_-2(j), j = lo..hi for 0 <= lo <= hi, the ints `tm2_replay` gives there,
+    from the Fibonacci ladder of the module docstring in O(log lo) ring
+    products."""
+    q = z + (2 << 2 * k)  # S'^2 = h S' + q
+    # W_m = a + b S' and W_{m-1} = c + d S', from m = 1 (or m = 0 at lo = 0)
+    a, b, c, d = (0, 1, 1, 0) if lo else (1, 0, 0, 0)
+    for bit in bin(lo)[3:]:  # m -> 2m, and 2m + 1 where the bit is set
+        # each ring product (x0 + x1 S')(y0 + y1 S') = x0 y0 + q x1 y1 + (x0 y1
+        # + x1 y0 + h x1 y1) S' takes x0 y1 + x1 y0 from one long product
+        x0, x1, y0, y1 = a + (c << k), b + (d << k), a - (c << k), b - (d << k)
+        u0, u1 = 2 * a - d * q, 2 * b - c - d * h  # 2 W_m - S' W_{m-1}
+        p0, p1, r0, r1 = x0 * y0, x1 * y1, c * u0, d * u1
+        c, d = r0 + q * r1, (c + d) * (u0 + u1) - r0 - r1 + h * r1
+        a, b = p0 + q * p1, (x0 + x1) * (y0 + y1) - p0 - p1 + h * p1
+        if bit == "1":
+            a, b, c, d = b * q - (c << 2 * k), a + b * h - (d << 2 * k), a, b
+    out = [-d << 4 * k]  # m = lo: W_{lo-1} gives y_lo
+    for _ in range(lo, hi):
+        a, b, c, d = b * q - (c << 2 * k), a + b * h - (d << 2 * k), a, b
+        out.append(-d << 4 * k)
+    return out
 
 
 def gmul(u, v):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import ChainParams, build_chain_matrix, coeffs_from_energy
 from .errors import ZeroT2Error
-from .exactnum import cramer_quotient, dyadic, gaussian_divider, gmul, tm2_ints
+from .exactnum import cramer_quotient, dyadic, gaussian_divider, gmul, tm2_scale, tm2_window
 from .recurrence import require_real
 
 
@@ -60,12 +60,14 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     condition is sigma_j = g T_-2(j) + h row(j), row(j) = t2 T_1(j) + w_L
     T_-1(j), w_L = i gamma_L - Lambda_L, with g_1 = t2 h.  The reduction
     identities give row(j) = -t2 T_-2(j+1) + w_L (T_-2(j-1) - eta T_-2(j)),
-    so one scaled-integer window of T_-2 (`exactnum.tm2_ints`) carries the
-    solve: zeta and eta are written over D^2 and D, D = 2^k, and t2, Lambda
-    and gamma over their own D' = 2^k'.  Each T_-2(i) with 0 <= i <= top is
-    tau(i) / D^(top+2) for an int tau(i), and a, b, c, d and det are
-    Gaussian integers over D^(top+2), D' D^(top+3), D' D^(top+2), D'^2
-    D^(top+3) and D'^2 D^(2top+5).  As T_-2(1) = 0 and row(1) = t2, G_1N =
+    so the five values T_-2(N-1..N+3) carry the solve.  They come as scaled
+    ints from `exactnum.tm2_window`, the paper's Fibonacci decomposition in
+    O(log N) ring products, which holds O(N) bits: zeta and eta are written
+    over D^2 and D, D = 2^k, and t2, Lambda and gamma over their own D' =
+    2^k'.  Each T_-2(i) with N-1 <= i <= top = N+3 is tau(i) / D^(top+2)
+    for an int tau(i), and a, b, c, d and det are Gaussian integers over
+    D^(top+2), D' D^(top+3), D' D^(top+2), D'^2 D^(top+3) and D'^2
+    D^(2top+5).  As T_-2(1) = 0 and row(1) = t2, G_1N =
     sigma_1 = t2 a / det, the one unknown solved for, is the quotient of
     these ints times D' D^(top+3), rounded once (`cramer_quotient`: from
     their top bits where those decide the rounding, else from the
@@ -90,7 +92,12 @@ def green_1n_tetranacci(e: float, s: TransportSetup) -> complex:
     p = s.chain
     c = coeffs_from_energy(e, p)
     n, top = p.n, p.n + 3
-    k, eta, tau, _ = tm2_ints(c.zeta, c.eta, top)  # tau(i) = D^(top+2) T_-2(i)
+    k, (z, eta) = tm2_scale(c.zeta, c.eta)
+    y = tm2_window(z, eta, k, n - 1, top)  # y[i - n + 1] = D^(i+2) T_-2(i)
+
+    def tau(i):  # D^(top+2) T_-2(i)
+        return y[i - n + 1] << k * (top - i)
+
     kc, (t2, *w) = dyadic(p.t2, -s.left.lam, s.left.gamma, -s.right.lam, s.right.gamma)
     w_l, w_r = tuple(w[:2]), tuple(w[2:])
 

@@ -10,7 +10,7 @@ from tetranacci.chain import (Arrow, ChainParams, _branch_residuals,
                               eigenvector_tetranacci, spectrum)
 from tetranacci.closedform import characterize, standing_wave
 from tetranacci.errors import PreconditionError, ZeroT2Error
-from tetranacci.exactnum import tm2_ints
+from tetranacci.exactnum import tm2_replay, tm2_scale
 
 from band_oracle import chain_eigh, t1_zero_spectrum
 
@@ -248,6 +248,19 @@ def test_spectrum_t2_zero_nearest_neighbour_wavevector(mu, t1):
     assert all(m.k1 is None for m in spectrum(ChainParams(mu=mu, t1=0.0, t2=0.0, n=7)))
 
 
+def test_spectrum_root_past_the_doubles_is_nearest_neighbour():
+    # t2 / t1 = 1e-307: zeta, eta = -1e307 and every eigenvalue are finite,
+    # but eta^2 in `characterize` is not, so the modes take the
+    # nearest-neighbour fields, E_q = -2 t1 cos(q pi / 5) within its roundoff
+    p = ChainParams(mu=0.0, t1=1e300, t2=1e-7, n=4)
+    modes = spectrum(p)
+    assert [m.k1.real for m in modes] == pytest.approx(np.arange(1, 5) * math.pi / 5, abs=1e-14)
+    for m in modes:
+        assert m.k1.imag == 0.0
+        assert m.e == pytest.approx(-2e300 * math.cos(m.k1.real), rel=1e-14)
+        assert (m.k2, m.k_plus, m.k_minus, m.s_q, m.arrow, m.quant_residual) == (None,) * 6
+
+
 # --- crossings --------------------------------------------------------------
 
 def test_crossing_counts():
@@ -320,8 +333,9 @@ def eigenvector_products(e, p):
     D^(N+4) T_-2(i), rounded once, with the package's degeneracy test."""
     c = coeffs_from_energy(e, p)
     top = p.n + 2
-    k, _, tau, _ = tm2_ints(c.zeta, c.eta, top)
-    taus = [tau(j) for j in range(top + 1)]
+    k, (z, h) = tm2_scale(c.zeta, c.eta)
+    y = tm2_replay(z, h, k, top)
+    taus = [y[j + 2] << k * (top - j) for j in range(top + 1)]
     tn2, tn1 = taus[top], taus[top - 1]
     if abs(tn2) * 10 ** 10 <= max(map(abs, taus)):
         raise PreconditionError("degenerate")

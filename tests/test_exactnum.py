@@ -9,10 +9,13 @@ solve of `green_1n_tetranacci` must equal, to the bit, the same 2x2
 system solved over `Fraction` from these replays and rounded once, and
 `cramer_quotient`, which rounds it from truncated operands where it can,
 must equal its full-length products to the bit, exceptions included.
+The Fibonacci window of T_-2 (`tm2_window`) must equal the replay's ints,
+and the boundary solve that reads it the same solve over the whole replay.
 """
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 from tetranacci.chain import ChainParams, coeffs_from_energy
 from tetranacci.errors import ZeroT2Error
 from tetranacci.exactnum import (cramer_quotient, dyadic, gaussian_divider, gmul, tm2_replay,
-                                 tm2_scale)
+                                 tm2_scale, tm2_window)
 from tetranacci.transport import LeadParams, TransportSetup, green_1n_tetranacci
 
 
@@ -90,6 +93,94 @@ def test_scaled_replay_equals_fraction_replay(draw, n):
         assert t[1][j] * d ** (abs(j + 1) + 2) == -scaled(j + 1)
         assert (t[-1][j] * d ** (abs(j) + 3)
                 == d ** (abs(j) - abs(j - 1) + 1) * scaled(j - 1) - h * scaled(j))
+
+
+# doubles of every size, so that k reaches 537 from a subnormal zeta and
+# 1074 from a subnormal eta, and the special points: eta = 0, zeta = -2
+# (S1 = -S2) and the corner zeta = -2 - eta^2 / 4 (S1 = S2) in eighths
+_anything = st.floats(allow_nan=False, allow_infinity=False)
+_small = st.one_of(st.floats(-8.0, 8.0), st.floats(-1e-300, 1e-300), _anything)
+_zeta_eta = st.one_of(
+    st.tuples(_small, _small),
+    st.tuples(_small, st.just(0.0)),
+    st.tuples(st.just(-2.0), _small),
+    st.integers(-64, 64).map(lambda i: (-2.0 - (i / 8) ** 2 / 4, i / 8)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_zeta_eta, st.integers(0, 400), st.integers(0, 6))
+# the boundary solve's windows T_-2(N-1..N+3) of N = 1, 2 and 3
+@example((0.375, -1.25), 0, 4)
+@example((0.375, -1.25), 1, 4)
+@example((0.375, -1.25), 2, 4)
+# the corner at eta = +-4, where S1 = S2 = +-2, and a subnormal eta
+@example((-6.0, 4.0), 397, 4)
+@example((-6.0, -4.0), 398, 4)
+@example((0.3, 5e-324), 50, 4)
+def test_window_equals_replay(zeta_eta, lo, width):
+    k, (z, h) = tm2_scale(*zeta_eta)
+    hi = lo + width
+    assert tm2_window(z, h, k, lo, hi) == tm2_replay(z, h, k, hi)[lo + 2:hi + 3]
+
+
+def green_1n_replay(e, s):
+    """`green_1n_tetranacci`'s boundary solve with every T_-2(j), j = -2..N+3,
+    taken from the replay (`tm2_replay`) in place of the Fibonacci window."""
+    p = s.chain
+    c = coeffs_from_energy(e, p)
+    n, top = p.n, p.n + 3
+    k, (z, eta) = tm2_scale(c.zeta, c.eta)
+    y = tm2_replay(z, eta, k, top)
+
+    def tau(i):  # D^(top+2) T_-2(i)
+        return y[i + 2] << k * (top - i)
+
+    kc, (t2, *w) = dyadic(p.t2, -s.left.lam, s.left.gamma, -s.right.lam, s.right.gamma)
+    w_l, w_r = tuple(w[:2]), tuple(w[2:])
+
+    def row(j):  # D' D^(top+3) row(j)
+        u = (tau(j - 1) << k) - eta * tau(j)
+        return ((-t2 * tau(j + 1)) << k) + w_l[0] * u, w_l[1] * u
+
+    a, b, tn = tau(n + 1), row(n + 1), tau(n)
+    cc = w_r[0] * tn - t2 * tau(n + 2), w_r[1] * tn
+    rn, rn2 = gmul(w_r, row(n)), row(n + 2)
+    d = rn[0] - t2 * rn2[0], rn[1] - t2 * rn2[1]
+    shift = kc + k * (top + 3)
+    if a == 0 and b == cc == (0, 0):
+        return gaussian_divider((t2, 0), d, shift)
+    return cramer_quotient(t2, a, b, cc, d, shift)
+
+
+def test_boundary_solve_equals_replay_solve():
+    # seeded chains up to N = 1000, with simple hopping ratios (short k) and
+    # generic ones, lead level shifts, propagating and evanescent energies
+    rng = random.Random(28)
+    for n in (1, 2, 3, 4, 5, 9, 17, 30, 64, 100, 257, 500, 1000):
+        for _ in range(3):
+            t2 = rng.choice((0.8, 1.0, -1.3, rng.uniform(-2, 2)))
+            t1 = rng.choice((0.0, t2, -t2, 1.25 * t2, rng.uniform(-2, 2)))
+            chain = ChainParams(rng.uniform(-0.5, 0.5), t1, t2, n)
+            leads = [LeadParams(rng.uniform(0.1, 2), rng.choice((0.0, rng.uniform(-1, 1))))
+                     for _ in range(2)]
+            s = TransportSetup(chain, *leads)
+            for e in (rng.uniform(-3.5, 3.5), rng.uniform(-6, 6)):
+                got, want = green_1n_tetranacci(e, s), green_1n_replay(e, s)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_boundary_solve_memory_stays_linear():
+    # the five values of the window hold O(N) bits: the whole replay of one
+    # solve held 7.4 MB at N = 2000
+    s = TransportSetup(ChainParams(0.0, 1.0, 0.8, 2000), LeadParams(0.5), LeadParams(0.5))
+    tracemalloc.start()
+    try:
+        green_1n_tetranacci(0.3, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e5
 
 
 def _cmul(u, v):

@@ -124,6 +124,8 @@ magnitudes = st.builds(lambda s, x: s * 10.0 ** x, st.sampled_from((-1.0, 1.0)),
 @given(magnitudes, magnitudes, st.one_of(st.just(0.0), magnitudes), st.integers(2, 12))
 @example(5e153, 5e153, 0.0, 30)
 @example(1e160, 1e155, 0.0, 12)  # mu^2 and t^2 are past the doubles, A and E are not
+# entries 1 and 1.78e144, where an unscaled BdG eigensolve is off by 3.9e-6
+@example(-1.0, -1.0, -10.0 ** 144.25, 3)
 def test_spectrum_is_finite_and_matches_bdg(mu, t, delta, n):
     # the singular values of A are finite wherever A is, and match the
     # particle-hole spectrum
